@@ -9,22 +9,36 @@ cases with a binary 2-adic refinement:
     CASE3: v3(a) > v3(b)  (forces 3|a)   index 54g
 
 For each of the six (major, minor) combinations a literal 3x3 reduced matrix
-is known in closed form.  ``build`` always recomputes the generic reduction
-of the 9x3 action matrix as well and certifies that both generate the same
-lattice, so every returned AssociatedOrder carries a per-input proof rather
-than trusting the case table.  The basis is read off the columns of the
-inverse reduced matrix.
+R is known in closed form; it is integral with det R = I_W > 0, and the basis
+is read off the columns of R^-1 = adj(R) / det R.  ``build`` always
+recomputes the generic reduction of the 9x3 action matrix as well and
+certifies that both generate the same lattice, so every returned
+AssociatedOrder carries a per-input proof rather than trusting the case
+table.  Every certificate runs in integers on R and adj(R), as a congruence
+modulo det R (Cohen, GTM 138, section 2.4); the rational views ``reduced``
+and ``basis`` are made only when read.  ``in_order`` is the Fraction
+membership test the test suite referees the integer route with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 from .arith import valuation
-from .cubicfield import HopfElement, TrinomialCubic, apply_hopf, gram_matrix, hopf_mul
+from .cubicfield import HopfElement, TrinomialCubic, hopf_mul_coords
 from .errors import LatticeMismatchError
-from .exactlinalg import RatMatrix, det3, inverse3, lattice_equal3, reduce_tall
+from .exactlinalg import (
+    IntMatrix,
+    RatMatrix,
+    adjugate3,
+    det3,
+    divisible,
+    int_lattice_equal3,
+    int_matmul,
+    reduce_tall,
+)
 from . import cubicfield
 
 CASE1 = "CASE1"
@@ -47,10 +61,24 @@ class CaseLabel:
 
 @dataclass(frozen=True)
 class AssociatedOrder:
+    """The order as its integral reduced matrix R (det R = index_iw) and
+    adj(R), whose columns are index_iw times the basis vectors.  ``reduced``
+    and ``basis`` are the rational views of the same data."""
+
     case: CaseLabel
     index_iw: int
-    basis: tuple[HopfElement, HopfElement, HopfElement]
-    reduced: RatMatrix
+    int_reduced: IntMatrix
+    adj: IntMatrix
+
+    @property
+    def reduced(self) -> RatMatrix:
+        return self.int_reduced.to_rat()
+
+    @property
+    def basis(self) -> tuple[HopfElement, HopfElement, HopfElement]:
+        d = self.index_iw
+        cols = zip(*self.adj.entries)
+        return tuple(HopfElement(*(Fraction(x, d) for x in col)) for col in cols)
 
 
 def classify(k: TrinomialCubic) -> CaseLabel:
@@ -94,6 +122,10 @@ def h_closed_form(k: TrinomialCubic) -> int:
 
 def closed_form_reduced(k: TrinomialCubic) -> RatMatrix:
     """The literal reduced matrix for the classified case."""
+    return _closed_form(k).to_rat()
+
+
+def _closed_form(k: TrinomialCubic) -> IntMatrix:
     g = k.g
     case = classify(k)
     table = {
@@ -104,7 +136,7 @@ def closed_form_reduced(k: TrinomialCubic) -> RatMatrix:
         (CASE3, V2GE): [[1, 0, 2], [0, 9 * g, 3], [0, 0, 6]],
         (CASE3, V2LT): [[1, 0, 2], [0, 18 * g, 0], [0, 0, 3]],
     }
-    return RatMatrix.from_rows(table[(case.major, case.minor)])
+    return IntMatrix.from_rows(table[(case.major, case.minor)])
 
 
 def in_order(reduced: RatMatrix, h: HopfElement) -> bool:
@@ -120,52 +152,46 @@ def build(k: TrinomialCubic, verify: bool = True) -> AssociatedOrder:
     """Assemble the associated order with its certificates.
 
     Always computes the generic reduction of the action matrix alongside the
-    closed form and demands lattice equality (LatticeMismatchError otherwise).
-    With verify=True additionally checks the basis stabilizes B, spans a
-    ring, and that the index matches |det|.
+    closed form and demands lattice equality (LatticeMismatchError otherwise)
+    and that det R is the index the case table gives.  With verify=True
+    additionally checks the basis stabilizes B, spans a ring and contains
+    the identity.
     """
     case = classify(k)
-    reduced = closed_form_reduced(k)
-    generic = reduce_tall(cubicfield.action_matrix(k).to_rat()).d
-    if not lattice_equal3(reduced, generic):
+    reduced = _closed_form(k)
+    generic = reduce_tall(cubicfield.action_matrix(k)).d
+    if not int_lattice_equal3(reduced, generic):
         raise LatticeMismatchError(
             f"closed-form and generic reduced matrices disagree for (a, b) = "
             f"({k.a}, {k.b})"
         )
-    index = abs(det3(reduced))
+    index = det3(reduced)
     expected = index_of_case(case, k.g)
     if index != expected:
         raise AssertionError(
-            f"|det| = {index} but the index table says {expected} for {k}"
+            f"det = {index} but the index table says {expected} for {k}"
         )
-    inv = inverse3(reduced)
-    basis = tuple(
-        HopfElement(inv.entries[0][i], inv.entries[1][i], inv.entries[2][i])
-        for i in range(3)
-    )
-    order = AssociatedOrder(case, int(index), basis, reduced)
+    order = AssociatedOrder(case, index, reduced, adjugate3(reduced))
     if verify:
         _verify_certificates(k, order)
     return order
 
 
 def _verify_certificates(k: TrinomialCubic, order: AssociatedOrder) -> None:
-    # basis vectors must map all of B into Z[alpha]
-    basis_elements = gram_matrix(k)[0]  # (1, alpha, alpha^2)
-    for v in order.basis:
-        for gamma in basis_elements:
-            image = apply_hopf(k, v, gamma)
-            if any(x.denominator != 1 for x in image):
-                raise AssertionError(
-                    f"basis vector {v} moves {gamma} out of Z[alpha] for {k}"
-                )
-    # ring closure: pairwise products stay in the lattice the basis spans
-    for v in order.basis:
-        for w in order.basis:
-            if not in_order(order.reduced, hopf_mul(k, v, w)):
-                raise AssertionError(f"basis product {v} * {w} escapes the order for {k}")
+    d, adj = order.index_iw, order.adj
+    # basis vectors must map all of B into Z[alpha]: row block j of
+    # action * adj holds the images of alpha^j under the adj columns
+    if not divisible(int_matmul(cubicfield.action_matrix(k), adj), d):
+        raise AssertionError(f"a basis vector moves B out of Z[alpha] for {k}")
+    # ring closure: pairwise products stay in the lattice the basis spans,
+    # i.e. R * (adj_i * adj_j) = 0 mod d^2
+    cols = list(zip(*adj.entries))
+    products = [hopf_mul_coords(k.delta, u, v) for u in cols for v in cols]
+    if not divisible(int_matmul(order.int_reduced, IntMatrix(tuple(zip(*products)))), d * d):
+        raise AssertionError(f"a product of basis vectors escapes the order for {k}")
     # the identity operator is a basis vector in every case table
-    assert order.basis[0].coords == (1, 0, 0)
+    if cols[0] != (d, 0, 0):
+        raise AssertionError(f"the first basis vector is not the identity for {k}")
 
 
 def basis_matrix(order: AssociatedOrder) -> RatMatrix:

@@ -24,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT
-from .assocorder import build
 from .cubicfield import REDUCED_LOOSE, REDUCED_STRICT, validate
 from .errors import ValidationError
 from .freeness import UNDECIDED
@@ -105,8 +104,8 @@ def analyze_document(a: int, b: int, convention: str, limit: int) -> tuple[dict,
         doc["validation"] = {"code": exc.code, "message": str(exc)}
         doc["elapsed_us"] = (time.perf_counter_ns() - started) // 1000
         return doc, EX_REJECTED
-    order = build(k)
     verdicts = combined_verdict(k, limit)
+    order = verdicts.order
     doc["valid"] = True
     doc["delta"] = k.delta
     doc["g"] = k.g
@@ -167,8 +166,8 @@ def _scan_row(task) -> tuple:
         k = validate(a, b, convention)
     except ValidationError as exc:
         return ("skip", a, b, exc.code)
-    order = build(k)
     verdicts = combined_verdict(k, limit)
+    order = verdicts.order
     if verdicts.freeness.generator is not None:
         b1, b2, b3 = verdicts.freeness.generator.coords
         betas = (str(b1), str(b2), str(b3))
@@ -211,7 +210,8 @@ def cmd_scan(args) -> int:
         for b in b_range
     ]
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # workers need the cap lifted too when they do not fork from main
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_lift_int_str_cap) as pool:
             results = list(pool.map(_scan_row, tasks, chunksize=16))
     else:
         results = [_scan_row(t) for t in tasks]
@@ -303,8 +303,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _lift_int_str_cap() -> None:
+    # Python caps int <-> str conversion at 4300 digits by default, and
+    # generators and Pell units can be longer; lift the cap, where there is one
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
+    _lift_int_str_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .arith import factorize, valuation
@@ -193,18 +192,24 @@ def action_matrix(k: TrinomialCubic) -> IntMatrix:
     )
 
 
+def hopf_mul_coords(delta: int, u: tuple, v: tuple) -> tuple:
+    """Product of two W-coordinate vectors under the W multiplication table.
+
+    Works for int or Fraction coordinates alike.
+    """
+    u1, u2, u3 = u
+    v1, v2, v3 = v
+    c1 = u1 * v1 - 2 * delta * u2 * v2 + 2 * u3 * v3
+    c2 = u1 * v2 + u2 * v1 - (u2 * v3 + u3 * v2)
+    c3 = delta * u2 * v2 + u1 * v3 + u3 * v1 + u3 * v3
+    return (c1, c2, c3)
+
+
 def hopf_mul(k: TrinomialCubic, u: HopfElement, v: HopfElement) -> HopfElement:
     """Bilinear product under the W multiplication table."""
-    d = k.delta
-    u1, u2, u3 = u.coords
-    v1, v2, v3 = v.coords
-    c1 = u1 * v1 - 2 * d * u2 * v2 + 2 * u3 * v3
-    c2 = u1 * v2 + u2 * v1 - (u2 * v3 + u3 * v2)
-    c3 = d * u2 * v2 + u1 * v3 + u3 * v1 + u3 * v3
-    return HopfElement.of(c1, c2, c3)
+    return HopfElement.of(*hopf_mul_coords(k.delta, u.coords, v.coords))
 
 
-@lru_cache(maxsize=None)
 def _w_action(k: TrinomialCubic):
     # 3x3 integer matrices: column j of the i-th matrix is w_i . gamma_j in B
     gm = gram_matrix(k)

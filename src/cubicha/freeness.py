@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT
 from .assocorder import AssociatedOrder, CASE1, CaseLabel, build
-from .cubicfield import OrderElement, TrinomialCubic, apply_hopf
+from .cubicfield import OrderElement, TrinomialCubic
 from .errors import FactorizationLimitError, NoIntegralCandidateError
-from .exactlinalg import RatMatrix, det3
+from .exactlinalg import IntMatrix, RatMatrix, det3, divisible, int_matmul
 from .quadrep import FormProblem, PellCertificate, solve_with_conditions
 
 log = logging.getLogger(__name__)
@@ -55,17 +55,20 @@ class FreenessReport:
     limit_hit: int | None = None
 
 
-def m_beta(k: TrinomialCubic, beta: OrderElement) -> RatMatrix:
-    """Coordinate matrix of the W-action on beta (integer entries)."""
+def _m_beta_rows(k: TrinomialCubic, beta: OrderElement) -> tuple[tuple[int, ...], ...]:
     a, b = k.a, k.b
     b1, b2, b3 = beta.coords
-    return RatMatrix.from_rows(
-        [
-            [b1, -4 * a * a * b2 + 6 * a * b * b3, 2 * b1 + 2 * a * b3],
-            [b2, 9 * b * b2 - 2 * a * a * b3, -b2],
-            [b3, 6 * a * b2 - 9 * b * b3, -b3],
-        ]
+    return (
+        (b1, -4 * a * a * b2 + 6 * a * b * b3, 2 * b1 + 2 * a * b3),
+        (b2, 9 * b * b2 - 2 * a * a * b3, -b2),
+        (b3, 6 * a * b2 - 9 * b * b3, -b3),
     )
+
+
+def m_beta(k: TrinomialCubic, beta: OrderElement) -> RatMatrix:
+    """Coordinate matrix of the W-action on beta (integer entries): column i
+    holds w_i . beta in B."""
+    return RatMatrix.from_rows(_m_beta_rows(k, beta))
 
 
 def d_beta(k: TrinomialCubic, beta: OrderElement) -> int:
@@ -80,17 +83,25 @@ def is_generator(k: TrinomialCubic, beta: OrderElement, order: AssociatedOrder |
 
     The images of beta under the associated-order basis are always integral;
     they form a Z-basis of Z[alpha] (coordinate determinant +-1) exactly when
-    beta generates.  Both routes must agree.
+    beta generates.  Both routes must agree.  In integers: the images under
+    the adj(R) columns are m_beta * adj(R), each a multiple of d = det R,
+    and their determinant is +-d^3 exactly when beta generates.
     """
     if order is None:
         order = build(k)
-    primary = abs(d_beta(k, beta)) == order.index_iw
-    images = [apply_hopf(k, v, beta) for v in order.basis]
-    for img in images:
-        assert all(x.denominator == 1 for x in img), (k, beta, img)
-    span_det = det3(RatMatrix.from_rows(images))
-    structural = abs(span_det) == 1
-    assert primary == structural, (k, beta, primary, span_det)
+    d = order.index_iw
+    primary = abs(d_beta(k, beta)) == d
+    images = int_matmul(IntMatrix(_m_beta_rows(k, beta)), order.adj)
+    if not divisible(images, d):
+        raise AssertionError(
+            f"an associated-order basis vector moves {beta} out of Z[alpha] for {k}"
+        )
+    structural = abs(det3(images)) == d**3
+    if primary != structural:
+        raise AssertionError(
+            f"determinant criterion says {primary} but the basis images say "
+            f"{structural} for {beta} in {k}"
+        )
     return primary
 
 
@@ -142,10 +153,13 @@ def generator_from_solution(
 
 
 def decide_freeness(
-    k: TrinomialCubic, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT
+    k: TrinomialCubic,
+    limit: int = DEFAULT_TRIAL_DIVISION_LIMIT,
+    order: AssociatedOrder | None = None,
 ) -> FreenessReport:
     """Run the case's representability problems and emit a verified verdict."""
-    order = build(k)
+    if order is None:
+        order = build(k)
     case = order.case
     base = _RHS_FACTOR[case.major] * k.a * k.g
     d = 3 * k.delta

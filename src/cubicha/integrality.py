@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, factorize, is_prime, valuation
+from .assocorder import AssociatedOrder, build
 from .cubicfield import TrinomialCubic
 from .freeness import FreenessReport, decide_freeness
 
@@ -237,17 +238,20 @@ def _poly_mul_z(f, g):
 class CombinedVerdict:
     """Maximality plus freeness; the ring-of-integers verdict only applies
     when Z[alpha] is the full ring of integers, otherwise the freeness report
-    speaks about Z[alpha] alone."""
+    speaks about Z[alpha] alone.  ``order`` is the one associated order both
+    the freeness decision and the callers' output are taken from."""
 
     maximality: MaximalityReport
     freeness: FreenessReport
     ring_of_integers_free: str | None
+    order: AssociatedOrder
 
 
 def combined_verdict(
     k: TrinomialCubic, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT
 ) -> CombinedVerdict:
     maxrep = is_maximal(k, limit)
-    freerep = decide_freeness(k, limit)
+    order = build(k)
+    freerep = decide_freeness(k, limit, order)
     ring_free = freerep.verdict if maxrep.is_maximal else None
-    return CombinedVerdict(maxrep, freerep, ring_free)
+    return CombinedVerdict(maxrep, freerep, ring_free, order)

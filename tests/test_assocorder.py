@@ -195,3 +195,39 @@ class TestBuild:
         assert index_of_case(classify(validate(1, 1)), 1) == 2
         assert index_of_case(classify(validate(3, 3)), 3) == 54
         assert index_of_case(classify(validate(3, 1)), 1) == 54
+
+    def test_integer_certificates_agree_with_fraction_referee(self):
+        # build certifies in integers; the Fraction routines re-check the
+        # basis, B-stability, ring closure and the identity independently
+        for k in pairs_in_grid(6):
+            order = build(k)
+            inv = inverse3(order.reduced)
+            assert [v.coords for v in order.basis] == [
+                tuple(inv.entries[r][i] for r in range(3)) for i in range(3)
+            ]
+            assert order.basis[0].coords == (1, 0, 0)
+            for v in order.basis:
+                for gamma in gram_matrix(k)[0]:
+                    assert all(x.denominator == 1 for x in apply_hopf(k, v, gamma))
+                for w in order.basis:
+                    assert in_order(order.reduced, hopf_mul(k, v, w))
+
+
+def test_certificates_raise_under_optimize(run_optimized):
+    # reversed adj columns span the same B-stable ring, but the identity is
+    # no longer the first basis vector
+    out = run_optimized(
+        "import dataclasses\n"
+        "from cubicha.assocorder import build, _verify_certificates\n"
+        "from cubicha.cubicfield import validate\n"
+        "from cubicha.exactlinalg import IntMatrix\n"
+        "k = validate(3, 3)\n"
+        "order = build(k)\n"
+        "cols = list(zip(*order.adj.entries))[::-1]\n"
+        "broken = dataclasses.replace(order, adj=IntMatrix(tuple(zip(*cols))))\n"
+        "try:\n"
+        "    _verify_certificates(k, broken)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    assert out.startswith("raised: the first basis vector is not the identity"), out

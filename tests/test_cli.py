@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -7,7 +8,9 @@ import sys
 import pytest
 
 from cubicha.cli import CSV_HEADER, analyze_document, build_parser, main
-from cubicha import selfcheck
+from cubicha.cubicfield import OrderElement, validate
+from cubicha.freeness import d_beta
+from cubicha import assocorder, selfcheck
 
 
 def run_cli(*args):
@@ -108,6 +111,41 @@ class TestAnalyze:
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["conventions"]["trial_division_limit"] == 4
 
+    def test_pell_unit_past_the_int_str_digit_cap(self, capsys):
+        # its Pell unit has over 4,300 digits, Python's default cap on
+        # int <-> str conversion; main lifts the cap for the process
+        code = main(["analyze", "--a", "-409", "--b", "727"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        units = [cert["fundamental"] for cert in doc["freeness"]["pell"] if cert["fundamental"]]
+        assert max(len(str(abs(x))) for unit in units for x in unit) > 4300
+        generator = doc["freeness"]["generator"]
+        assert abs(d_beta(validate(-409, 727), OrderElement(*generator))) == doc["index_iw"]
+
+
+def test_one_build_per_valid_field(capsys, monkeypatch):
+    # wrap build at every module binding, as a caller cannot tell which
+    # module a call goes through
+    calls = []
+    orig = assocorder.build
+
+    def counting(k, *args, **kwargs):
+        calls.append((k.a, k.b))
+        return orig(k, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "cubicha" or name.startswith("cubicha."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+    assert main(["scan", "--a-range", "3:3", "--b-range=-9:9"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) > 5
+    assert calls == [(int(r.split(",")[0]), int(r.split(",")[1])) for r in rows]
+    calls.clear()
+    assert main(["analyze", "--a", "6", "--b", "1"]) == 0
+    assert calls == [(6, 1)]
+
 
 class TestScan:
     def test_three_by_three(self, capsys):
@@ -150,6 +188,12 @@ class TestScan:
     def test_bad_range_exit_64(self, capsys):
         assert main(["scan", "--a-range", "1-3", "--b-range", "1:3"]) == 64
 
+    def test_golden_digest(self, capsys):
+        # sha256 of this CSV as the Fraction-arithmetic certificates wrote it
+        assert main(["scan", "--a-range=-15:15", "--b-range=-15:15"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "5696de433fa7644418550d8e41cb53b0a16c9279d881af124f70e11df83f8a55"
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):
@@ -168,6 +212,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL freeness-oracle" in out
+
+    def test_seed_reproducible_across_processes(self):
+        # every process salts str hashes differently unless PYTHONHASHSEED
+        # pins them; the suites' draws must not depend on it
+        outs = set()
+        for hash_seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cubicha", "verify", "--grid", "2", "--seed", "1"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stdout
+            outs.add(proc.stdout)
+        assert len(outs) == 1, outs
 
 
 class TestParser:

@@ -8,8 +8,10 @@ from cubicha.errors import RankError, SingularMatrixError
 from cubicha.exactlinalg import (
     IntMatrix,
     RatMatrix,
+    adjugate3,
     det3,
     det_int,
+    int_lattice_equal3,
     int_matmul,
     inverse3,
     lattice_equal3,
@@ -190,3 +192,51 @@ class TestLatticeEqual:
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert int_matmul(a, b) == IntMatrix.from_rows([[2, 1], [4, 3]])
+
+
+class TestIntegerRoutes:
+    """The integer routes the order certificates run on, refereed by the
+    Fraction routines."""
+
+    def test_reduce_tall_integer_input_stays_integer(self):
+        for a, b in [(1, 1), (3, 1), (5, 6), (-4, 2), (17, 1)]:
+            m = action_matrix(validate(a, b))
+            res = reduce_tall(m)
+            assert isinstance(res.d, IntMatrix) and res.c == 1
+            assert res.d.to_rat() == reduce_tall(m.to_rat()).d
+
+    def test_adjugate(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
+            det = det3(m)
+            assert det == det_int(m)
+            assert int_matmul(m, adjugate3(m)) == IntMatrix.from_rows(
+                [[det * (i == j) for j in range(3)] for i in range(3)]
+            )
+
+    def test_int_lattice_equal3_matches_fraction_referee(self):
+        rng = random.Random(19)
+        agree = {True: 0, False: 0}
+        for _ in range(300):
+            a = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
+            if det3(a) == 0:
+                continue
+            # b spans the same lattice after a random row operation, or is random
+            rows = [list(r) for r in a.entries]
+            i, j = rng.sample(range(3), 2)
+            q = rng.randint(-3, 3)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+            if rng.random() < 0.5:
+                rows[j][rng.randrange(3)] += rng.randint(1, 2)
+            b = IntMatrix.from_rows(rows)
+            if det3(b) == 0:
+                continue
+            want = lattice_equal3(a.to_rat(), b.to_rat())
+            assert int_lattice_equal3(a, b) == want, (a, b)
+            agree[want] += 1
+        assert min(agree.values()) > 20
+
+    def test_int_lattice_equal3_singular_rejected(self):
+        with pytest.raises(SingularMatrixError):
+            int_lattice_equal3(IntMatrix.identity(3), IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubicha.assocorder import build
-from cubicha.cubicfield import OrderElement, validate
+from cubicha.cubicfield import OrderElement, apply_hopf, validate
 from cubicha.errors import FactorizationLimitError, ValidationError
 from cubicha.exactlinalg import RatMatrix, det3
 from cubicha.freeness import (
@@ -258,3 +258,54 @@ class TestOracleAgreement:
                     assert rep.verdict != NOT_FREE, (a, b)
                 if rep.verdict == NOT_FREE:
                     assert found is None, (a, b)
+
+
+class TestIsGeneratorReferee:
+    def test_integer_cross_check_matches_fraction_referee(self):
+        # is_generator's structural route runs in integers; the Fraction
+        # images under the basis must be integral, and span Z[alpha] exactly
+        # for generators
+        rng = random.Random(31)
+        fields = [(1, 1), (3, 1), (3, 3), (-6, 2), (7, -2), (1, 2)]
+        for a, b in fields:
+            k = validate(a, b)
+            order = build(k)
+            betas = [OrderElement(-1, 0, 1), OrderElement(1, 1, 0)] + [
+                OrderElement(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
+                for _ in range(40)
+            ]
+            for beta in betas:
+                images = [apply_hopf(k, v, beta) for v in order.basis]
+                assert all(x.denominator == 1 for img in images for x in img)
+                spans = abs(det3(RatMatrix.from_rows(images))) == 1
+                assert is_generator(k, beta, order) == spans, (a, b, beta)
+
+
+def test_is_generator_checks_raise_under_optimize(run_optimized):
+    # an adj entry off by one moves beta's images out of Z[alpha]; a doubled
+    # adj column keeps them integral but no longer spanning Z[alpha]
+    out = run_optimized(
+        "import dataclasses\n"
+        "from cubicha.assocorder import build\n"
+        "from cubicha.cubicfield import OrderElement, validate\n"
+        "from cubicha.exactlinalg import IntMatrix\n"
+        "from cubicha.freeness import is_generator\n"
+        "k = validate(3, 3)\n"
+        "order = build(k)\n"
+        "beta = OrderElement(-1, 0, 1)\n"
+        "assert is_generator(k, beta, order)\n"
+        "rows = [list(r) for r in order.adj.entries]\n"
+        "off = [r[:] for r in rows]\n"
+        "off[0][0] += 1\n"
+        "doubled = [[x * (2 if j == 1 else 1) for j, x in enumerate(r)] for r in rows]\n"
+        "for planted in (off, doubled):\n"
+        "    broken = dataclasses.replace(order, adj=IntMatrix.from_rows(planted))\n"
+        "    try:\n"
+        "        is_generator(k, beta, broken)\n"
+        "    except AssertionError as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    lines = out.splitlines()
+    assert len(lines) == 2, out
+    assert "out of Z[alpha]" in lines[0]
+    assert "determinant criterion says True" in lines[1]
