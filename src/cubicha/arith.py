@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
-from .errors import DegenerateFormError, FactorizationLimitError
+from .errors import DegenerateFormError
 
 INFINITY = math.inf
 
@@ -249,7 +249,3 @@ def divisors(factors: dict[int, int]) -> list[int]:
     for p, e in factors.items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
-
-
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // gcd(a, b)

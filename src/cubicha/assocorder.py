@@ -122,12 +122,11 @@ def h_closed_form(k: TrinomialCubic) -> int:
 
 def closed_form_reduced(k: TrinomialCubic) -> RatMatrix:
     """The literal reduced matrix for the classified case."""
-    return _closed_form(k).to_rat()
+    return _closed_form(k, classify(k)).to_rat()
 
 
-def _closed_form(k: TrinomialCubic) -> IntMatrix:
+def _closed_form(k: TrinomialCubic, case: CaseLabel) -> IntMatrix:
     g = k.g
-    case = classify(k)
     table = {
         (CASE1, V2GE): [[1, 0, 0], [0, g, 1], [0, 0, 2]],
         (CASE1, V2LT): [[1, 0, 0], [0, 2 * g, 0], [0, 0, 1]],
@@ -148,18 +147,17 @@ def in_order(reduced: RatMatrix, h: HopfElement) -> bool:
     return True
 
 
-def build(k: TrinomialCubic, verify: bool = True) -> AssociatedOrder:
-    """Assemble the associated order with its certificates.
+def build(k: TrinomialCubic) -> AssociatedOrder:
+    """Assemble the associated order with all its certificates.
 
-    Always computes the generic reduction of the action matrix alongside the
-    closed form and demands lattice equality (LatticeMismatchError otherwise)
-    and that det R is the index the case table gives.  With verify=True
-    additionally checks the basis stabilizes B, spans a ring and contains
-    the identity.
+    Computes the generic reduction of the action matrix alongside the closed
+    form and demands lattice equality (LatticeMismatchError otherwise) and
+    that det R is the index the case table gives; then checks that the
+    basis stabilizes B, spans a ring and contains the identity.
     """
     case = classify(k)
-    reduced = _closed_form(k)
-    generic = reduce_tall(cubicfield.action_matrix(k)).d
+    reduced = _closed_form(k, case)
+    generic = reduce_tall(cubicfield.action_matrix(k))
     if not int_lattice_equal3(reduced, generic):
         raise LatticeMismatchError(
             f"closed-form and generic reduced matrices disagree for (a, b) = "
@@ -172,8 +170,7 @@ def build(k: TrinomialCubic, verify: bool = True) -> AssociatedOrder:
             f"det = {index} but the index table says {expected} for {k}"
         )
     order = AssociatedOrder(case, index, reduced, adjugate3(reduced))
-    if verify:
-        _verify_certificates(k, order)
+    _verify_certificates(k, order)
     return order
 
 

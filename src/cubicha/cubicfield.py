@@ -146,10 +146,6 @@ def _mul_coords(a: int, b: int, u: tuple, v: tuple) -> tuple:
     return (e0 - b * e3, e1 + a * e3 - b * e4, e2 + a * e4)
 
 
-def mul(k: TrinomialCubic, u: OrderElement, v: OrderElement) -> OrderElement:
-    return OrderElement(*_mul_coords(k.a, k.b, u.coords, v.coords))
-
-
 def trace(k: TrinomialCubic, u: OrderElement) -> int:
     # alpha has trace 0 and alpha^2 has trace 2a
     return 3 * u.c0 + 2 * k.a * u.c2
@@ -239,8 +235,8 @@ def verify_sqrt_identity(k: TrinomialCubic) -> bool:
 
         (6a*alpha^2 + 9b*alpha - 4a^2)^2 = delta * (-3*alpha^2 + 4a)
 
-    holds in Z[alpha] mod f.  Both sides are computed with mul and compared
-    coordinate-wise.
+    holds in Z[alpha] mod f.  Both sides are computed with _mul_coords and
+    compared coordinate-wise.
     """
     a, b, d = k.a, k.b, k.delta
     s = (-4 * a * a, 9 * b, 6 * a)

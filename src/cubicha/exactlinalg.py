@@ -1,16 +1,15 @@
 """Exact matrices over Z and Q.
 
 Small fixed-size problems only: the tall matrices reduced here are 9x3 and
-every square matrix is 3x3 apart from the tracked 9x9 transform.  Everything
-is exact; no floating point appears anywhere.
+every square matrix is 3x3.  Everything is exact; no floating point appears
+anywhere.
 
-``reduce_tall`` brings an m x n integer or rational matrix (m >= n, full
-column rank) to an upper-triangular n x n block D stacked on zeros, using only
-the three determinant-preserving-up-to-sign row operations (swap, add an
-integer multiple of another row, negate), and returns the unimodular transform
-U with U*M = [D; 0].  Denominators are cleared first by their lcm c and
-restored at the end, so the integer core is a Hermite normal form computation
-(Cohen, GTM 138, section 2.4); an integer matrix comes back integer.
+``reduce_tall`` brings an m x n integer matrix (m >= n, full column rank) to
+an upper-triangular n x n block D stacked on zeros, using only the three
+determinant-preserving-up-to-sign row operations (swap, add an integer
+multiple of another row, negate), and returns D: an integer Hermite normal
+form computation (Cohen, GTM 138, section 2.4).  D spans the same lattice as
+the rows of the input.
 
 The associated order's certificates run in integers.  Its reduced matrix R
 is integral, so R^-1 is carried as adj(R) and det(R), and "X * Y^-1 is
@@ -26,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import lcm
 from .errors import RankError, SingularMatrixError
 
 
@@ -81,16 +79,6 @@ class RatMatrix:
         return all(x.denominator == 1 for row in self.entries for x in row)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    """U * M = [d; 0] with U unimodular; c is the denominator scale cleared
-    from M before the integer reduction."""
-
-    d: IntMatrix | RatMatrix
-    u: IntMatrix
-    c: int
-
-
 def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     assert a.cols == b.rows
     bt = list(zip(*b.entries))
@@ -111,30 +99,6 @@ def rat_matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
             for row in a.entries
         )
     )
-
-
-def det_int(m: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = m.rows
-    assert n == m.cols
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def det3(m: IntMatrix | RatMatrix) -> int | Fraction:
@@ -172,29 +136,18 @@ def divisible(m: IntMatrix, n: int) -> bool:
     return all(x % n == 0 for row in m.entries for x in row)
 
 
-def _row_addmul(a, u, dst, src, q):
-    # dst += q * src, applied to both the working matrix and the transform
-    a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-    u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+def reduce_tall(m: IntMatrix) -> IntMatrix:
+    """Reduce a tall full-column-rank integer matrix to [D; 0] by unimodular
+    row operations and return D.
 
-
-def reduce_tall(m: IntMatrix | RatMatrix) -> ReductionResult:
-    """Reduce a tall full-column-rank matrix to [D; 0] by unimodular rows.
-
-    D is canonical Hermite-normal shape after rescaling: positive pivots on
-    the diagonal, entries above each pivot reduced into [0, pivot).  Pivots
-    are chosen as the least-absolute-value nonzero entry of the working
-    column to bound growth.  D is an IntMatrix (and c = 1) when m is one.
+    D is in Hermite normal form: positive pivots on the diagonal, entries
+    above each pivot reduced into [0, pivot).  Pivots are chosen as the
+    least-absolute-value nonzero entry of the working column to bound growth.
     """
     rows, cols = m.rows, m.cols
     if rows < cols:
         raise ValueError("reduce_tall requires rows >= cols")
-    c = 1
-    for row in m.entries:
-        for x in row:
-            c = lcm(c, x.denominator)
-    a = [[int(x * c) for x in row] for row in m.entries]
-    u = [list(row) for row in IntMatrix.identity(rows).entries]
+    a = [list(row) for row in m.entries]
 
     for col in range(cols):
         while True:
@@ -204,29 +157,22 @@ def reduce_tall(m: IntMatrix | RatMatrix) -> ReductionResult:
             piv = min(live, key=lambda r: abs(a[r][col]))
             if len(live) == 1:
                 break
+            p = a[piv]
             for r in live:
                 if r != piv:
-                    q = a[r][col] // a[piv][col]
+                    q = a[r][col] // p[col]
                     if q:
-                        _row_addmul(a, u, r, piv, -q)
+                        a[r] = [x - q * y for x, y in zip(a[r], p)]
         if piv != col:
             a[piv], a[col] = a[col], a[piv]
-            u[piv], u[col] = u[col], u[piv]
         if a[col][col] < 0:
             a[col] = [-x for x in a[col]]
-            u[col] = [-x for x in u[col]]
         for r in range(col):
             q = a[r][col] // a[col][col]
             if q:
-                _row_addmul(a, u, r, col, -q)
+                a[r] = [x - q * y for x, y in zip(a[r], a[col])]
 
-    if isinstance(m, IntMatrix):
-        d = IntMatrix(tuple(tuple(a[r]) for r in range(cols)))
-    else:
-        d = RatMatrix(
-            tuple(tuple(Fraction(x, c) for x in a[r]) for r in range(cols))
-        )
-    return ReductionResult(d, IntMatrix.from_rows(u), c)
+    return IntMatrix(tuple(tuple(a[r]) for r in range(cols)))
 
 
 def lattice_equal3(a: RatMatrix, b: RatMatrix) -> bool:

@@ -212,7 +212,7 @@ def brute_force_generator(k: TrinomialCubic, bound: int) -> OrderElement | None:
     congruence, so the scan is quadratic rather than cubic in the bound.
     """
     assert bound >= 1
-    order = build(k, verify=False)
+    order = build(k)
     iw = order.index_iw
     half = iw // 2
     a, b = k.a, k.b

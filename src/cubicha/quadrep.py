@@ -32,7 +32,7 @@ solution is reconstructed by automorph powering only when a state matches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, divisors, factorize
 from .errors import DegenerateFormError, FactorizationLimitError
@@ -159,10 +159,15 @@ def pell_fundamental(dabs: int) -> tuple[int, int]:
     raise AssertionError(f"no fundamental solution surfaced for {dabs}")
 
 
-def _neg_pell_unit(dabs: int) -> tuple[int, int] | None:
-    for g, b, v in _pqa_candidates(dabs, 0, 1):
-        if v == -1:
-            return abs(g), abs(b)
+def _neg_pell_unit(dabs: int, t: int, u: int) -> tuple[int, int] | None:
+    """Least (t1, u1), t1, u1 > 0, with t1^2 - dabs*u1^2 = -1, or None.
+
+    When it exists it squares to the fundamental unit (t, u), so
+    t1^2 = (t - 1)/2 and dabs*u1^2 = (t + 1)/2; that candidate is checked.
+    """
+    t1, u1 = isqrt((t - 1) // 2), isqrt((t + 1) // (2 * dabs))
+    if t1 * t1 - dabs * u1 * u1 == -1 and 2 * t1 * u1 == u and t1 * t1 + dabs * u1 * u1 == t:
+        return t1, u1
     return None
 
 
@@ -190,7 +195,7 @@ def solve_indefinite(d: int, n: int) -> PellCertificate:
     if isqrt(dabs) ** 2 == dabs:
         raise DegenerateFormError(f"|d| = {dabs} is a perfect square")
     t, u = pell_fundamental(dabs)
-    eta = _neg_pell_unit(dabs)
+    eta = _neg_pell_unit(dabs, t, u)
     raw = []
     f = 1
     while f * f <= abs(n):
@@ -209,7 +214,8 @@ def solve_indefinite(d: int, n: int) -> PellCertificate:
         f += 1
     reps = set()
     for x, y in raw:
-        assert x * x - dabs * y * y == n
+        if x * x - dabs * y * y != n:
+            raise AssertionError(f"({x}, {y}) does not solve x^2 - {dabs}*y^2 = {n}")
         nx, ny = _normalize_rep(dabs, t, u, x, y)
         reps.update({(nx, ny), (-nx, ny), (nx, -ny), (-nx, -ny)})
     return PellCertificate(INDEFINITE, (t, u), tuple(sorted(reps, key=_rep_order)))
@@ -261,20 +267,13 @@ def solve_with_conditions(
     every solution class was examined exhaustively.
     """
     d, n, m = problem.d, problem.n, problem.modulus
-    if d > 0:
-        sols = solve_definite(d, n)
-        cert = PellCertificate(DEFINITE, None, tuple(sols))
-        for x, y in sols:
-            branch = problem.accepts(x, y)
-            if branch is not None:
-                return (x, y, branch), cert
-        return None, cert
-
     dabs = -d
-    if isqrt(dabs) ** 2 == dabs:
-        sols = solve_degenerate(d, n, limit)
-        cert = PellCertificate(DEGENERATE, None, tuple(sols))
-        for x, y in sols:
+    if d > 0 or isqrt(dabs) ** 2 == dabs:
+        if d > 0:
+            cert = PellCertificate(DEFINITE, None, tuple(solve_definite(d, n)))
+        else:
+            cert = PellCertificate(DEGENERATE, None, tuple(solve_degenerate(d, n, limit)))
+        for x, y in cert.representatives:
             branch = problem.accepts(x, y)
             if branch is not None:
                 return (x, y, branch), cert
@@ -294,7 +293,8 @@ def solve_with_conditions(
             if branch is not None:
                 tk, uk = _unit_pow(t, u, dabs, k)
                 x, y = tk * x0 + dabs * uk * y0, uk * x0 + tk * y0
-                assert x * x - dabs * y * y == n
+                if x * x - dabs * y * y != n:
+                    raise AssertionError(f"({x}, {y}) does not solve x^2 - {dabs}*y^2 = {n}")
                 return (x, y, branch), cert
             sx, sy = (tm * sx + dm * um * sy) % m, (um * sx + tm * sy) % m
             k += 1

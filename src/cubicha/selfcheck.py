@@ -3,7 +3,8 @@
 Each suite stresses an identity that ties two independently implemented
 routes together (closed form vs generic reduction, table vs referee, solver
 vs exhaustive search).  A suite returns the number of checks it performed and
-raises AssertionError with a pinpointed message on the first violation.
+raises AssertionError with a pinpointed message on the first violation, via
+``check`` rather than ``assert``, so that ``python -O`` still fails it.
 """
 
 from __future__ import annotations
@@ -14,9 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from . import assocorder, cubicfield, exactlinalg, freeness, integrality, quadrep
-from . import arith
+from . import arith, assocorder, cubicfield, exactlinalg, freeness, integrality, quadrep
 from .errors import ValidationError
+
+
+def check(cond: bool, *detail) -> None:
+    """Raise AssertionError(*detail) unless cond holds."""
+    if not cond:
+        raise AssertionError(*detail)
 
 
 def validated_pairs(bound: int):
@@ -51,26 +57,26 @@ def suite_euclid(rng: random.Random, grid: int) -> int:
             y = rng.randint(-(10**9), 10**9)
         tr = arith.euclid_trace(x, y)
         n = tr.n
-        assert tr.r(-1) == x and tr.r(0) == y
-        assert tr.gcd == tr.r(n) > 0
-        assert tr.r(n + 1) == 0
+        check(tr.r(-1) == x and tr.r(0) == y)
+        check(tr.gcd == tr.r(n) > 0 and tr.gcd == gcd(x, y), x, y)
+        check(tr.r(n + 1) == 0)
         for i in range(-1, n):
-            assert tr.r(i) == tr.quotients[i + 1] * tr.r(i + 1) + tr.r(i + 2)
+            check(tr.r(i) == tr.quotients[i + 1] * tr.r(i + 1) + tr.r(i + 2))
         for i in range(0, n + 2):
-            assert tr.r(i) == tr.mu[i] * x + tr.nu[i] * y, (x, y, i)
-        assert tr.mu[n + 1] == (-1) ** n * y // tr.gcd
-        assert tr.nu[n + 1] == (-1) ** (n + 1) * x // tr.gcd
+            check(tr.r(i) == tr.mu[i] * x + tr.nu[i] * y, x, y, i)
+        check(tr.mu[n + 1] == (-1) ** n * y // tr.gcd)
+        check(tr.nu[n + 1] == (-1) ** (n + 1) * x // tr.gcd)
         cv = arith.convergents(x, y)
-        assert cv.p[n] * tr.gcd == x and cv.q[n] * tr.gcd == y
+        check(cv.p[n] * tr.gcd == x and cv.q[n] * tr.gcd == y)
         for i in range(n + 1):
-            assert gcd(cv.p[i], cv.q[i]) == 1
+            check(gcd(cv.p[i], cv.q[i]) == 1)
         for i in range(2, n + 1):
             q = tr.quotients[i]
-            assert cv.p[i] == q * cv.p[i - 1] + cv.p[i - 2]
-            assert cv.q[i] == q * cv.q[i - 1] + cv.q[i - 2]
+            check(cv.p[i] == q * cv.p[i - 1] + cv.p[i - 2])
+            check(cv.q[i] == q * cv.q[i - 1] + cv.q[i - 2])
         for i in range(1, n + 2):
-            assert tr.mu[i] == (-1) ** (i - 1) * cv.q[i - 1]
-            assert tr.nu[i] == (-1) ** i * cv.p[i - 1]
+            check(tr.mu[i] == (-1) ** (i - 1) * cv.q[i - 1])
+            check(tr.nu[i] == (-1) ** i * cv.p[i - 1])
         checks += 1
     return checks
 
@@ -88,9 +94,9 @@ def suite_sqrt_cf(rng: random.Random, grid: int) -> int:
         for a in period[: len(period) - 1]:
             h0, h1 = h1, a * h1 + h0
             k0, k1 = k1, a * k1 + k0
-        assert h1 * h1 - d * k1 * k1 in (1, -1), d
+        check(h1 * h1 - d * k1 * k1 in (1, -1), d)
         t, u = quadrep.pell_fundamental(d)
-        assert t * t - d * u * u == 1 and t > 0 and u > 0
+        check(t * t - d * u * u == 1 and t > 0 and u > 0)
         checks += 1
     return checks
 
@@ -101,7 +107,7 @@ def suite_hopf(rng: random.Random, grid: int) -> int:
     w = [cubicfield.HopfElement.of(*v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     for _ in range(max(30, 5 * grid)):
         k = random_valid_field(rng, 10**6)
-        assert cubicfield.verify_sqrt_identity(k), k
+        check(cubicfield.verify_sqrt_identity(k), k)
         basis = cubicfield.gram_matrix(k)[0]
         for wi in w:
             for wj in w:
@@ -109,19 +115,19 @@ def suite_hopf(rng: random.Random, grid: int) -> int:
                 for gamma in basis:
                     lhs = cubicfield.apply_hopf(k, wi, cubicfield.apply_hopf(k, wj, gamma))
                     rhs = cubicfield.apply_hopf(k, prod, gamma)
-                    assert lhs == rhs, (k, wi, wj, gamma)
+                    check(lhs == rhs, k, wi, wj, gamma)
         w1_plus_w3 = cubicfield.HopfElement.of(1, 0, 1)
         for gamma in basis:
             image = cubicfield.apply_hopf(k, w1_plus_w3, gamma)
             tr = cubicfield.trace(k, gamma)
-            assert image == (Fraction(tr), Fraction(0), Fraction(0)), (k, gamma)
+            check(image == (Fraction(tr), Fraction(0), Fraction(0)), k, gamma)
         # action matrix rows match gram coordinates
         am = cubicfield.action_matrix(k)
         gm = cubicfield.gram_matrix(k)
         for j in range(3):
             for r in range(3):
                 for i in range(3):
-                    assert am.entries[3 * j + r][i] == gm[i][j].coords[r]
+                    check(am.entries[3 * j + r][i] == gm[i][j].coords[r])
         checks += 1
     return checks
 
@@ -132,10 +138,10 @@ def suite_index_table(rng: random.Random, grid: int) -> int:
     for k in validated_pairs(grid):
         case = assocorder.classify(k)
         closed = assocorder.closed_form_reduced(k)
-        generic = exactlinalg.reduce_tall(cubicfield.action_matrix(k).to_rat()).d
+        generic = exactlinalg.reduce_tall(cubicfield.action_matrix(k)).to_rat()
         want = assocorder.index_of_case(case, k.g)
-        assert abs(exactlinalg.det3(generic)) == want, (k, case)
-        assert exactlinalg.lattice_equal3(closed, generic), k
+        check(abs(exactlinalg.det3(generic)) == want, k, case)
+        check(exactlinalg.lattice_equal3(closed, generic), k)
         assocorder.h_closed_form(k)  # raises on closed form vs gcd mismatch
         checks += 1
     return checks
@@ -158,7 +164,7 @@ def suite_order_certificates(rng: random.Random, grid: int) -> int:
             coeffs = exactlinalg.rat_matmul(
                 basis_inv, exactlinalg.RatMatrix.from_rows([[c] for c in h.coords])
             )
-            assert direct == coeffs.is_integral(), (k, h)
+            check(direct == coeffs.is_integral(), k, h)
             checks += 1
     return checks
 
@@ -185,7 +191,7 @@ def suite_pell_oracle(rng: random.Random, grid: int) -> int:
             if x * x == r and x <= box:
                 want.add((x, y))
                 want.add((-x, y))
-        assert got == want, (d, n, sorted(want - got)[:4], sorted(got - want)[:4])
+        check(got == want, d, n, sorted(want - got)[:4], sorted(got - want)[:4])
         checks += 1
     for _ in range(max(10, grid)):
         d = rng.randint(1, 500)
@@ -202,7 +208,7 @@ def suite_pell_oracle(rng: random.Random, grid: int) -> int:
                 if x * x == r:
                     want.update({(x, y), (-x, y), (x, -y), (-x, -y)})
             y += 1
-        assert got == want, (d, n)
+        check(got == want, d, n)
         checks += 1
     return checks
 
@@ -231,22 +237,23 @@ def suite_freeness_oracle(rng: random.Random, grid: int) -> int:
     """decide_freeness vs box search, both directions, plus d_beta == det."""
     checks = 0
     for k in validated_pairs(min(grid, 20)):
-        report = freeness.decide_freeness(k)
+        order = assocorder.build(k)
+        report = freeness.decide_freeness(k, order=order)
         found = freeness.brute_force_generator(k, 12)
         if found is not None:
-            assert freeness.is_generator(k, found), (k, found)
-            assert report.verdict != freeness.NOT_FREE, (k, found, report.verdict)
+            check(freeness.is_generator(k, found, order), k, found)
+            check(report.verdict != freeness.NOT_FREE, k, found, report.verdict)
         if report.verdict == freeness.NOT_FREE:
-            assert found is None, (k, found)
+            check(found is None, k, found)
         if report.verdict == freeness.FREE:
-            assert freeness.is_generator(k, report.generator), k
+            check(freeness.is_generator(k, report.generator, order), k)
         checks += 1
     for _ in range(200):
         k = random_valid_field(rng, 50)
         beta = cubicfield.OrderElement(
             rng.randint(-20, 20), rng.randint(-20, 20), rng.randint(-20, 20)
         )
-        assert freeness.d_beta(k, beta) == exactlinalg.det3(freeness.m_beta(k, beta))
+        check(freeness.d_beta(k, beta) == exactlinalg.det3(freeness.m_beta(k, beta)))
         checks += 1
     return checks
 
@@ -256,18 +263,18 @@ def suite_alaca_dedekind(rng: random.Random, grid: int) -> int:
     checks = 0
     for k in validated_pairs(grid):
         factors, cofactor = arith.factorize(k.delta)
-        assert cofactor == 1
+        check(cofactor == 1)
         primes = sorted({2, 3} | {p for p, e in factors.items() if e >= 2})
         for p in primes:
             table_ok, _ = integrality.alaca_condition(k, p)
             referee_ok = integrality.dedekind_check(k, p)
-            assert table_ok == referee_ok, (k, p, table_ok)
+            check(table_ok == referee_ok, k, p, table_ok)
             checks += 1
         # primes not dividing delta pass vacuously
         for p in (5, 7, 11, 13):
             if k.delta % p != 0:
                 ok, _ = integrality.alaca_condition(k, p)
-                assert ok, (k, p)
+                check(ok, k, p)
                 checks += 1
         # when maximal, the freeness case matches the table's 3-adic row
         rep = integrality.is_maximal(k)
@@ -275,11 +282,11 @@ def suite_alaca_dedekind(rng: random.Random, grid: int) -> int:
             case = assocorder.classify(k)
             v3a, v3b = arith.valuation(k.a, 3), arith.valuation(k.b, 3)
             if case.major == assocorder.CASE2:
-                assert v3a == v3b == 1, k
+                check(v3a == v3b == 1, k)
             elif case.major == assocorder.CASE1:
-                assert v3a == 0, k
+                check(v3a == 0, k)
             else:
-                assert v3a > v3b, k
+                check(v3a > v3b, k)
             checks += 1
     return checks
 

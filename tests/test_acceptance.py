@@ -5,12 +5,12 @@ unless the criterion itself is a bound."""
 import random
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 
-from cubicha import cubicfield, exactlinalg, freeness, quadrep
-from cubicha.arith import convergents, euclid_trace, factorize
+from cubicha import cubicfield, exactlinalg, freeness, quadrep, selfcheck
+from cubicha.arith import factorize
 from cubicha.assocorder import (
     CASE1,
     CASE2,
@@ -152,7 +152,7 @@ def test_criterion_6_index_table_sweep():
         count = 0
         for k in _grid(50):
             case = classify(k)
-            generic = reduce_tall(cubicfield.action_matrix(k).to_rat()).d
+            generic = reduce_tall(cubicfield.action_matrix(k)).to_rat()
             closed = closed_form_reduced(k)
             assert abs(det3(generic)) == index_of_case(case, k.g), (k.a, k.b)
             assert lattice_equal3(closed, generic), (k.a, k.b)
@@ -193,37 +193,19 @@ def test_criterion_7_identity_suite():
 
 def test_criterion_8_euclid_suite():
     with _Timer("8 Euclid/convergents suite, 10^4 pairs", 10.0):
-        rng = random.Random(77)
-        for _ in range(10**4):
-            x = rng.randint(-(10**9), 10**9)
-            y = 0
-            while y == 0:
-                y = rng.randint(-(10**9), 10**9)
-            tr = euclid_trace(x, y)
-            n = tr.n
-            g = tr.gcd
-            assert g == gcd(x, y) > 0
-            for i in range(-1, n):
-                assert tr.r(i) == tr.quotients[i + 1] * tr.r(i + 1) + tr.r(i + 2)
-            for i in range(n + 2):
-                assert tr.r(i) == tr.mu[i] * x + tr.nu[i] * y
-            assert tr.mu[n + 1] == (-1) ** n * y // g
-            assert tr.nu[n + 1] == (-1) ** (n + 1) * x // g
-            cv = convergents(x, y)
-            assert cv.p[n] * g == x and cv.q[n] * g == y
-            for i in range(1, n + 2):
-                assert tr.mu[i] == (-1) ** (i - 1) * cv.q[i - 1]
-                assert tr.nu[i] == (-1) ** i * cv.p[i - 1]
+        # 10^4 random pairs: the suite draws max(200, 100 * grid) of them
+        assert selfcheck.suite_euclid(random.Random(77), 100) == 10**4
 
 
 def test_criterion_9_oracle_agreement():
     with _Timer("9 oracle agreement |a|,|b| <= 20 + pell oracle", 300.0):
         for k in _grid(20):
-            rep = decide_freeness(k)
+            order = build(k)
+            rep = decide_freeness(k, order=order)
             found = brute_force_generator(k, 12)
             if found is not None:
                 assert rep.verdict != NOT_FREE, (k.a, k.b)
-                assert is_generator(k, found)
+                assert is_generator(k, found, order)
             if rep.verdict == NOT_FREE:
                 assert found is None, (k.a, k.b)
             if rep.verdict == FREE:
@@ -240,21 +222,7 @@ def test_criterion_9_oracle_agreement():
             if n == 0:
                 continue
             cert = quadrep.solve_indefinite(-d, n)
-            t, u = cert.fundamental
-            cap = (2 * t + 2 * d * u) * (box + 10) + abs(n)
-            seen, got = set(), set()
-            stack = list(cert.representatives)
-            while stack:
-                x, y = stack.pop()
-                if (x, y) in seen:
-                    continue
-                seen.add((x, y))
-                if abs(x) <= box and abs(y) <= box:
-                    got.add((x, y))
-                for sgn in (1, -1):
-                    nx, ny = t * x + sgn * d * u * y, sgn * u * x + t * y
-                    if abs(nx) <= cap and abs(ny) <= cap:
-                        stack.append((nx, ny))
+            got = selfcheck._orbit_closure_in_box(d, n, cert, box)
             want = set()
             for y in range(-box, box + 1):
                 r = n + d * y * y

@@ -136,18 +136,18 @@ class TestBuild:
 
     def test_index_table_on_grid(self):
         for k in pairs_in_grid(10):
-            order = build(k, verify=False)
+            order = build(k)
             case = classify(k)
             factor = {CASE1: 2, CASE2: 18, CASE3: 54}[case.major]
             assert order.index_iw == factor * k.g
-            generic = reduce_tall(cubicfield.action_matrix(k).to_rat()).d
+            generic = reduce_tall(cubicfield.action_matrix(k))
             assert abs(det3(generic)) == order.index_iw
 
     def test_full_certificates_on_sample(self):
         rng = random.Random(12)
         pool = list(pairs_in_grid(8))
         for k in rng.sample(pool, 40):
-            build(k)  # verify=True: B-stability, ring closure, index
+            build(k)  # B-stability, ring closure, index
 
     def test_membership_agreement(self):
         rng = random.Random(13)
@@ -188,7 +188,7 @@ class TestBuild:
     def test_lattice_equality_closed_vs_generic(self):
         for k in pairs_in_grid(8):
             closed = closed_form_reduced(k)
-            generic = reduce_tall(cubicfield.action_matrix(k).to_rat()).d
+            generic = reduce_tall(cubicfield.action_matrix(k)).to_rat()
             assert lattice_equal3(closed, generic), (k.a, k.b)
 
     def test_index_of_case(self):

@@ -213,6 +213,16 @@ class TestVerify:
         assert code == 1
         assert "FAIL freeness-oracle" in out
 
+    def test_injected_fault_detected_under_optimize(self, run_optimized):
+        # python -O strips assert statements; the suites must fail regardless
+        out = run_optimized(
+            "from cubicha import cli, cubicfield\n"
+            "cubicfield.verify_sqrt_identity = lambda k: False\n"
+            "print('exit', cli.main(['verify', '--grid', '2']))\n"
+        )
+        assert "FAIL hopf-identities" in out
+        assert out.splitlines()[-2:] == ["7/8 suites passed", "exit 1"], out
+
     def test_seed_reproducible_across_processes(self):
         # every process salts str hashes differently unless PYTHONHASHSEED
         # pins them; the suites' draws must not depend on it

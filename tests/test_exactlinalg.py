@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -10,7 +12,6 @@ from cubicha.exactlinalg import (
     RatMatrix,
     adjugate3,
     det3,
-    det_int,
     int_lattice_equal3,
     int_matmul,
     inverse3,
@@ -40,64 +41,47 @@ def gauss_det(m: RatMatrix) -> Fraction:
     return det
 
 
-def stack_block(d: RatMatrix, total_rows: int) -> RatMatrix:
-    rows = [list(r) for r in d.entries]
-    rows += [[Fraction(0)] * d.cols for _ in range(total_rows - d.rows)]
-    return RatMatrix.from_rows(rows)
-
-
 class TestReduceTall:
     def test_identity(self):
-        res = reduce_tall(RatMatrix.identity(3))
-        assert res.d == RatMatrix.identity(3)
-        assert res.u == IntMatrix.identity(3)
-        assert res.c == 1
+        assert reduce_tall(IntMatrix.identity(3)) == IntMatrix.identity(3)
 
     def test_worked_instance_1_1(self):
-        m = action_matrix(validate(1, 1)).to_rat()
-        res = reduce_tall(m)
-        assert res.d == RatMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 2]])
+        d = reduce_tall(action_matrix(validate(1, 1)))
+        assert d == IntMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 2]])
 
     def test_worked_instance_3_1_det(self):
-        m = action_matrix(validate(3, 1)).to_rat()
-        res = reduce_tall(m)
-        assert abs(det3(res.d)) == 54
+        d = reduce_tall(action_matrix(validate(3, 1)))
+        assert abs(det3(d)) == 54
 
-    def test_transform_is_unimodular_and_exact(self):
+    def test_block_spans_the_row_lattice(self):
+        # referee: D spans the rows of M iff every row of M is an integer
+        # combination of the rows of D (M * D^-1 integral) and the indices
+        # agree (|det D| = gcd of the 3x3 minors of M)
         rng = random.Random(3)
-        for _ in range(40):
-            rows = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(7)]
-            m = RatMatrix.from_rows(rows)
+        checked = 0
+        for rows_count, bound in [(7, 9)] * 40 + [(6, 20)] * 40:
+            m = IntMatrix.from_rows(
+                [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(rows_count)]
+            )
             try:
-                res = reduce_tall(m)
+                d = reduce_tall(m)
             except RankError:
                 continue
-            u_rat = res.u.to_rat()
-            assert rat_matmul(u_rat, m) == stack_block(res.d, 7)
-            assert abs(det_int(res.u)) == 1
-            # cross-check Bareiss against the fraction elimination oracle
-            assert gauss_det(u_rat) == det_int(res.u)
-
-    def test_rational_entries_cleared_by_lcm(self):
-        m = RatMatrix.from_rows(
-            [
-                [Fraction(1, 2), Fraction(1, 3)],
-                [Fraction(1, 6), 1],
-                [0, Fraction(5, 2)],
-            ]
-        )
-        res = reduce_tall(m)
-        assert res.c == 6
-        assert rat_matmul(res.u.to_rat(), m) == stack_block(res.d, 3)
-        assert abs(det_int(res.u)) == 1
+            assert rat_matmul(m.to_rat(), inverse3(d.to_rat())).is_integral()
+            minors = 0
+            for rows in combinations(m.entries, 3):
+                minors = gcd(minors, det3(IntMatrix(rows)))
+            assert abs(det3(d)) == minors
+            checked += 1
+        assert checked > 60
 
     def test_canonical_shape(self):
         rng = random.Random(5)
         for _ in range(40):
             rows = [[rng.randint(-20, 20) for _ in range(3)] for _ in range(6)]
-            m = RatMatrix.from_rows(rows)
+            m = IntMatrix.from_rows(rows)
             try:
-                d = reduce_tall(m).d
+                d = reduce_tall(m)
             except RankError:
                 continue
             for i in range(3):
@@ -113,22 +97,22 @@ class TestReduceTall:
         # a permuted stack is another valid reduction path of the same lattice
         rng = random.Random(9)
         for a, b in [(1, 1), (3, 1), (5, 6), (-4, 2)]:
-            m = action_matrix(validate(a, b)).to_rat()
-            d1 = reduce_tall(m).d
+            m = action_matrix(validate(a, b))
+            d1 = reduce_tall(m)
             rows = list(m.entries)
             rng.shuffle(rows)
-            d2 = reduce_tall(RatMatrix(tuple(rows))).d
+            d2 = reduce_tall(IntMatrix(tuple(rows)))
             assert abs(det3(d1)) == abs(det3(d2))
-            assert lattice_equal3(d1, d2)
+            assert lattice_equal3(d1.to_rat(), d2.to_rat())
 
     def test_rank_deficient_rejected(self):
-        m = RatMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 2, 3]])
+        m = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 2, 3]])
         with pytest.raises(RankError):
             reduce_tall(m)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
-            reduce_tall(RatMatrix.from_rows([[1, 2, 3], [0, 1, 2]]))
+            reduce_tall(IntMatrix.from_rows([[1, 2, 3], [0, 1, 2]]))
 
 
 class TestDet3Inverse3:
@@ -201,16 +185,17 @@ class TestIntegerRoutes:
     def test_reduce_tall_integer_input_stays_integer(self):
         for a, b in [(1, 1), (3, 1), (5, 6), (-4, 2), (17, 1)]:
             m = action_matrix(validate(a, b))
-            res = reduce_tall(m)
-            assert isinstance(res.d, IntMatrix) and res.c == 1
-            assert res.d.to_rat() == reduce_tall(m.to_rat()).d
+            d = reduce_tall(m)
+            assert isinstance(d, IntMatrix)
+            assert all(type(x) is int for row in d.entries for x in row)
+            assert rat_matmul(m.to_rat(), inverse3(d.to_rat())).is_integral()
 
     def test_adjugate(self):
         rng = random.Random(17)
         for _ in range(60):
             m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
             det = det3(m)
-            assert det == det_int(m)
+            assert det == gauss_det(m.to_rat())
             assert int_matmul(m, adjugate3(m)) == IntMatrix.from_rows(
                 [[det * (i == j) for j in range(3)] for i in range(3)]
             )

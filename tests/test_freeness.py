@@ -223,7 +223,7 @@ class TestBruteForce:
             except ValidationError:
                 continue
             bound = 4
-            order = build(k, verify=False)
+            order = build(k)
             naive = None
             for c0 in range(-bound, bound + 1):
                 for c1 in range(-bound, bound + 1):

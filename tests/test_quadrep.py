@@ -3,12 +3,14 @@ from math import isqrt
 
 import pytest
 
+from cubicha.arith import periodic_sqrt_cf
 from cubicha.errors import DegenerateFormError, FactorizationLimitError
 from cubicha.quadrep import (
     DEFINITE,
     DEGENERATE,
     INDEFINITE,
     FormProblem,
+    _neg_pell_unit,
     pell_fundamental,
     solve_definite,
     solve_degenerate,
@@ -106,6 +108,53 @@ class TestPellFundamental:
     def test_square_rejected(self):
         with pytest.raises(DegenerateFormError):
             pell_fundamental(36)
+
+
+class TestNegPellUnit:
+    def test_matches_period_end_convergent(self):
+        # referee: the least solution of t^2 - d*u^2 = -1 is the convergent
+        # of sqrt(d) at the end of its first period when the period is odd;
+        # when the period is even there is none
+        found = 0
+        for d in range(2, 2000):
+            if isqrt(d) ** 2 == d:
+                continue
+            a0, period = periodic_sqrt_cf(d)
+            h0, h1, k0, k1 = 1, a0, 0, 1
+            for a in period[:-1]:
+                h0, h1 = h1, a * h1 + h0
+                k0, k1 = k1, a * k1 + k0
+            want = (h1, k1) if len(period) % 2 else None
+            t, u = pell_fundamental(d)
+            assert _neg_pell_unit(d, t, u) == want, d
+            found += want is not None
+        assert found > 100
+
+
+def test_solution_certificates_raise_under_optimize(run_optimized):
+    # a bogus PQa hit (1, 1) for x^2 - 7y^2 = 9, then a bogus orbit
+    # representative (3, 1) that the side condition accepts at once
+    out = run_optimized(
+        "from cubicha import quadrep\n"
+        "orig = quadrep._pqa_candidates\n"
+        "quadrep._pqa_candidates = lambda d, z, q0: (\n"
+        "    orig(d, z, q0) + ([(1, 1, q0)] if q0 > 1 else []))\n"
+        "try:\n"
+        "    quadrep.solve_indefinite(-7, 9)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+        "quadrep._pqa_candidates = orig\n"
+        "quadrep.solve_indefinite = lambda d, n: quadrep.PellCertificate(\n"
+        "    quadrep.INDEFINITE, (8, 3), ((3, 1),))\n"
+        "try:\n"
+        "    quadrep.solve_with_conditions(quadrep.FormProblem(d=-7, n=9, modulus=6, ycoef=9))\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    assert out.splitlines() == [
+        "raised: (1, 1) does not solve x^2 - 7*y^2 = 9",
+        "raised: (3, 1) does not solve x^2 - 7*y^2 = 9",
+    ], out
 
 
 class TestSolveIndefinite:
