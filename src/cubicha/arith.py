@@ -1,27 +1,15 @@
 """Exact integer arithmetic utilities.
 
-The centerpiece is a quotient-tracked Euclidean algorithm: besides the
-remainder chain r[-1] = x, r[0] = y, ..., r[n] = gcd(x, y), r[n+1] = 0 it
-records the quotients a[0..n] actually used and the two Bezout coefficient
-sequences mu, nu defined by
-
-    mu[0] = 0, mu[1] = 1,   mu[i] = -a[i-1]*mu[i-1] + mu[i-2]
-    nu[0] = 1, nu[1] = -a[0], nu[i] = -a[i-1]*nu[i-1] + nu[i-2]
-
-so that r[i] = mu[i]*x + nu[i]*y holds for every index.  The closing terms
-satisfy mu[n+1] = (-1)^n * y/r[n] and nu[n+1] = (-1)^(n+1) * x/r[n], and the
-continued-fraction convergents p[i]/q[i] of x/y interleave with them as
-mu[i] = (-1)^(i-1) * q[i-1], nu[i] = (-1)^i * p[i-1].
-
-Also here: p-adic valuations, the periodic continued fraction of sqrt(D),
-Miller-Rabin primality, and trial-division factorization with an explicit
-give-up signal (FactorizationLimitError) instead of a silent wrong answer.
+p-adic valuations, Miller-Rabin primality, trial-division factorization with
+an explicit give-up signal (FactorizationLimitError) instead of a silent
+wrong answer, and the periodic continued fraction of sqrt(D).  The last one
+is not used by the solvers: it is the independent referee that
+``quadrep.pell_fundamental`` (the PQa walk) is held against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import isqrt
 
 from .errors import DegenerateFormError
@@ -75,94 +63,6 @@ def valuation(n: int, p: int) -> int | float:
     return e
 
 
-@dataclass(frozen=True)
-class EuclidTrace:
-    """Remainders, quotients and Bezout coefficient sequences for (x, y).
-
-    ``remainders`` holds r[-1..n+1] (length n+3), ``quotients`` a[0..n],
-    ``mu``/``nu`` their coefficient sequences indexed 0..n+1.  r[n] > 0.
-    """
-
-    x: int
-    y: int
-    remainders: tuple[int, ...]
-    quotients: tuple[int, ...]
-    mu: tuple[int, ...]
-    nu: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.quotients) - 1
-
-    @property
-    def gcd(self) -> int:
-        return self.remainders[-2]
-
-    def r(self, i: int) -> int:
-        """Remainder r[i] for -1 <= i <= n+1."""
-        return self.remainders[i + 1]
-
-
-def euclid_trace(x: int, y: int) -> EuclidTrace:
-    """Run Euclid's algorithm on (x, y) keeping the full trace.
-
-    Quotients are chosen so every remainder after r[0] lies in [0, |divisor|);
-    when exact division by a negative r[0] would end the chain at a negative
-    gcd, the quotient is bumped by one so the chain continues and r[n] > 0.
-    All identities hold verbatim with the quotients actually stored.
-    """
-    if y == 0:
-        raise ValueError("euclid_trace requires y != 0")
-    rs = [x, y]
-    qs = []
-    while rs[-1] != 0:
-        prev, cur = rs[-2], rs[-1]
-        if cur > 0:
-            q = prev // cur
-        else:
-            q = -(prev // -cur)
-        rem = prev - q * cur
-        if rem == 0 and cur < 0:
-            # would terminate at a negative gcd
-            q += 1
-            rem = -cur
-        qs.append(q)
-        rs.append(rem)
-    mu = [0, 1]
-    nu = [1, -qs[0]]
-    for i in range(2, len(qs) + 1):
-        mu.append(-qs[i - 1] * mu[-1] + mu[-2])
-        nu.append(-qs[i - 1] * nu[-1] + nu[-2])
-    return EuclidTrace(x, y, tuple(rs), tuple(qs), tuple(mu), tuple(nu))
-
-
-@dataclass(frozen=True)
-class ConvergentList:
-    """Irreducible continued-fraction convergents p[i]/q[i] of x/y."""
-
-    p: tuple[int, ...]
-    q: tuple[int, ...]
-
-
-def convergents(x: int, y: int) -> ConvergentList:
-    """Convergents of the continued fraction of x/y.
-
-    The final convergent is x/y in lowest terms: p[n] = x/gcd, q[n] = y/gcd.
-    """
-    trace = euclid_trace(x, y)
-    qs = trace.quotients
-    p_prev, p_cur = 1, qs[0]
-    q_prev, q_cur = 0, 1
-    ps = [p_cur]
-    qqs = [q_cur]
-    for a in qs[1:]:
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        ps.append(p_cur)
-        qqs.append(q_cur)
-    return ConvergentList(tuple(ps), tuple(qqs))
-
-
 def periodic_sqrt_cf(d: int) -> tuple[int, tuple[int, ...]]:
     """Continued fraction of sqrt(d) as (a0, minimal period).
 
@@ -182,7 +82,8 @@ def periodic_sqrt_cf(d: int) -> tuple[int, tuple[int, ...]]:
         a = (a0 + m) // den
         period.append(a)
         if den == 1:
-            assert a == 2 * a0
+            if a != 2 * a0:
+                raise AssertionError(f"period of sqrt({d}) closed at {a}, not {2 * a0}")
             return a0, tuple(period)
 
 

@@ -112,7 +112,8 @@ def validate(a: int, b: int, reduced_convention: str = REDUCED_STRICT) -> Trinom
         raise ValueError(f"unknown reduced convention {reduced_convention!r}")
     g = gcd(a, b)
     common, cof = factorize(g)
-    assert cof == 1  # g <= min(|a|, |b|), far below the trial division limit
+    if cof != 1:  # g <= min(|a|, |b|), far below the trial division limit
+        raise AssertionError(f"gcd {g} of ({a}, {b}) left cofactor {cof}")
     for p in common:
         if valuation(a, p) >= amin and valuation(b, p) >= bmin:
             raise ValidationError(
@@ -120,7 +121,8 @@ def validate(a: int, b: int, reduced_convention: str = REDUCED_STRICT) -> Trinom
                 f"prime {p} has v_p(a) >= {amin} and v_p(b) >= {bmin}",
             )
     delta = 4 * a**3 - 27 * b**2
-    assert delta != 0  # would force a rational root
+    if delta == 0:  # would force a rational root
+        raise AssertionError(f"({a}, {b}) passed the root check with delta = 0")
     return TrinomialCubic(a, b, delta, g)
 
 

@@ -80,7 +80,8 @@ class RatMatrix:
 
 
 def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    assert a.cols == b.rows
+    if a.cols != b.rows:
+        raise AssertionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     bt = list(zip(*b.entries))
     return IntMatrix(
         tuple(
@@ -91,7 +92,8 @@ def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def rat_matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    assert a.cols == b.rows
+    if a.cols != b.rows:
+        raise AssertionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     bt = list(zip(*b.entries))
     return RatMatrix(
         tuple(

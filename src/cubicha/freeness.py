@@ -27,7 +27,7 @@ import logging
 from dataclasses import dataclass
 
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT
-from .assocorder import AssociatedOrder, CASE1, CaseLabel, build
+from .assocorder import AssociatedOrder, CASE1, CaseLabel, build, classify, index_of_case
 from .cubicfield import OrderElement, TrinomialCubic
 from .errors import FactorizationLimitError, NoIntegralCandidateError
 from .exactlinalg import IntMatrix, RatMatrix, det3, divisible, int_matmul
@@ -211,9 +211,9 @@ def brute_force_generator(k: TrinomialCubic, bound: int) -> OrderElement | None:
     half the index or no b1 can work, and then b1 is pinned by a linear
     congruence, so the scan is quadratic rather than cubic in the bound.
     """
-    assert bound >= 1
-    order = build(k)
-    iw = order.index_iw
+    if bound < 1:
+        raise AssertionError(f"box bound must be >= 1, got {bound}")
+    iw = index_of_case(classify(k), k.g)
     half = iw // 2
     a, b = k.a, k.b
     for b2 in range(-bound, bound + 1):

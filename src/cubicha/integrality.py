@@ -167,7 +167,8 @@ def _repeated_root(fbar, p: int) -> int | None:
         for r in range(p):
             if _poly_eval(fbar, r, p) == 0:
                 quot, rem = _poly_divmod(fbar, (-r % p, 1), p)
-                assert rem == ()
+                if rem != ():
+                    raise AssertionError(f"x - {r} leaves remainder {rem} mod {p}")
                 if _poly_eval(quot, r, p) == 0:
                     return r
         return None
@@ -177,7 +178,8 @@ def _repeated_root(fbar, p: int) -> int | None:
         return None  # squarefree
     if len(c) == 3:  # c = (x - r)^2; its own derivative pins r (char > 2)
         c = _poly_gcd(c, _poly_mod(tuple(i * k for i, k in enumerate(c))[1:], p), p)
-    assert len(c) == 2
+    if len(c) != 2:
+        raise AssertionError(f"repeated factor {c} mod {p} is not linear")
     return (-c[0] * pow(c[1], -1, p)) % p
 
 
@@ -199,7 +201,8 @@ def dedekind_check(k: TrinomialCubic, p: int) -> bool:
             break
         rest = quot
         e += 1
-    assert e in (2, 3)
+    if e not in (2, 3):
+        raise AssertionError(f"root {r} of f mod {p} has multiplicity {e}")
     lin = (-r % p, 1)
     if e == 2:
         gstar = _poly_mul(lin, rest, p)  # (x - r) * (x - r')
@@ -213,7 +216,8 @@ def dedekind_check(k: TrinomialCubic, p: int) -> bool:
         fc = f[i] if i < len(f) else 0
         pc = prod[i] if i < len(prod) else 0
         diff = fc - pc
-        assert diff % p == 0
+        if diff % p != 0:
+            raise AssertionError(f"g* h* does not lift f mod {p}")
         t.append(diff // p)
     return _poly_eval(_poly_mod(tuple(t), p), r, p) != 0
 

@@ -18,10 +18,13 @@ Three regimes:
     square root z of |D| mod |N/f^2|, the PQa expansion of the quadratic
     irrational (z + sqrt(|D|))/|N/f^2| is scanned for |Q| = 1 events, each of
     which yields a solution of x^2 - |D|y^2 = +-N/f^2 via the identity
-    G_i^2 - |D|*B_i^2 = (-1)^(i+1) * Q_0 * Q_(i+1); wrong-sign hits are
-    repaired with the least solution of t^2 - |D|u^2 = -1 when it exists.
-    Representatives are normalized to the orbit's (|y|, |x|)-minimal point
-    and closed under both sign flips.
+    G_i^2 - |D|*B_i^2 = (-1)^(i+1) * Q_0 * Q_(i+1).  The scan ends when the
+    expansion returns to its first reduced state at the same step parity, so
+    an odd period is walked twice and each of its |Q| = 1 states is seen
+    with both signs; no norm -1 unit is needed to repair wrong-sign hits.
+    For the forms here there is none anyway: 3 divides |D|, and -1 is not a
+    square mod 3.  Representatives are normalized to the orbit's
+    (|y|, |x|)-minimal point and closed under both sign flips.
 
 Condition checking on an infinite orbit terminates because the conditions
 only depend on (x, y) modulo 6|a| (3 divides 6a, so "3 | y" is determined
@@ -58,8 +61,10 @@ class FormProblem:
     require_y_not_div3: bool = False
 
     def __post_init__(self):
-        assert self.n != 0 and self.d != 0
-        assert self.modulus > 0 and self.modulus % 6 == 0
+        if self.n == 0 or self.d == 0:
+            raise AssertionError(f"FormProblem needs d, n != 0, got d = {self.d}, n = {self.n}")
+        if self.modulus <= 0 or self.modulus % 6 != 0:
+            raise AssertionError(f"FormProblem modulus {self.modulus} is not 6k, k > 0")
 
     def accepts(self, x: int, y: int) -> int | None:
         """Matched branch sign (+1 for ycoef*y + x, -1 for ycoef*y - x), or None."""
@@ -92,7 +97,8 @@ class PellCertificate:
 
 def solve_definite(d: int, n: int) -> list[tuple[int, int]]:
     """All integer solutions of x^2 + d*y^2 = n for d > 0 (empty when n < 0)."""
-    assert d > 0
+    if d <= 0:
+        raise AssertionError(f"solve_definite needs d > 0, got {d}")
     if n < 0:
         return []
     out = set()
@@ -121,15 +127,18 @@ def _floor_surd(p: int, q: int, s: int) -> int:
 def _pqa_candidates(d: int, z: int, q0: int) -> list[tuple[int, int, int]]:
     """PQa expansion of (z + sqrt(d))/q0 (requires q0 | z^2 - d).
 
-    Returns every (G, B, G^2 - d*B^2) observed at a |Q| = 1 event before the
-    (P, Q, parity) state repeats; by then both achievable signs of the target
-    value have appeared if they ever do.
+    Returns every (G, B, G^2 - d*B^2) observed at a |Q| = 1 event until the
+    expansion is back at its first reduced state (0 < P <= s and
+    s - P < Q <= s + P) with the same step parity.  The periodic part begins
+    at that state, so this is the first repeat of a (P, Q, parity) state; by
+    then both achievable signs of the target value have appeared if they
+    ever do.
     """
     s = isqrt(d)
     p, q = z, q0
     g2, g1 = -z, q0
     b2, b1 = 1, 0
-    seen = set()
+    r = -1  # step of the first reduced state (pr, qr), once it is seen
     i = 0
     out = []
     while True:
@@ -140,10 +149,11 @@ def _pqa_candidates(d: int, z: int, q0: int) -> list[tuple[int, int, int]]:
         q = (d - p * p) // q
         if abs(q) == 1:
             out.append((g, b, g * g - d * b * b))
-        key = (p, q, i & 1)
-        if key in seen:
+        if r < 0:
+            if 0 < p <= s and s - p < q <= s + p:
+                r, pr, qr = i, p, q
+        elif p == pr and q == qr and (i - r) % 2 == 0:
             return out
-        seen.add(key)
         g2, g1 = g1, g
         b2, b1 = b1, b
         i += 1
@@ -157,18 +167,6 @@ def pell_fundamental(dabs: int) -> tuple[int, int]:
         if v == 1:
             return abs(g), abs(b)
     raise AssertionError(f"no fundamental solution surfaced for {dabs}")
-
-
-def _neg_pell_unit(dabs: int, t: int, u: int) -> tuple[int, int] | None:
-    """Least (t1, u1), t1, u1 > 0, with t1^2 - dabs*u1^2 = -1, or None.
-
-    When it exists it squares to the fundamental unit (t, u), so
-    t1^2 = (t - 1)/2 and dabs*u1^2 = (t + 1)/2; that candidate is checked.
-    """
-    t1, u1 = isqrt((t - 1) // 2), isqrt((t + 1) // (2 * dabs))
-    if t1 * t1 - dabs * u1 * u1 == -1 and 2 * t1 * u1 == u and t1 * t1 + dabs * u1 * u1 == t:
-        return t1, u1
-    return None
 
 
 def _normalize_rep(dabs: int, t: int, u: int, x: int, y: int) -> tuple[int, int]:
@@ -190,12 +188,12 @@ def solve_indefinite(d: int, n: int) -> PellCertificate:
 
     An empty representative set is a proof that no solutions exist.
     """
-    assert d < 0 and n != 0
+    if d >= 0 or n == 0:
+        raise AssertionError(f"solve_indefinite needs d < 0, n != 0, got d = {d}, n = {n}")
     dabs = -d
     if isqrt(dabs) ** 2 == dabs:
         raise DegenerateFormError(f"|d| = {dabs} is a perfect square")
     t, u = pell_fundamental(dabs)
-    eta = _neg_pell_unit(dabs, t, u)
     raw = []
     f = 1
     while f * f <= abs(n):
@@ -208,9 +206,6 @@ def solve_indefinite(d: int, n: int) -> PellCertificate:
                 for g, b, v in _pqa_candidates(dabs, z, am):
                     if v == m:
                         raw.append((f * g, f * b))
-                    elif v == -m and eta is not None:
-                        t1, u1 = eta
-                        raw.append((f * (g * t1 + b * u1 * dabs), f * (g * u1 + b * t1)))
         f += 1
     reps = set()
     for x, y in raw:
@@ -229,9 +224,11 @@ def solve_degenerate(d: int, n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) 
     full divisor list of |n|; raises FactorizationLimitError when trial
     division cannot provide it.
     """
-    assert d < 0 and n != 0
+    if d >= 0 or n == 0:
+        raise AssertionError(f"solve_degenerate needs d < 0, n != 0, got d = {d}, n = {n}")
     k = isqrt(-d)
-    assert k * k == -d and k > 0
+    if k * k != -d:
+        raise AssertionError(f"solve_degenerate needs -d a square, got d = {d}")
     factors, cofactor = factorize(abs(n), limit)
     if cofactor != 1:
         raise FactorizationLimitError(abs(n), limit, cofactor)

@@ -13,7 +13,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from . import arith, assocorder, cubicfield, exactlinalg, freeness, integrality, quadrep
 from .errors import ValidationError
@@ -47,56 +47,22 @@ def random_valid_field(rng: random.Random, coeff_bound: int) -> cubicfield.Trino
             continue
 
 
-def suite_euclid(rng: random.Random, grid: int) -> int:
-    """EuclidTrace / ConvergentList identities on random (x, y)."""
-    checks = 0
-    for _ in range(max(200, 100 * grid)):
-        x = rng.randint(-(10**9), 10**9)
-        y = 0
-        while y == 0:
-            y = rng.randint(-(10**9), 10**9)
-        tr = arith.euclid_trace(x, y)
-        n = tr.n
-        check(tr.r(-1) == x and tr.r(0) == y)
-        check(tr.gcd == tr.r(n) > 0 and tr.gcd == gcd(x, y), x, y)
-        check(tr.r(n + 1) == 0)
-        for i in range(-1, n):
-            check(tr.r(i) == tr.quotients[i + 1] * tr.r(i + 1) + tr.r(i + 2))
-        for i in range(0, n + 2):
-            check(tr.r(i) == tr.mu[i] * x + tr.nu[i] * y, x, y, i)
-        check(tr.mu[n + 1] == (-1) ** n * y // tr.gcd)
-        check(tr.nu[n + 1] == (-1) ** (n + 1) * x // tr.gcd)
-        cv = arith.convergents(x, y)
-        check(cv.p[n] * tr.gcd == x and cv.q[n] * tr.gcd == y)
-        for i in range(n + 1):
-            check(gcd(cv.p[i], cv.q[i]) == 1)
-        for i in range(2, n + 1):
-            q = tr.quotients[i]
-            check(cv.p[i] == q * cv.p[i - 1] + cv.p[i - 2])
-            check(cv.q[i] == q * cv.q[i - 1] + cv.q[i - 2])
-        for i in range(1, n + 2):
-            check(tr.mu[i] == (-1) ** (i - 1) * cv.q[i - 1])
-            check(tr.nu[i] == (-1) ** i * cv.p[i - 1])
-        checks += 1
-    return checks
-
-
 def suite_sqrt_cf(rng: random.Random, grid: int) -> int:
-    """Period-end convergent of sqrt(d) solves t^2 - d*u^2 = +-1."""
+    """pell_fundamental (PQa walk) vs the period-end convergent of sqrt(d),
+    squared when the period is odd (that convergent then has norm -1)."""
     checks = 0
     for _ in range(max(20, 5 * grid)):
         d = rng.randint(2, 10**6)
         if isqrt(d) ** 2 == d:
             continue
         a0, period = arith.periodic_sqrt_cf(d)
-        h0, h1 = 1, a0
-        k0, k1 = 0, 1
-        for a in period[: len(period) - 1]:
+        h0, h1, k0, k1 = 1, a0, 0, 1
+        for a in period[:-1]:
             h0, h1 = h1, a * h1 + h0
             k0, k1 = k1, a * k1 + k0
-        check(h1 * h1 - d * k1 * k1 in (1, -1), d)
-        t, u = quadrep.pell_fundamental(d)
-        check(t * t - d * u * u == 1 and t > 0 and u > 0)
+        if len(period) % 2:
+            h1, k1 = h1 * h1 + d * k1 * k1, 2 * h1 * k1
+        check(h1 * h1 - d * k1 * k1 == 1 and quadrep.pell_fundamental(d) == (h1, k1), d)
         checks += 1
     return checks
 
@@ -292,7 +258,6 @@ def suite_alaca_dedekind(rng: random.Random, grid: int) -> int:
 
 
 SUITES = (
-    ("euclid-identities", suite_euclid),
     ("sqrt-cf-pell", suite_sqrt_cf),
     ("hopf-identities", suite_hopf),
     ("index-table", suite_index_table),

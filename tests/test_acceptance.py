@@ -191,12 +191,6 @@ def test_criterion_7_identity_suite():
             done += 1
 
 
-def test_criterion_8_euclid_suite():
-    with _Timer("8 Euclid/convergents suite, 10^4 pairs", 10.0):
-        # 10^4 random pairs: the suite draws max(200, 100 * grid) of them
-        assert selfcheck.suite_euclid(random.Random(77), 100) == 10**4
-
-
 def test_criterion_9_oracle_agreement():
     with _Timer("9 oracle agreement |a|,|b| <= 20 + pell oracle", 300.0):
         for k in _grid(20):

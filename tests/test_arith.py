@@ -6,10 +6,7 @@ from hypothesis import given, strategies as st
 
 from cubicha.arith import (
     INFINITY,
-    ConvergentList,
-    convergents,
     divisors,
-    euclid_trace,
     factorize,
     is_prime,
     periodic_sqrt_cf,
@@ -49,118 +46,6 @@ class TestValuation:
     @given(st.integers(-(10**6), 10**6), st.sampled_from([2, 3, 5, 7, 11]))
     def test_matches_naive(self, n, p):
         assert valuation(n, p) == naive_valuation(n, p)
-
-
-def check_trace_invariants(tr):
-    n = tr.n
-    x, y = tr.x, tr.y
-    assert tr.r(-1) == x and tr.r(0) == y
-    assert tr.gcd == math.gcd(x, y) > 0
-    assert tr.r(n + 1) == 0
-    for i in range(-1, n):
-        assert tr.r(i) == tr.quotients[i + 1] * tr.r(i + 1) + tr.r(i + 2)
-    if n >= 1:
-        assert tr.r(n - 1) == tr.quotients[n] * tr.r(n)
-    assert tr.mu[0] == 0 and tr.mu[1] == 1
-    assert tr.nu[0] == 1 and tr.nu[1] == -tr.quotients[0]
-    for i in range(2, n + 2):
-        assert tr.mu[i] == -tr.quotients[i - 1] * tr.mu[i - 1] + tr.mu[i - 2]
-        assert tr.nu[i] == -tr.quotients[i - 1] * tr.nu[i - 1] + tr.nu[i - 2]
-    for i in range(0, n + 2):
-        assert tr.r(i) == tr.mu[i] * x + tr.nu[i] * y
-    assert tr.mu[n + 1] == (-1) ** n * y // tr.gcd
-    assert tr.nu[n + 1] == (-1) ** (n + 1) * x // tr.gcd
-
-
-class TestEuclidTrace:
-    def test_example_9_6(self):
-        tr = euclid_trace(9, 6)
-        assert tr.remainders == (9, 6, 3, 0)
-        assert tr.quotients == (1, 2)
-        assert tr.mu == (0, 1, -2)
-        assert tr.nu == (1, -1, 3)
-        assert -2 * 9 + 3 * 6 == 0
-
-    def test_example_9_2(self):
-        tr = euclid_trace(9, 2)
-        assert tr.remainders == (9, 2, 1, 0)
-        assert tr.quotients == (4, 2)
-        assert tr.mu == (0, 1, -2)
-        assert tr.nu == (1, -4, 9)
-        assert 9 - 4 * 2 == 1
-
-    @pytest.mark.parametrize("x", [0, 1, -5, 8, 123456])
-    def test_unit_divisor(self, x):
-        tr = euclid_trace(x, 1)
-        assert tr.n == 0
-        assert tr.remainders == (x, 1, 0)
-        assert tr.gcd == 1
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(ValueError):
-            euclid_trace(5, 0)
-
-    @pytest.mark.parametrize(
-        "x,y", [(9, -3), (-7, 3), (0, -5), (-9, -6), (-1, -1), (10**9, -(10**9) + 7)]
-    )
-    def test_sign_corners(self, x, y):
-        check_trace_invariants(euclid_trace(x, y))
-
-    @given(st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9).filter(bool))
-    def test_invariants_random(self, x, y):
-        check_trace_invariants(euclid_trace(x, y))
-
-
-def reconstruct_cf(quotients):
-    # independent oracle: evaluate [a0; a1, ..., an] with Fractions
-    from fractions import Fraction
-
-    val = Fraction(quotients[-1])
-    for a in reversed(quotients[:-1]):
-        val = a + 1 / val
-    return val
-
-
-class TestConvergents:
-    def test_examples(self):
-        assert convergents(9, 2) == ConvergentList((4, 9), (1, 2))
-        assert convergents(8, 1) == ConvergentList((8,), (1,))
-        cv = convergents(9, 6)
-        assert cv == ConvergentList((1, 3), (1, 2))
-        assert cv.p[1] * 6 == cv.q[1] * 9  # 3/2 == 9/6
-
-    def test_final_convergent_is_reduced_fraction(self):
-        from fractions import Fraction
-
-        for x, y in [(9, 6), (360, 84), (-7, 3), (5, -15), (1, 7)]:
-            cv = convergents(x, y)
-            assert Fraction(cv.p[-1], cv.q[-1]) == Fraction(x, y)
-            assert math.gcd(cv.p[-1], cv.q[-1]) == 1
-
-    @given(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6).filter(bool))
-    def test_cross_identities(self, x, y):
-        tr = euclid_trace(x, y)
-        cv = convergents(x, y)
-        n = tr.n
-        assert len(cv.p) == len(cv.q) == n + 1
-        for i in range(n + 1):
-            assert math.gcd(cv.p[i], cv.q[i]) == 1
-        for i in range(2, n + 1):
-            assert cv.p[i] == tr.quotients[i] * cv.p[i - 1] + cv.p[i - 2]
-            assert cv.q[i] == tr.quotients[i] * cv.q[i - 1] + cv.q[i - 2]
-        for i in range(1, n + 2):
-            assert tr.mu[i] == (-1) ** (i - 1) * cv.q[i - 1]
-            assert tr.nu[i] == (-1) ** i * cv.p[i - 1]
-
-    def test_against_cf_reconstruction(self):
-        from fractions import Fraction
-
-        rng = random.Random(7)
-        for _ in range(200):
-            x = rng.randint(1, 10**6)
-            y = rng.randint(1, 10**6)
-            tr = euclid_trace(x, y)
-            assert reconstruct_cf(tr.quotients) == Fraction(x, y)
 
 
 class TestPeriodicSqrtCf:

@@ -18,7 +18,7 @@ from cubicha.freeness import (
     is_generator,
     m_beta,
 )
-from cubicha import freeness
+from cubicha import freeness, selfcheck
 
 
 class TestDBeta:
@@ -240,6 +240,13 @@ class TestBruteForce:
             if got is not None:
                 assert abs(d_beta(k, got)) == order.index_iw
             done += 1
+
+
+def test_freeness_oracle_builds_one_order_per_field(build_calls):
+    # brute_force_generator reads I_W off the case table, so the order the
+    # suite builds for decide_freeness is the only one per field
+    selfcheck.suite_freeness_oracle(random.Random(0), 20)
+    assert len(build_calls) == len(set(build_calls)) == 1424
 
 
 class TestOracleAgreement:

@@ -10,7 +10,6 @@ from cubicha.quadrep import (
     DEGENERATE,
     INDEFINITE,
     FormProblem,
-    _neg_pell_unit,
     pell_fundamental,
     solve_definite,
     solve_degenerate,
@@ -109,13 +108,11 @@ class TestPellFundamental:
         with pytest.raises(DegenerateFormError):
             pell_fundamental(36)
 
-
-class TestNegPellUnit:
     def test_matches_period_end_convergent(self):
-        # referee: the least solution of t^2 - d*u^2 = -1 is the convergent
-        # of sqrt(d) at the end of its first period when the period is odd;
-        # when the period is even there is none
-        found = 0
+        # referee: the convergent of sqrt(d) at the end of its first period
+        # solves t^2 - d*u^2 = (-1)^L for period length L; its square is the
+        # least norm +1 solution when L is odd
+        odd = 0
         for d in range(2, 2000):
             if isqrt(d) ** 2 == d:
                 continue
@@ -124,18 +121,25 @@ class TestNegPellUnit:
             for a in period[:-1]:
                 h0, h1 = h1, a * h1 + h0
                 k0, k1 = k1, a * k1 + k0
-            want = (h1, k1) if len(period) % 2 else None
-            t, u = pell_fundamental(d)
-            assert _neg_pell_unit(d, t, u) == want, d
-            found += want is not None
-        assert found > 100
+            if len(period) % 2:
+                h1, k1 = h1 * h1 + d * k1 * k1, 2 * h1 * k1
+                odd += 1
+            assert pell_fundamental(d) == (h1, k1), d
+        assert odd > 100
 
 
 def test_solution_certificates_raise_under_optimize(run_optimized):
-    # a bogus PQa hit (1, 1) for x^2 - 7y^2 = 9, then a bogus orbit
-    # representative (3, 1) that the side condition accepts at once
+    # a zero target, to the solver and to FormProblem; then a bogus PQa hit
+    # (1, 1) for x^2 - 7y^2 = 9, then a bogus orbit representative (3, 1)
+    # that the side condition accepts at once
     out = run_optimized(
         "from cubicha import quadrep\n"
+        "for call in (lambda: quadrep.solve_indefinite(-69, 0),\n"
+        "             lambda: quadrep.FormProblem(d=-7, n=0, modulus=6, ycoef=9)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError as exc:\n"
+        "        print('raised:', exc)\n"
         "orig = quadrep._pqa_candidates\n"
         "quadrep._pqa_candidates = lambda d, z, q0: (\n"
         "    orig(d, z, q0) + ([(1, 1, q0)] if q0 > 1 else []))\n"
@@ -152,6 +156,8 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "    print('raised:', exc)\n"
     )
     assert out.splitlines() == [
+        "raised: solve_indefinite needs d < 0, n != 0, got d = -69, n = 0",
+        "raised: FormProblem needs d, n != 0, got d = -7, n = 0",
         "raised: (1, 1) does not solve x^2 - 7*y^2 = 9",
         "raised: (3, 1) does not solve x^2 - 7*y^2 = 9",
     ], out
@@ -185,17 +191,21 @@ class TestSolveIndefinite:
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(42)
         box = 2000
-        done = 0
-        while done < 60:
+        problems = []
+        while len(problems) < 60:
             d = rng.randint(2, 500)
             if isqrt(d) ** 2 == d:
                 continue
             n = rng.randint(-(10**4), 10**4)
             if n == 0:
                 continue
+            problems.append((d, n))
+        # sqrt(d) has an odd period for these d, so t^2 - d*u^2 = -1 is
+        # solvable and a PQa hit can carry the wrong sign of n
+        problems += [(d, n) for d in (2, 5, 10, 13, 29, 61) for n in range(-50, 51) if n]
+        for d, n in problems:
             cert = solve_indefinite(-d, n)
             assert orbit_closure(cert, d, n, box) == brute_box(d, n, box), (d, n)
-            done += 1
 
     def test_empty_certificate_means_empty(self):
         # x^2 - 7y^2 = 3 has no solutions (3 is not a QR pattern mod 7 orbits)
