@@ -1,16 +1,17 @@
 """Exact integer arithmetic utilities.
 
-p-adic valuations, Miller-Rabin primality, trial-division factorization with
-an explicit give-up signal (FactorizationLimitError) instead of a silent
-wrong answer, and the periodic continued fraction of sqrt(D).  The last one
-is not used by the solvers: it is the independent referee that
+p-adic valuations, BPSW primality (Miller-Rabin plus a strong Lucas test),
+factorization within an explicit work budget (trial division to a small
+bound, then Brent's rho) that hands back what it could not split instead of
+a silent wrong answer, and the periodic continued fraction of sqrt(D).  The
+last one is not used by the solvers: it is the independent referee that
 ``quadrep.pell_fundamental`` (the PQa walk) is held against.
 """
 
 from __future__ import annotations
 
 import math
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import DegenerateFormError
 
@@ -18,8 +19,18 @@ INFINITY = math.inf
 
 DEFAULT_TRIAL_DIVISION_LIMIT = 10**7
 
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10^24; beyond that the
-# same bases act as a strong probabilistic test.
+# factorize divides by primes up to this bound and leaves larger ones to rho
+TRIAL_DIVISION_BOUND = 2**12
+# One Brent iteration costs about ten trial divisions (both measured on a
+# 40-digit p*q), so a limit L buys (L - TRIAL_DIVISION_BOUND) // 10 of them.
+RHO_ITERATION_COST = 10
+# iterations whose |x - y| are multiplied together before one gcd
+_RHO_BATCH = 128
+
+# Miller-Rabin to these twelve bases is a proof of primality below
+# 318665857834031151167461 (~3.2 * 10^23), the least strong pseudoprime to
+# all of them; the strong Lucas test after it makes is_prime the BPSW test,
+# for which no composite that passes is known.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -46,7 +57,61 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters: the
+    first D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
+    ``n`` is odd with no prime factor below 50."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0:  # gcd(D, n) > 1: a prime n meets (D/n) = -1 long before |D| = n
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    # (U_m, V_m, Q^m) mod n for m running over the binary prefixes of k
+    u, v, qm = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
+        if bit == "1":
+            u, v = u + v, d * u + v  # (P*U + V)/2 and (D*U + P*V)/2 with P = 1
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            qm = qm * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qm) % n
+        qm = qm * qm % n
+        if v == 0:
+            return True
+    return False
 
 
 def valuation(n: int, p: int) -> int | float:
@@ -88,12 +153,17 @@ def periodic_sqrt_cf(d: int) -> tuple[int, tuple[int, ...]]:
 
 
 def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> tuple[dict[int, int], int]:
-    """Factor |n| by trial division up to ``limit``; returns (factors, cofactor).
+    """Factor |n| within the work budget ``limit``; returns (factors, cofactor).
 
-    The cofactor is 1 when the factorization is complete, and is also folded
-    in when it turns out to be prime or a perfect power of a prime.  A
-    composite cofactor is returned as-is; callers decide whether that is
-    acceptable or must raise FactorizationLimitError.
+    Trial division by 2, 3 and the 6k +- 1 wheel up to
+    min(limit, TRIAL_DIVISION_BOUND); then Brent's rho on what is left, with
+    (limit - TRIAL_DIVISION_BOUND) // RHO_ITERATION_COST iterations in all,
+    shared by every split.  Each part is tested with is_prime and
+    _perfect_power and split again while composite.  ``factors`` comes in
+    ascending order.  The cofactor is 1 when the factorization is complete;
+    otherwise it is the product of the composites the budget could not split,
+    and callers decide whether that is acceptable or must raise
+    FactorizationLimitError.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -103,24 +173,75 @@ def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> tuple[dict[i
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
+    bound = min(limit, TRIAL_DIVISION_BOUND)
     p = 5
     step = 2
-    while p * p <= n and p <= limit:
+    while p * p <= n and p <= bound:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
         p += step
         step = 6 - step  # 5, 7, 11, 13, ... wheel
-    if n > 1:
-        if p * p > n or is_prime(n):
+    if p * p > n:
+        if n > 1:
             factors[n] = factors.get(n, 0) + 1
-            n = 1
+        return factors, 1
+    budget = max(0, limit - TRIAL_DIVISION_BOUND) // RHO_ITERATION_COST
+    cofactor = 1
+    parts = [(n, 1)]  # (m, e): m^e still divides what is left
+    while parts:
+        m, e = parts.pop()
+        if is_prime(m):
+            factors[m] = factors.get(m, 0) + e
+            continue
+        root, exp = _perfect_power(m)
+        if exp > 1:
+            parts.append((root, e * exp))
+            continue
+        d, budget = _brent(m, budget)
+        if d is None:
+            cofactor *= m**e
         else:
-            root, exp = _perfect_power(n)
-            if exp > 1 and is_prime(root):
-                factors[root] = factors.get(root, 0) + exp
-                n = 1
-    return factors, n
+            parts += [(d, e), (m // d, e)]
+    return dict(sorted(factors.items())), cofactor
+
+
+def _brent(n: int, budget: int) -> tuple[int | None, int]:
+    """A proper factor of the composite ``n`` by Brent's rho, or None when
+    the next step would take more than ``budget`` iterations; returns it with
+    the budget left.  x -> x^2 + c from x0 = 2, with c = 1, 2, ... in turn
+    when a walk closes without a split, so every run is the same."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if budget < r:
+                return None, budget
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            budget -= r
+            k = 0
+            while k < r and g == 1:
+                m = min(_RHO_BATCH, r - k)
+                if budget < m:
+                    return None, budget
+                ys = y
+                for _ in range(m):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                budget -= m
+                g = gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:  # the last batch overshot: walk it again, one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g, budget
 
 
 def _iroot(n: int, e: int) -> int:

@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .arith import DEFAULT_TRIAL_DIVISION_LIMIT
+from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, RHO_ITERATION_COST, TRIAL_DIVISION_BOUND
 from .cubicfield import REDUCED_LOOSE, REDUCED_STRICT, validate
 from .errors import ValidationError
 from .freeness import UNDECIDED
@@ -276,7 +276,11 @@ def build_parser() -> _Parser:
             "--trial-division-limit",
             type=int,
             default=default_limit,
-            help=f"factorization bound (env {ENV_TRIAL_LIMIT} overrides the default)",
+            help=(
+                f"factorization budget L: trial division to min(L, {TRIAL_DIVISION_BOUND}), "
+                f"then up to (L - {TRIAL_DIVISION_BOUND})/{RHO_ITERATION_COST} rho iterations "
+                f"(env {ENV_TRIAL_LIMIT} overrides the default)"
+            ),
         )
 
     pa = sub.add_parser("analyze", help="full analysis of a single (a, b)")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import factorize, valuation
 from .errors import ValidationError
@@ -79,16 +79,38 @@ class HopfElement:
         return HopfElement(Fraction(h1), Fraction(h2), Fraction(h3))
 
 
-def _integer_roots(a: int, b: int):
-    # rational roots of the monic x^3 - a*x + b are integer divisors of b
+def _integer_roots(a: int, b: int) -> list[int]:
+    """The integer roots of x^3 - a*x + b, in the order a search over the
+    divisors d <= sqrt|b| of b, trying d, -d, b/d, -b/d, would meet them.
+
+    Each root divides b, so it lies in [-|b|, |b|].  On the integers x^3 - a*x
+    + b is strictly monotone on each piece cut at +-s, s = isqrt(a // 3) <=
+    sqrt(a/3) < s + 1, for a > 0 (everywhere for a < 0), so bisection finds
+    the at most one root of each piece.
+    """
     n = abs(b)
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            for r in (d, -d, n // d, -(n // d)):
-                if r * r * r - a * r + b == 0:
-                    yield r
-        d += 1
+    pieces = [(-n, n, True)]
+    if a > 0:
+        s = isqrt(a // 3)
+        pieces = [(-n, -s - 1, True), (-s, s, False), (s + 1, n, True)]
+    roots = []
+    for lo, hi, rising in pieces:
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            v = mid * mid * mid - a * mid + b
+            if v == 0:
+                roots.append(mid)
+                break
+            if (v < 0) == rising:
+                lo = mid + 1
+            else:
+                hi = mid - 1
+
+    def divisor_order(r: int) -> tuple[int, int]:
+        d = min(abs(r), n // abs(r))
+        return d, 2 * (abs(r) != d) + (r < 0)
+
+    return sorted(roots, key=divisor_order)
 
 
 def validate(a: int, b: int, reduced_convention: str = REDUCED_STRICT) -> TrinomialCubic:
@@ -112,7 +134,7 @@ def validate(a: int, b: int, reduced_convention: str = REDUCED_STRICT) -> Trinom
         raise ValueError(f"unknown reduced convention {reduced_convention!r}")
     g = gcd(a, b)
     common, cof = factorize(g)
-    if cof != 1:  # g <= min(|a|, |b|), far below the trial division limit
+    if cof != 1:  # the default budget fails only on two prime factors above ~10^12
         raise AssertionError(f"gcd {g} of ({a}, {b}) left cofactor {cof}")
     for p in common:
         if valuation(a, p) >= amin and valuation(b, p) >= bmin:

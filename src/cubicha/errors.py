@@ -31,12 +31,14 @@ class LatticeMismatchError(RuntimeError):
 
 
 class FactorizationLimitError(RuntimeError):
-    """Trial division up to ``limit`` left a composite cofactor standing."""
+    """The work budget ``limit`` of ``arith.factorize`` (trial division to a
+    small bound, then a share of ``limit`` in Brent rho iterations) left a
+    composite cofactor unsplit."""
 
     def __init__(self, n: int, limit: int, cofactor: int):
         super().__init__(
-            f"cannot fully factor {n}: cofactor {cofactor} survives trial "
-            f"division up to {limit}"
+            f"cannot fully factor {n}: cofactor {cofactor} survives the "
+            f"factorization budget {limit} (trial division, then rho)"
         )
         self.n = n
         self.limit = limit

@@ -8,7 +8,7 @@ Three regimes:
     a finite enumeration.
   * D < 0 with |D| a square k^2 (degenerate): the form factors as
     (x - k*y)(x + k*y) and solutions come from divisor pairs of N, which
-    requires factoring |N|; hitting the trial-division limit raises
+    requires factoring |N|; running out of the factorization budget raises
     FactorizationLimitError rather than returning a wrong "no".
   * D < 0, |D| nonsquare (indefinite): a genuine Pell-type problem.  The
     solution set is a finite union of orbits under the automorph
@@ -221,8 +221,8 @@ def solve_degenerate(d: int, n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) 
 
     (x - k*y)(x + k*y) = n: every factorization n = d0 * e0 gives
     x = (d0 + e0)/2, y = (e0 - d0)/(2k) when those are integers.  Needs the
-    full divisor list of |n|; raises FactorizationLimitError when trial
-    division cannot provide it.
+    full divisor list of |n|; raises FactorizationLimitError when the
+    factorization budget ``limit`` cannot provide it.
     """
     if d >= 0 or n == 0:
         raise AssertionError(f"solve_degenerate needs d < 0, n != 0, got d = {d}, n = {n}")

@@ -9,6 +9,7 @@ raises AssertionError with a pinpointed message on the first violation, via
 
 from __future__ import annotations
 
+import itertools
 import random
 import zlib
 from dataclasses import dataclass
@@ -225,11 +226,18 @@ def suite_freeness_oracle(rng: random.Random, grid: int) -> int:
 
 
 def suite_alaca_dedekind(rng: random.Random, grid: int) -> int:
-    """Congruence table vs Dedekind referee on every relevant prime."""
+    """Congruence table vs Dedekind referee on every relevant prime, over the
+    grid and 20 random fields at 10^6, whose delta needs Brent's rho."""
     checks = 0
-    for k in validated_pairs(grid):
+    randoms = (random_valid_field(rng, 10**6) for _ in range(20))
+    for k in itertools.chain(validated_pairs(grid), randoms):
         factors, cofactor = arith.factorize(k.delta)
-        check(cofactor == 1)
+        check(cofactor == 1, k, cofactor)
+        product = 1
+        for p, e in factors.items():
+            check(arith.is_prime(p), k, p)
+            product *= p**e
+        check(product == abs(k.delta), k, factors)
         primes = sorted({2, 3} | {p for p, e in factors.items() if e >= 2})
         for p in primes:
             table_ok, _ = integrality.alaca_condition(k, p)

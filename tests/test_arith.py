@@ -1,11 +1,15 @@
 import math
 import random
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cubicha.arith import (
     INFINITY,
+    TRIAL_DIVISION_BOUND,
+    _strong_lucas,
     divisors,
     factorize,
     is_prime,
@@ -104,9 +108,97 @@ class TestFactorSupport:
         facs, cof = factorize(n, limit=10)
         assert cof == n and facs == {}
 
+    def test_factorize_budget_boundary(self):
+        # at limit = TRIAL_DIVISION_BOUND rho gets no iterations; the
+        # default budget splits two primes just above the bound
+        n = 1000003 * 1000033
+        assert factorize(n, limit=TRIAL_DIVISION_BOUND) == ({}, n)
+        assert factorize(n) == ({1000003: 1, 1000033: 1}, 1)
+
     def test_divisors(self):
         assert divisors({2: 2, 3: 1}) == [1, 2, 3, 4, 6, 12]
 
     def test_limit_error_carries_data(self):
         err = FactorizationLimitError(100, 10, 7)
         assert err.limit == 10 and err.cofactor == 7
+
+
+# the least strong pseudoprimes to the first 12 and 13 prime bases
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def sieve(bound):
+    flags = bytearray([1]) * (bound + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(flags[p * p :: p]))
+    return [p for p in range(bound + 1) if flags[p]]
+
+
+class TestBPSW:
+    def test_mr_pseudoprimes_rejected(self):
+        assert not is_prime(PSI_12)
+        assert not is_prime(PSI_13)
+        assert is_prime(399165290221) and is_prime(798330580441)
+
+    def test_pseudoprime_never_listed_as_prime(self):
+        for n in (PSI_12, 4 * PSI_12):
+            facs, cof = factorize(n)
+            assert PSI_12 not in facs
+            assert facs.get(399165290221) == 1 or cof % PSI_12 == 0
+
+    def test_strong_lucas_pseudoprimes_below_1e5(self):
+        # OEIS A217255: the strong Lucas pseudoprimes (Selfridge's method A)
+        known = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+        primes = set(sieve(10**5))
+        odd_small = [p for p in primes if 2 < p < 50]
+        found = [
+            n for n in range(53, 10**5, 2)
+            if n not in primes and all(n % p for p in odd_small) and _strong_lucas(n)
+        ]
+        assert found == known
+        assert all(_strong_lucas(p) for p in primes if p > 47)
+
+    def test_against_sympy(self):
+        isprime = pytest.importorskip("sympy").isprime
+        rng = random.Random(5)
+        for _ in range(3000):
+            n = rng.randrange(2, 10 ** rng.randint(3, 40))
+            assert is_prime(n) == isprime(n), n
+
+
+class TestRho:
+    def test_products_of_large_primes(self):
+        small = sieve(math.isqrt(10**9))
+
+        def is_prime_by_trial(n):
+            return n > 1 and all(n % p for p in small if p * p <= n)
+
+        rng = random.Random(2024)
+        for _ in range(300):
+            count, primes = rng.randint(2, 4), []
+            while len(primes) < count:
+                if primes and rng.random() < 0.25:
+                    primes.append(rng.choice(primes))  # a repeated prime
+                    continue
+                c = rng.randint(TRIAL_DIVISION_BOUND, 10**9)
+                if is_prime_by_trial(c):
+                    primes.append(c)
+            n = math.prod(primes) * rng.choice((1, -1))
+            facs, cof = factorize(n)
+            assert cof == 1, n
+            assert math.prod(p**e for p, e in facs.items()) == abs(n)
+            assert all(is_prime(p) for p in facs)
+            assert facs == dict(sorted(Counter(primes).items())), n
+
+    def test_budget_is_honest(self):
+        # two 21-digit primes: far beyond 10^6 rho iterations, so the
+        # default budget gives up and hands the product back
+        p, q = 100000000000000000039, 100000000000000000129
+        start = time.perf_counter()
+        facs, cof = factorize(4 * p * q)
+        elapsed = time.perf_counter() - start
+        assert facs == {2: 2} and cof == p * q
+        assert elapsed < 2.0, elapsed

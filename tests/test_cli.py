@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -198,6 +199,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL freeness-oracle" in out
+
+    def test_alaca_dedekind_suite_runs_rho(self, monkeypatch):
+        from cubicha import arith
+
+        split = []
+        brent = arith._brent
+        monkeypatch.setattr(arith, "_brent", lambda n, budget: split.append(n) or brent(n, budget))
+        assert selfcheck.suite_alaca_dedekind(random.Random(0), 2) > 0
+        assert split
 
     def test_injected_fault_detected_under_optimize(self, run_optimized):
         # python -O strips assert statements; the suites must fail regardless

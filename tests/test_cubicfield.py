@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from cubicha.cubicfield import (
     HopfElement,
     OrderElement,
     REDUCED_LOOSE,
+    _integer_roots,
     _mul_coords,
     action_matrix,
     apply_hopf,
@@ -76,6 +79,34 @@ class TestValidate:
     def test_reducible_large_root(self):
         with pytest.raises(ValidationError):
             validate(21, 20)  # x = 4: 64 - 84 + 20 = 0
+
+    def test_large_b_does_not_hang(self):
+        r, a = 10**10, 7
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as exc:
+            validate(a, r**3 - a * r)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.code == "REDUCIBLE" and str(exc.value).endswith(f"x = {-r}")
+        start = time.perf_counter()
+        k = validate(a, 10**30 + 1)
+        assert time.perf_counter() - start < 0.1
+        assert k.g == 1
+
+    def test_integer_roots_match_divisor_search(self):
+        def referee(a, b):
+            # every divisor d <= sqrt|b| with d, -d, b/d, -b/d, first hit first
+            n, found = abs(b), []
+            for d in range(1, math.isqrt(n) + 1):
+                if n % d == 0:
+                    for r in (d, -d, n // d, -(n // d)):
+                        if r**3 - a * r + b == 0 and r not in found:
+                            found.append(r)
+            return found
+
+        for a in range(-60, 61):
+            for b in range(-60, 61):
+                if b != 0:
+                    assert _integer_roots(a, b) == referee(a, b), (a, b)
 
 
 class TestMul:

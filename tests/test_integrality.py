@@ -64,6 +64,26 @@ class TestIsMaximal:
         assert rep.status == UNDECIDED_FACTORIZATION
         assert rep.cofactor == 19625
 
+    def test_formerly_undecided_fields_decided(self):
+        # every perfbench maximal-pool field that ended UNDECIDED_FACTORIZATION
+        # under trial division to 10^7
+        pairs = [
+            (891108, 428342), (-525618, -354901), (824561, -388057), (656582, -566878),
+            (246956, -306186), (-309472, -379718), (822143, 16991), (-624101, 974240),
+            (235451, -982696), (533305, -160799), (-837639, -428331), (946372, 316577),
+            (441976, 502333), (-216664, -960066), (-387884, -421511), (549981, -447745),
+            (559874, -912719), (-420454, 326670),
+        ]
+        for a, b in pairs:
+            k = validate(a, b)
+            rep = is_maximal(k)
+            assert rep.status != UNDECIDED_FACTORIZATION and rep.cofactor == 1, (a, b)
+            primes = [2, 3] + [p for p, e in rep.delta_factors if p > 3 and e >= 2]
+            assert [p for p, _, _ in rep.per_prime] == primes
+            referee = [dedekind_check(k, p) for p in primes]
+            assert [ok for _, _, ok in rep.per_prime] == referee, (a, b)
+            assert rep.is_maximal == all(referee), (a, b)
+
     def test_definite_failure_beats_undecided(self):
         # (1, 4) fails at p = 2 regardless of what remains unfactored
         rep = is_maximal(validate(1, 4), limit=2)
