@@ -3,9 +3,11 @@
 p-adic valuations, BPSW primality (Miller-Rabin plus a strong Lucas test),
 factorization within an explicit work budget (trial division to a small
 bound, then Brent's rho) that hands back what it could not split instead of
-a silent wrong answer, and the periodic continued fraction of sqrt(D).  The
-last one is not used by the solvers: it is the independent referee that
-``quadrep.pell_fundamental`` (the PQa walk) is held against.
+a silent wrong answer, square roots modulo n from the factorization of n,
+and the periodic continued fraction of sqrt(D).  The last one is not used
+by the solvers: it is the independent referee that
+``quadrep.pell_fundamental`` (a product tree over the principal cycle) is
+held against.
 """
 
 from __future__ import annotations
@@ -263,6 +265,82 @@ def _perfect_power(n: int) -> tuple[int, int]:
         if r > 1 and r**e == n:
             return r, e
     return n, 1
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of the unit ``a`` modulo the odd prime ``p`` by
+    Tonelli-Shanks, or None when ``a`` is a non-residue."""
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+            if i == s:  # only a composite p gets here
+                raise ValueError(f"Tonelli-Shanks needs a prime modulus, got {p}")
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
+    """All z in [0, p^e) with z^2 = a (mod p^e), ascending.
+
+    With a = p^v * a1 (p not dividing a1, v < e), z = p^(v/2) * w where
+    w^2 = a1 (mod p^(e-v)), and each such w mod p^(e-v) gives p^(v/2)
+    roots z mod p^e.  The unit roots w come from Tonelli-Shanks and Hensel
+    lifting for odd p, and one binary digit at a time for p = 2.
+    """
+    q = p**e
+    a %= q
+    if a == 0:
+        return list(range(0, q, p ** ((e + 1) // 2)))
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    if v % 2:
+        return []
+    k = e - v
+    pk = p**k
+    if p == 2:
+        ws, mod = [1], 2
+        while mod < pk:
+            ws = [w + c for w in ws for c in (0, mod) if ((w + c) ** 2 - a) % (2 * mod) == 0]
+            mod *= 2
+    else:
+        w = _sqrt_mod_prime(a % p, p)
+        if w is None:
+            return []
+        mod = p
+        while mod < pk:
+            mod *= p
+            w = (w - (w * w - a) * pow(2 * w, -1, mod)) % mod
+        ws = [w, pk - w]
+    h = p ** (v // 2)
+    return sorted({h * (w + j * pk) for w in ws for j in range(h)})
+
+
+def sqrt_mod(a: int, factors: dict[int, int]) -> list[int]:
+    """All z in [0, n) with z^2 = a (mod n), ascending, where n is the
+    product of p^e over ``factors`` (primes): the roots modulo each prime
+    power, joined by the Chinese remainder theorem."""
+    roots, n = [0], 1
+    for p, e in factors.items():
+        q = p**e
+        inv = pow(n, -1, q)
+        roots = [r + n * ((w - r) * inv % q) for r in roots for w in _sqrt_mod_prime_power(a, p, e)]
+        n *= q
+    return sorted(roots)
 
 
 def divisors(factors: dict[int, int]) -> list[int]:

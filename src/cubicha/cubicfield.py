@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import factorize, valuation
+from .arith import _perfect_power, factorize, valuation
 from .errors import ValidationError
 from .exactlinalg import IntMatrix
 
@@ -118,7 +118,9 @@ def validate(a: int, b: int, reduced_convention: str = REDUCED_STRICT) -> Trinom
 
     Rejections: ZERO_A and ZERO_B (the formulas downstream divide by a, and
     b = 0 is always reducible); REDUCIBLE when f has an integer root;
-    NOT_REDUCED when some prime violates the selected reducedness convention.
+    NOT_REDUCED when some prime violates the selected reducedness convention;
+    GCD_UNFACTORED when gcd(a, b) holds composites the factorization budget
+    cannot split and that may hide such a prime.
     """
     if a == 0:
         raise ValidationError("ZERO_A", "a = 0 is outside the supported family")
@@ -134,14 +136,28 @@ def validate(a: int, b: int, reduced_convention: str = REDUCED_STRICT) -> Trinom
         raise ValueError(f"unknown reduced convention {reduced_convention!r}")
     g = gcd(a, b)
     common, cof = factorize(g)
-    if cof != 1:  # the default budget fails only on two prime factors above ~10^12
-        raise AssertionError(f"gcd {g} of ({a}, {b}) left cofactor {cof}")
     for p in common:
         if valuation(a, p) >= amin and valuation(b, p) >= bmin:
             raise ValidationError(
                 "NOT_REDUCED",
                 f"prime {p} has v_p(a) >= {amin} and v_p(b) >= {bmin}",
             )
+    if cof != 1:
+        # The budget left composites unsplit (two primes above ~10^12 at the
+        # default).  Each prime p of cof has v_p(g) = v_p(cof), so only one
+        # with p^2 | cof can violate; when cof = r^e with e >= bmin, every
+        # prime of r does.  Anything else cannot be decided without its primes.
+        root, e = _perfect_power(cof)
+        if e >= bmin:
+            raise ValidationError(
+                "NOT_REDUCED",
+                f"every prime p of {root} has v_p(a) >= {amin} and v_p(b) >= {bmin}",
+            )
+        raise ValidationError(
+            "GCD_UNFACTORED",
+            f"gcd {g} of (a, b) keeps the cofactor {cof}, which the factorization "
+            f"budget cannot split, so reducedness cannot be decided",
+        )
     delta = 4 * a**3 - 27 * b**2
     if delta == 0:  # would force a rational root
         raise AssertionError(f"({a}, {b}) passed the root check with delta = 0")

@@ -4,7 +4,7 @@
 class ValidationError(ValueError):
     """A field descriptor (a, b) was rejected; ``code`` names the failed check.
 
-    Codes: ZERO_A, ZERO_B, REDUCIBLE, NOT_REDUCED.
+    Codes: ZERO_A, ZERO_B, REDUCIBLE, NOT_REDUCED, GCD_UNFACTORED.
     """
 
     def __init__(self, code: str, message: str):

@@ -13,18 +13,33 @@ Three regimes:
   * D < 0, |D| nonsquare (indefinite): a genuine Pell-type problem.  The
     solution set is a finite union of orbits under the automorph
     (x, y) -> (t*x + |D|*u*y, u*x + t*y) built from the fundamental solution
-    of t^2 - |D|*u^2 = 1.  Orbit representatives are found with the
-    continued-fraction method: for every square divisor f^2 | N and every
-    square root z of |D| mod |N/f^2|, the PQa expansion of the quadratic
-    irrational (z + sqrt(|D|))/|N/f^2| is scanned for |Q| = 1 events, each of
-    which yields a solution of x^2 - |D|y^2 = +-N/f^2 via the identity
-    G_i^2 - |D|*B_i^2 = (-1)^(i+1) * Q_0 * Q_(i+1).  The scan ends when the
-    expansion returns to its first reduced state at the same step parity, so
-    an odd period is walked twice and each of its |Q| = 1 states is seen
-    with both signs; no norm -1 unit is needed to repair wrong-sign hits.
-    For the forms here there is none anyway: 3 divides |D|, and -1 is not a
-    square mod 3.  Representatives are normalized to the orbit's
-    (|y|, |x|)-minimal point and closed under both sign flips.
+    of t^2 - |D|*u^2 = 1.  Orbit representatives come from the continued
+    fraction method (Matthews, "The Diophantine equation x^2 - Dy^2 = N"):
+    for every square divisor f^2 | N and every square root z of |D| mod
+    m = |N/f^2|, the PQa expansion of (z + sqrt(|D|))/m yields a solution
+    of x^2 - |D|y^2 = +-N/f^2 at each state with |Q| = 1, through
+    G_i^2 - |D|*B_i^2 = (-1)^(i+1) * Q_0 * Q_(i+1).  The roots z come from
+    the factorization of m (Hensel lifting and the CRT), not from a scan of
+    all m residues.
+
+    The principal cycle of sqrt(|D|) (its reduced (P, Q) states and partial
+    quotients, in int64 arrays) is walked once per |D| and cached; the
+    fundamental unit is the convergent at the end of its period, squared
+    when the period is odd, multiplied out by a product tree over its
+    quotients.  For each z only (P, Q) is walked, to the first reduced
+    state.  A state with Q = +-1 is +-(P + sqrt(|D|)), whose expansion runs
+    into the complete quotients of sqrt(|D|) within a few steps; the
+    periodic tail of the whole expansion, which is the cycle of its first
+    reduced state, is then the principal cycle.  So a z whose first reduced
+    state is off the principal cycle has no |Q| = 1 state at all,
+    pre-period included, and is dropped with no further work.  Otherwise
+    the cycle's one Q = 1 state (s, 1) is found by position, at both
+    parities when the period is odd, and a convergent is built by a
+    product tree only when its value is the target.  For the
+    forms here the period is always even: 3 divides |D|, and -1 is not a
+    square mod 3, so t^2 - |D|*u^2 = -1 has no solution.  Representatives
+    are normalized to the orbit's (|y|, |x|)-minimal point and closed under
+    both sign flips.
 
 Condition checking on an infinite orbit terminates because the conditions
 only depend on (x, y) modulo 6|a| (3 divides 6a, so "3 | y" is determined
@@ -34,10 +49,12 @@ solution is reconstructed by automorph powering only when a state matches.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
-from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, divisors, factorize
+from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, divisors, factorize, sqrt_mod
 from .errors import DegenerateFormError, FactorizationLimitError
 
 DEFINITE = "DEFINITE"
@@ -124,69 +141,151 @@ def _floor_surd(p: int, q: int, s: int) -> int:
     return (-p - s - 1) // (-q)
 
 
-def _pqa_candidates(d: int, z: int, q0: int) -> list[tuple[int, int, int]]:
-    """PQa expansion of (z + sqrt(d))/q0 (requires q0 | z^2 - d).
+@lru_cache(maxsize=2)
+def _principal_cycle(dabs: int):
+    """The period of the continued fraction of sqrt(dabs) as (s, ps, qs, quots).
 
-    Returns every (G, B, G^2 - d*B^2) observed at a |Q| = 1 event until the
-    expansion is back at its first reduced state (0 < P <= s and
-    s - P < Q <= s + P) with the same step parity.  The periodic part begins
-    at that state, so this is the first repeat of a (P, Q, parity) state; by
-    then both achievable signs of the target value have appeared if they
-    ever do.
+    s = isqrt(dabs); ps[i], qs[i] and quots[i] are P, Q and the partial
+    quotient of the complete quotient (P + sqrt(dabs))/Q at step i + 1, so
+    index 0 holds (s, dabs - s^2) and the last index the only state with
+    Q = 1, (s, 1), whose quotient is 2s.  Every entry lies in (0, 2s], so the
+    arrays are int64 unless 2s does not fit.
     """
-    s = isqrt(d)
-    p, q = z, q0
-    g2, g1 = -z, q0
-    b2, b1 = 1, 0
-    r = -1  # step of the first reduced state (pr, qr), once it is seen
-    i = 0
-    out = []
+    s = isqrt(dabs)
+    new = (lambda: array("q")) if (2 * s).bit_length() < 64 else list
+    ps, qs, quots = new(), new(), new()
+    p, q = s, dabs - s * s
     while True:
-        a = _floor_surd(p, q, s)
-        g = a * g1 + g2
-        b = a * b1 + b2
+        a = (p + s) // q
+        ps.append(p)
+        qs.append(q)
+        quots.append(a)
+        if q == 1:
+            return s, ps, qs, quots
         p = a * q - p
-        q = (d - p * p) // q
-        if abs(q) == 1:
-            out.append((g, b, g * g - d * b * b))
-        if r < 0:
-            if 0 < p <= s and s - p < q <= s + p:
-                r, pr, qr = i, p, q
-        elif p == pr and q == qr and (i - r) % 2 == 0:
-            return out
-        g2, g1 = g1, g
-        b2, b1 = b1, b
-        i += 1
+        q = (dabs - p * p) // q
+
+
+def _mat_mul(x: tuple, y: tuple) -> tuple:
+    # 2x2 matrices as (top-left, top-right, bottom-left, bottom-right)
+    return (
+        x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3],
+    )
+
+
+_LEAF = 32
+
+
+def _cf_matrix(quots) -> tuple:
+    """The product of [[a, 1], [1, 0]] over the partial quotients a_0..a_i,
+    which is [[A_i, A_(i-1)], [B_i, B_(i-1)]] for the convergents A/B: runs
+    of _LEAF quotients multiplied in turn, then a balanced product tree."""
+    level = []
+    for i in range(0, len(quots), _LEAF):
+        a1, a0, b1, b0 = 1, 0, 0, 1
+        for a in quots[i:i + _LEAF]:
+            a1, a0, b1, b0 = a * a1 + a0, a1, a * b1 + b0, b1
+        level.append((a1, a0, b1, b0))
+    if not level:
+        return 1, 0, 0, 1
+    while len(level) > 1:
+        tail = level[-1:] if len(level) % 2 else []
+        level = [_mat_mul(x, y) for x, y in zip(level[::2], level[1::2])] + tail
+    return level[0]
 
 
 def pell_fundamental(dabs: int) -> tuple[int, int]:
-    """Least (t, u), t, u > 0, with t^2 - dabs*u^2 = 1."""
+    """Least (t, u), t, u > 0, with t^2 - dabs*u^2 = 1: the convergent of
+    sqrt(dabs) at the end of its period, squared when the period is odd
+    (that convergent then has norm -1)."""
     if isqrt(dabs) ** 2 == dabs:
         raise DegenerateFormError(f"{dabs} is a perfect square")
-    for g, b, v in _pqa_candidates(dabs, 0, 1):
-        if v == 1:
-            return abs(g), abs(b)
-    raise AssertionError(f"no fundamental solution surfaced for {dabs}")
+    s, _, _, quots = _principal_cycle(dabs)
+    t, _, u, _ = _mat_mul((s, 1, 1, 0), _cf_matrix(quots[:-1]))
+    if len(quots) % 2:
+        t, u = t * t + dabs * u * u, 2 * t * u
+    return t, u
+
+
+def _cycle_index(ps, qs, p: int, q: int) -> int | None:
+    # position of the state (p, q) in the principal cycle, or None
+    i = -1
+    while True:
+        try:
+            i = qs.index(q, i + 1)
+        except ValueError:
+            return None
+        if ps[i] == p:
+            return i
+
+
+def _cf_hits(dabs: int, z: int, q0: int, m: int) -> list[tuple[int, int]]:
+    """(G, B) with G^2 - dabs*B^2 = m from the PQa expansion of
+    (z + sqrt(dabs))/q0, q0 > 0 dividing z^2 - dabs.
+
+    Its state k has value G_(k-1)^2 - dabs*B_(k-1)^2 = (-1)^k * q0 * Q_k,
+    and a hit is a state with |Q_k| = 1 and that value m.  Only (P, Q) is
+    walked, to the first reduced state j; from there the expansion runs
+    round the cycle of that state, and there is no hit at all unless that
+    is the principal cycle.  Of the states j .. j + L' - 1 (state j + L'
+    repeats state j) only those at the position of (s, 1) have Q = 1; L' is
+    the period L, or 2L when L is odd, so that (s, 1) is met at both
+    parities, hence with both signs of the value.  A state before j with
+    |Q| = 1 adds no orbit: it is +-(P + sqrt(dabs)), whose expansion meets
+    (s, 1) at the same parity within those states, and the two solutions
+    differ by a unit of norm 1.  Convergents are built only for hits, from
+    the partial quotients.
+    """
+    s, ps, qs, quots = _principal_cycle(dabs)
+    period = len(quots)
+    p, q = z, q0
+    pre = []  # partial quotients a_0 .. a_(j-1)
+    while True:
+        a = _floor_surd(p, q, s)
+        pre.append(a)
+        p = a * q - p
+        q = (dabs - p * p) // q
+        if 0 < p <= s and s - p < q <= s + p:
+            break
+    c0 = _cycle_index(ps, qs, p, q)
+    if c0 is None:
+        return []
+    j = len(pre)
+    span = period if period % 2 == 0 else 2 * period
+    out = []
+    for k in range(j + period - 1 - c0, j + span, period):
+        if (q0 if k % 2 == 0 else -q0) != m:
+            continue
+        seg = quots[c0:c0 + k - j]
+        if len(seg) < k - j:
+            seg += quots[:k - j - len(seg)]
+        g1, _, b1, _ = _mat_mul(_cf_matrix(pre), _cf_matrix(seg))
+        out.append((q0 * g1 - z * b1, b1))
+    return out
 
 
 def _normalize_rep(dabs: int, t: int, u: int, x: int, y: int) -> tuple[int, int]:
-    # descend to the orbit's (|y|, |x|)-minimal point under A and A^-1
-    cur = (x, y)
+    # descend to the orbit's (|y|, |x|)-minimal point under A and A^-1,
+    # which share the four products
+    du = dabs * u
     while True:
-        best = cur
-        for sgn in (1, -1):
-            cand = (t * cur[0] + sgn * dabs * u * cur[1], sgn * u * cur[0] + t * cur[1])
+        tx, duy, ux, ty = t * x, du * y, u * x, t * y
+        best = (x, y)
+        for cand in ((tx + duy, ux + ty), (tx - duy, ty - ux)):
             if (abs(cand[1]), abs(cand[0])) < (abs(best[1]), abs(best[0])):
                 best = cand
-        if best == cur:
-            return cur
-        cur = best
+        if best == (x, y):
+            return best
+        x, y = best
 
 
 def solve_indefinite(d: int, n: int) -> PellCertificate:
     """Complete orbit representatives of x^2 + d*y^2 = n for d < 0, |d| nonsquare.
 
-    An empty representative set is a proof that no solutions exist.
+    An empty representative set is a proof that no solutions exist.  Raises
+    FactorizationLimitError when the default factorization budget cannot
+    factor |n|.
     """
     if d >= 0 or n == 0:
         raise AssertionError(f"solve_indefinite needs d < 0, n != 0, got d = {d}, n = {n}")
@@ -194,19 +293,25 @@ def solve_indefinite(d: int, n: int) -> PellCertificate:
     if isqrt(dabs) ** 2 == dabs:
         raise DegenerateFormError(f"|d| = {dabs} is a perfect square")
     t, u = pell_fundamental(dabs)
+    factors, cofactor = factorize(n)
+    if cofactor != 1:
+        raise FactorizationLimitError(abs(n), DEFAULT_TRIAL_DIVISION_LIMIT, cofactor)
+    splits = [(1, {})]  # (f, factorization of |n|/f^2) for every f^2 | n
+    for p, e in factors.items():
+        splits = [
+            (f * p**k, {**mf, p: e - 2 * k} if e > 2 * k else mf)
+            for f, mf in splits
+            for k in range(e // 2 + 1)
+        ]
     raw = []
-    f = 1
-    while f * f <= abs(n):
-        if n % (f * f) == 0:
-            m = n // (f * f)
-            am = abs(m)
-            for z in range(-((am - 1) // 2), am // 2 + 1):
-                if (z * z - dabs) % am != 0:
-                    continue
-                for g, b, v in _pqa_candidates(dabs, z, am):
-                    if v == m:
-                        raw.append((f * g, f * b))
-        f += 1
+    for f, mf in splits:
+        m = n // (f * f)
+        am = abs(m)
+        # the hits of -z are the conjugates (x, -y) of those of z, up to the
+        # automorph, and the representatives are closed under that sign flip
+        for z in sqrt_mod(dabs, mf):
+            if z <= am // 2:
+                raw += [(f * g, f * b) for g, b in _cf_hits(dabs, z, am, m)]
     reps = set()
     for x, y in raw:
         if x * x - dabs * y * y != n:

@@ -49,8 +49,9 @@ def random_valid_field(rng: random.Random, coeff_bound: int) -> cubicfield.Trino
 
 
 def suite_sqrt_cf(rng: random.Random, grid: int) -> int:
-    """pell_fundamental (PQa walk) vs the period-end convergent of sqrt(d),
-    squared when the period is odd (that convergent then has norm -1)."""
+    """pell_fundamental (a product tree over the principal cycle) vs the
+    period-end convergent of sqrt(d), squared when the period is odd (that
+    convergent then has norm -1)."""
     checks = 0
     for _ in range(max(20, 5 * grid)):
         d = rng.randint(2, 10**6)

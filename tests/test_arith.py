@@ -14,6 +14,7 @@ from cubicha.arith import (
     factorize,
     is_prime,
     periodic_sqrt_cf,
+    sqrt_mod,
     valuation,
 )
 from cubicha.errors import DegenerateFormError, FactorizationLimitError
@@ -126,6 +127,38 @@ class TestFactorSupport:
 # the least strong pseudoprimes to the first 12 and 13 prime bases
 PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
 PSI_13 = 3317044064679887385961981
+
+
+class TestSqrtMod:
+    def test_matches_residue_scan_on_108ag(self):
+        # the moduli the freeness problems meet: |D| = 3|delta| modulo
+        # 108ag divided by its square divisors; the referee scans every residue
+        rng = random.Random(108)
+        cases = 0
+        while cases < 60:
+            h = rng.randint(1, 12)
+            a, b = h * rng.randint(-20, 20), h * rng.randint(-20, 20)
+            g = math.gcd(a, b)
+            n = 108 * abs(a) * g
+            if a == 0 or b == 0 or n > 200000:
+                continue
+            dabs = 3 * abs(4 * a**3 - 27 * b**2)
+            for f in range(1, math.isqrt(n) + 1):
+                if n % (f * f) == 0:
+                    m = n // (f * f)
+                    want = [z for z in range(m) if (z * z - dabs) % m == 0]
+                    assert sqrt_mod(dabs, factorize(m)[0]) == want, (dabs, m)
+            cases += 1
+
+    def test_matches_residue_scan_on_prime_powers(self):
+        # high powers of 2, 3, 5 and 7 dividing both the modulus and the square
+        rng = random.Random(7)
+        for _ in range(400):
+            p = rng.choice([2, 3, 5, 7])
+            m = p ** rng.randint(1, math.floor(math.log(5000, p))) * rng.randint(1, 4)
+            a = rng.choice([1, 2, 3, 4, 9, 16, 25, 27, 81]) * rng.randint(0, 10**6)
+            want = [z for z in range(m) if (z * z - a) % m == 0]
+            assert sqrt_mod(a, factorize(m)[0]) == want, (a, m)
 
 
 def sieve(bound):

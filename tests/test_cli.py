@@ -5,6 +5,7 @@ import random
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -124,6 +125,21 @@ class TestAnalyze:
         assert abs(d_beta(validate(-409, 727), OrderElement(*generator))) == doc["index_iw"]
 
 
+def test_long_period_field_within_time_bound(capsys):
+    # (-725, 165) has a principal period of about 18,000 steps and a
+    # 28,000-bit Pell unit; the digest is that of its JSON without
+    # elapsed_us as the one-walk-per-root solver wrote it in about 10 s
+    start = time.perf_counter()
+    code = main(["analyze", "--a=-725", "--b", "165"])
+    elapsed = time.perf_counter() - start
+    doc = json.loads(capsys.readouterr().out)
+    del doc["elapsed_us"]
+    digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+    assert code == 0
+    assert digest == "01122c4aa0892700f45cc84b14ec7ac1480e6dc4d69d4e6bf9e0ddc5c144f683"
+    assert elapsed <= 3.0, elapsed
+
+
 def test_one_build_per_valid_field(capsys, build_calls):
     assert main(["scan", "--a-range", "3:3", "--b-range=-9:9"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")[1:]
@@ -146,6 +162,13 @@ class TestScan:
         assert "skipped 2" in captured.err
         a_of = [int(line.split(",")[0]) for line in lines[1:]]
         assert a_of == sorted(a_of)
+
+    def test_unsplit_gcd_counted_as_rejection(self, capsys):
+        g = 1000000000039 * 1000000000061
+        assert main(["scan", f"--a-range={g}:{g}", f"--b-range={5 * g}:{5 * g}"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == CSV_HEADER
+        assert "scan: 0 rows, skipped 1 (GCD_UNFACTORED=1)" in captured.err
 
     def test_empty_range(self, capsys):
         code = main(["scan", "--a-range", "2:1", "--b-range", "1:3"])

@@ -92,6 +92,17 @@ class TestValidate:
         assert time.perf_counter() - start < 0.1
         assert k.g == 1
 
+    def test_unsplit_gcd_is_rejected_or_decided(self):
+        # g = p*q, p and q past the reach of the default factorization budget
+        g = 1000000000039 * 1000000000061
+        with pytest.raises(ValidationError) as exc:
+            validate(g, 5 * g)
+        assert exc.value.code == "GCD_UNFACTORED"
+        # g^3 divides both: p^2 | a and p^3 | b for each p | g, unsplit or not
+        with pytest.raises(ValidationError) as exc:
+            validate(g**3, g**3)
+        assert exc.value.code == "NOT_REDUCED"
+
     def test_integer_roots_match_divisor_search(self):
         def referee(a, b):
             # every divisor d <= sqrt|b| with d, -d, b/d, -b/d, first hit first

@@ -15,7 +15,57 @@ from cubicha.quadrep import (
     solve_degenerate,
     solve_indefinite,
     solve_with_conditions,
+    _normalize_rep,
 )
+
+
+def _pqa_candidates(d, z, q0):
+    """Referee: the PQa expansion of (z + sqrt(d))/q0 (q0 | z^2 - d), walked
+    with its convergents until it is back at its first reduced state at the
+    same step parity; every (G, B, G^2 - d*B^2) seen at a |Q| = 1 event."""
+    s = isqrt(d)
+    p, q = z, q0
+    g2, g1 = -z, q0
+    b2, b1 = 1, 0
+    r = -1  # step of the first reduced state (pr, qr), once it is seen
+    i = 0
+    out = []
+    while True:
+        a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
+        g = a * g1 + g2
+        b = a * b1 + b2
+        p = a * q - p
+        q = (d - p * p) // q
+        if abs(q) == 1:
+            out.append((g, b, g * g - d * b * b))
+        if r < 0:
+            if 0 < p <= s and s - p < q <= s + p:
+                r, pr, qr = i, p, q
+        elif p == pr and q == qr and (i - r) % 2 == 0:
+            return out
+        g2, g1 = g1, g
+        b2, b1 = b1, b
+        i += 1
+
+
+def referee_representatives(dabs, n):
+    """Referee for solve_indefinite: every square root z of dabs modulo
+    |n/f^2|, found by scanning all residues, gets its own full PQa walk."""
+    t, u = next((abs(g), abs(b)) for g, b, v in _pqa_candidates(dabs, 0, 1) if v == 1)
+    reps = set()
+    f = 1
+    while f * f <= abs(n):
+        if n % (f * f) == 0:
+            m = n // (f * f)
+            am = abs(m)
+            for z in range(-((am - 1) // 2), am // 2 + 1):
+                if (z * z - dabs) % am == 0:
+                    for g, b, v in _pqa_candidates(dabs, z, am):
+                        if v == m:
+                            x, y = _normalize_rep(dabs, t, u, f * g, f * b)
+                            reps |= {(x, y), (-x, y), (x, -y), (-x, -y)}
+        f += 1
+    return (t, u), reps
 
 
 def brute_box(dabs, n, box):
@@ -108,6 +158,17 @@ class TestPellFundamental:
         with pytest.raises(DegenerateFormError):
             pell_fundamental(36)
 
+    def test_period_past_int64(self):
+        # sqrt(k^2 - 1) = [k - 1; 1, 2k - 2]: a two-step period whose
+        # entries (up to 2s) do not fit the int64 arrays
+        k = 2**70
+        d = k * k - 1
+        assert periodic_sqrt_cf(d) == (k - 1, (1, 2 * k - 2))
+        assert pell_fundamental(d) == (k, 1)
+        assert set(solve_indefinite(-d, 1).representatives) == {(1, 0), (-1, 0)}
+        reps = set(solve_indefinite(-d, 2 - 2 * k).representatives)
+        assert reps == {(k - 1, 1), (1 - k, 1), (k - 1, -1), (1 - k, -1)}
+
     def test_matches_period_end_convergent(self):
         # referee: the convergent of sqrt(d) at the end of its first period
         # solves t^2 - d*u^2 = (-1)^L for period length L; its square is the
@@ -129,7 +190,7 @@ class TestPellFundamental:
 
 
 def test_solution_certificates_raise_under_optimize(run_optimized):
-    # a zero target, to the solver and to FormProblem; then a bogus PQa hit
+    # a zero target, to the solver and to FormProblem; then a bogus convergent hit
     # (1, 1) for x^2 - 7y^2 = 9, then a bogus orbit representative (3, 1)
     # that the side condition accepts at once
     out = run_optimized(
@@ -140,14 +201,14 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "        call()\n"
         "    except AssertionError as exc:\n"
         "        print('raised:', exc)\n"
-        "orig = quadrep._pqa_candidates\n"
-        "quadrep._pqa_candidates = lambda d, z, q0: (\n"
-        "    orig(d, z, q0) + ([(1, 1, q0)] if q0 > 1 else []))\n"
+        "orig = quadrep._cf_hits\n"
+        "quadrep._cf_hits = lambda dabs, z, q0, m: (\n"
+        "    orig(dabs, z, q0, m) + ([(1, 1)] if q0 > 1 else []))\n"
         "try:\n"
         "    quadrep.solve_indefinite(-7, 9)\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
-        "quadrep._pqa_candidates = orig\n"
+        "quadrep._cf_hits = orig\n"
         "quadrep.solve_indefinite = lambda d, n: quadrep.PellCertificate(\n"
         "    quadrep.INDEFINITE, (8, 3), ((3, 1),))\n"
         "try:\n"
@@ -206,6 +267,25 @@ class TestSolveIndefinite:
         for d, n in problems:
             cert = solve_indefinite(-d, n)
             assert orbit_closure(cert, d, n, box) == brute_box(d, n, box), (d, n)
+
+    def test_matches_full_walk_referee(self):
+        # every nonsquare d < 100 with 1 <= |n| <= 60 (d = 2, 5, 10, 13, 29,
+        # 61 among them have odd periods), then seeded larger problems
+        problems = [(d, n) for d in range(2, 100) for n in range(-60, 61) if n and isqrt(d) ** 2 != d]
+        rng = random.Random(2024)
+        while len(problems) < 10800 + 120:
+            d, n = rng.randint(2, 20000), rng.randint(-200000, 200000)
+            if n and isqrt(d) ** 2 != d:
+                problems.append((d, n))
+        for d, n in problems:
+            cert = solve_indefinite(-d, n)
+            assert (cert.fundamental, set(cert.representatives)) == referee_representatives(d, n), (d, n)
+
+    def test_factorization_limit_surfaces(self):
+        # the roots z come from the factorization of the target, so a target
+        # the default budget cannot split raises rather than answering
+        with pytest.raises(FactorizationLimitError):
+            solve_indefinite(-7, 1000000000039 * 1000000000061)
 
     def test_empty_certificate_means_empty(self):
         # x^2 - 7y^2 = 3 has no solutions (3 is not a QR pattern mod 7 orbits)
