@@ -263,7 +263,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     env_limit = os.environ.get(ENV_TRIAL_LIMIT)
-    default_limit = int(env_limit) if env_limit else DEFAULT_TRIAL_DIVISION_LIMIT
+    try:
+        default_limit = int(env_limit) if env_limit else DEFAULT_TRIAL_DIVISION_LIMIT
+    except ValueError:
+        parser.exit(EX_USAGE, f"cubicha: error: {ENV_TRIAL_LIMIT} must be an integer, got {env_limit!r}\n")
 
     def common(p):
         p.add_argument(

@@ -23,19 +23,19 @@ Three regimes:
     all m residues.
 
     The principal cycle of sqrt(|D|) (its reduced (P, Q) states and partial
-    quotients, in int64 arrays) is walked once per |D| and cached; the
-    fundamental unit is the convergent at the end of its period, squared
-    when the period is odd, multiplied out by a product tree over its
-    quotients.  For each z only (P, Q) is walked, to the first reduced
-    state.  A state with Q = +-1 is +-(P + sqrt(|D|)), whose expansion runs
-    into the complete quotients of sqrt(|D|) within a few steps; the
-    periodic tail of the whole expansion, which is the cycle of its first
-    reduced state, is then the principal cycle.  So a z whose first reduced
-    state is off the principal cycle has no |Q| = 1 state at all,
-    pre-period included, and is dropped with no further work.  Otherwise
-    the cycle's one Q = 1 state (s, 1) is found by position, at both
-    parities when the period is odd, and a convergent is built by a
-    product tree only when its value is the target.  For the
+    quotients, in int64 arrays) and the fundamental unit are found once per
+    |D| and cached: the period is a palindrome, so half of it is walked and
+    mirrored, and the unit comes from a product tree over the first half.
+    The roots z, and where each meets the cycle, depend only on |N| and are
+    found once for both signs of N.  For each z only (P, Q) is walked, to
+    the first reduced state.  A state with Q = +-1 is +-(P + sqrt(|D|)),
+    whose expansion runs into the complete quotients of sqrt(|D|) within a
+    few steps; the periodic tail of the whole expansion, which is the cycle
+    of its first reduced state, is then the principal cycle.  So a z whose
+    first reduced state is off the principal cycle has no |Q| = 1 state at
+    all, pre-period included, and is dropped.  Otherwise the cycle's one
+    Q = 1 state (s, 1) is found by position, at both parities when the
+    period is odd, and a convergent is built only for a hit.  For the
     forms here the period is always even: 3 divides |D|, and -1 is not a
     square mod 3, so t^2 - |D|*u^2 = -1 has no solution.  Representatives
     are normalized to the orbit's (|y|, |x|)-minimal point and closed under
@@ -141,31 +141,6 @@ def _floor_surd(p: int, q: int, s: int) -> int:
     return (-p - s - 1) // (-q)
 
 
-@lru_cache(maxsize=2)
-def _principal_cycle(dabs: int):
-    """The period of the continued fraction of sqrt(dabs) as (s, ps, qs, quots).
-
-    s = isqrt(dabs); ps[i], qs[i] and quots[i] are P, Q and the partial
-    quotient of the complete quotient (P + sqrt(dabs))/Q at step i + 1, so
-    index 0 holds (s, dabs - s^2) and the last index the only state with
-    Q = 1, (s, 1), whose quotient is 2s.  Every entry lies in (0, 2s], so the
-    arrays are int64 unless 2s does not fit.
-    """
-    s = isqrt(dabs)
-    new = (lambda: array("q")) if (2 * s).bit_length() < 64 else list
-    ps, qs, quots = new(), new(), new()
-    p, q = s, dabs - s * s
-    while True:
-        a = (p + s) // q
-        ps.append(p)
-        qs.append(q)
-        quots.append(a)
-        if q == 1:
-            return s, ps, qs, quots
-        p = a * q - p
-        q = (dabs - p * p) // q
-
-
 def _mat_mul(x: tuple, y: tuple) -> tuple:
     # 2x2 matrices as (top-left, top-right, bottom-left, bottom-right)
     return (
@@ -195,62 +170,129 @@ def _cf_matrix(quots) -> tuple:
     return level[0]
 
 
+@lru_cache(maxsize=2)
+def _principal_cycle(dabs: int):
+    """(s, ps, qs, quots, (t, u)): the period of sqrt(dabs) and its unit.
+
+    s = isqrt(dabs); ps[i], qs[i] and quots[i] are P, Q and the partial
+    quotient of the complete quotient (P + sqrt(dabs))/Q at step i + 1, so
+    index 0 holds (s, dabs - s^2) and the last index the only state with
+    Q = 1, (s, 1), whose quotient is 2s.  Every entry lies in (0, 2s], so the
+    arrays are int64 unless 2s does not fit.
+
+    The period L is a palindrome, Q_k = Q_(L-k), P_k = P_(L+1-k) and
+    a_k = a_(L-k), so (P, Q) is walked to its middle only: the first k with
+    P_(k+1) = P_k (L = 2k) or Q_(k+1) = Q_k (L = 2k + 1, k = 0 for
+    dabs = s^2 + 1).  The unit is the first column of M(s) M(a_1) ...
+    M(a_(L-1)), M(a) = [[a, 1], [1, 0]], squared when L is odd; as M(a) is
+    symmetric, that product is K M(a_h) K^T (L = 2h) or K K^T (L = 2h + 1)
+    for K = M(a_1) ... M(a_r), r = L - 1 - h.
+    """
+    s = isqrt(dabs)
+    new = (lambda: array("q")) if (2 * s).bit_length() < 64 else list
+    ps, qs, quots = new(), new(), new()
+    p, q = s, dabs - s * s
+    odd = q == 1
+    while not odd:
+        a = (p + s) // q
+        ps.append(p)
+        qs.append(q)
+        quots.append(a)
+        p1 = a * q - p
+        q1 = (dabs - p1 * p1) // q
+        if p1 == p:
+            break
+        odd = q1 == q
+        p, q = p1, q1
+    h = len(quots)
+    r = h if odd else h - 1
+    k0, k1, k2, k3 = _cf_matrix(quots[:r])
+    x, y = (k0, k1) if odd else (quots[-1] * k0 + k1, k0)
+    n0 = k0 * x + k1 * y
+    t, u = s * n0 + k2 * x + k3 * y, n0
+    if odd:
+        t, u = t * t + dabs * u * u, 2 * t * u
+        ps.append(p)  # P_(h+1)
+    ps += ps[:h][::-1]
+    qs += qs[:r][::-1]
+    qs.append(1)
+    quots += quots[:r][::-1]
+    quots.append(2 * s)
+    return s, ps, qs, quots, (t, u)
+
+
 def pell_fundamental(dabs: int) -> tuple[int, int]:
     """Least (t, u), t, u > 0, with t^2 - dabs*u^2 = 1: the convergent of
     sqrt(dabs) at the end of its period, squared when the period is odd
-    (that convergent then has norm -1)."""
+    (that convergent then has norm -1).  Built once per dabs, with its cycle."""
     if isqrt(dabs) ** 2 == dabs:
         raise DegenerateFormError(f"{dabs} is a perfect square")
-    s, _, _, quots = _principal_cycle(dabs)
-    t, _, u, _ = _mat_mul((s, 1, 1, 0), _cf_matrix(quots[:-1]))
-    if len(quots) % 2:
-        t, u = t * t + dabs * u * u, 2 * t * u
-    return t, u
+    return _principal_cycle(dabs)[4]
 
 
-def _cycle_index(ps, qs, p: int, q: int) -> int | None:
-    # position of the state (p, q) in the principal cycle, or None
-    i = -1
-    while True:
-        try:
-            i = qs.index(q, i + 1)
-        except ValueError:
-            return None
-        if ps[i] == p:
-            return i
+@lru_cache(maxsize=2)
+def _located_roots(dabs: int, nabs: int) -> tuple:
+    """(f, z, pre, c) for every f^2 | nabs and every square root z <= m/2 of
+    dabs modulo m = nabs/f^2 whose expansion of (z + sqrt(dabs))/m reaches
+    the principal cycle: pre holds its partial quotients before its first
+    reduced state, which is at position c of the cycle.
+
+    Only (P, Q) is walked, to that state; a root whose first reduced state
+    is off the principal cycle has no hit (see _cf_hits and the module
+    docstring) and is dropped.  All states are looked up in one pass over
+    the cycle.  Nothing here depends on the sign of the target, so
+    x^2 - dabs*y^2 = +-nabs share one call.  Raises FactorizationLimitError
+    when the default budget cannot factor nabs.
+    """
+    factors, cofactor = factorize(nabs)
+    if cofactor != 1:
+        raise FactorizationLimitError(nabs, DEFAULT_TRIAL_DIVISION_LIMIT, cofactor)
+    splits = [(1, {})]  # (f, factorization of nabs/f^2) for every f^2 | nabs
+    for p, e in factors.items():
+        splits = [
+            (f * p**k, {**mf, p: e - 2 * k} if e > 2 * k else mf)
+            for f, mf in splits
+            for k in range(e // 2 + 1)
+        ]
+    s, ps, qs, _, _ = _principal_cycle(dabs)
+    roots = []  # (f, z, pre, first reduced state)
+    for f, mf in splits:
+        m = nabs // (f * f)
+        # the hits of -z are the conjugates (x, -y) of those of z, up to the
+        # automorph, and the representatives are closed under that sign flip
+        for z in sqrt_mod(dabs, mf):
+            if z <= m // 2:
+                p, q, pre = z, m, []
+                while True:
+                    a = _floor_surd(p, q, s)
+                    pre.append(a)
+                    p = a * q - p
+                    q = (dabs - p * p) // q
+                    if 0 < p <= s and s - p < q <= s + p:
+                        break
+                roots.append((f, z, tuple(pre), (p, q)))
+    wanted = {state for *_, state in roots}
+    where = {state: i for i, state in enumerate(zip(ps, qs)) if state in wanted}
+    return tuple((f, z, pre, where[st]) for f, z, pre, st in roots if st in where)
 
 
-def _cf_hits(dabs: int, z: int, q0: int, m: int) -> list[tuple[int, int]]:
+def _cf_hits(dabs: int, z: int, q0: int, m: int, pre: tuple, c0: int) -> list[tuple[int, int]]:
     """(G, B) with G^2 - dabs*B^2 = m from the PQa expansion of
-    (z + sqrt(dabs))/q0, q0 > 0 dividing z^2 - dabs.
+    (z + sqrt(dabs))/q0, q0 > 0 dividing z^2 - dabs, with partial quotients
+    ``pre`` up to its first reduced state j, at position c0 of the cycle.
 
     Its state k has value G_(k-1)^2 - dabs*B_(k-1)^2 = (-1)^k * q0 * Q_k,
-    and a hit is a state with |Q_k| = 1 and that value m.  Only (P, Q) is
-    walked, to the first reduced state j; from there the expansion runs
-    round the cycle of that state, and there is no hit at all unless that
-    is the principal cycle.  Of the states j .. j + L' - 1 (state j + L'
-    repeats state j) only those at the position of (s, 1) have Q = 1; L' is
-    the period L, or 2L when L is odd, so that (s, 1) is met at both
-    parities, hence with both signs of the value.  A state before j with
-    |Q| = 1 adds no orbit: it is +-(P + sqrt(dabs)), whose expansion meets
-    (s, 1) at the same parity within those states, and the two solutions
-    differ by a unit of norm 1.  Convergents are built only for hits, from
-    the partial quotients.
+    and a hit is a state with |Q_k| = 1 and that value m.  Of the states
+    j .. j + L' - 1 (state j + L' repeats state j) only those at the
+    position of (s, 1) have Q = 1; L' is the period L, or 2L when L is odd,
+    so that (s, 1) is met at both parities, hence with both signs of the
+    value.  A state before j with |Q| = 1 adds no orbit: it is
+    +-(P + sqrt(dabs)), whose expansion meets (s, 1) at the same parity
+    within those states, and the two solutions differ by a unit of norm 1.
+    Convergents are built only for hits, by product trees.
     """
-    s, ps, qs, quots = _principal_cycle(dabs)
+    quots = _principal_cycle(dabs)[3]
     period = len(quots)
-    p, q = z, q0
-    pre = []  # partial quotients a_0 .. a_(j-1)
-    while True:
-        a = _floor_surd(p, q, s)
-        pre.append(a)
-        p = a * q - p
-        q = (dabs - p * p) // q
-        if 0 < p <= s and s - p < q <= s + p:
-            break
-    c0 = _cycle_index(ps, qs, p, q)
-    if c0 is None:
-        return []
     j = len(pre)
     span = period if period % 2 == 0 else 2 * period
     out = []
@@ -293,25 +335,10 @@ def solve_indefinite(d: int, n: int) -> PellCertificate:
     if isqrt(dabs) ** 2 == dabs:
         raise DegenerateFormError(f"|d| = {dabs} is a perfect square")
     t, u = pell_fundamental(dabs)
-    factors, cofactor = factorize(n)
-    if cofactor != 1:
-        raise FactorizationLimitError(abs(n), DEFAULT_TRIAL_DIVISION_LIMIT, cofactor)
-    splits = [(1, {})]  # (f, factorization of |n|/f^2) for every f^2 | n
-    for p, e in factors.items():
-        splits = [
-            (f * p**k, {**mf, p: e - 2 * k} if e > 2 * k else mf)
-            for f, mf in splits
-            for k in range(e // 2 + 1)
-        ]
     raw = []
-    for f, mf in splits:
+    for f, z, pre, c0 in _located_roots(dabs, abs(n)):
         m = n // (f * f)
-        am = abs(m)
-        # the hits of -z are the conjugates (x, -y) of those of z, up to the
-        # automorph, and the representatives are closed under that sign flip
-        for z in sqrt_mod(dabs, mf):
-            if z <= am // 2:
-                raw += [(f * g, f * b) for g, b in _cf_hits(dabs, z, am, m)]
+        raw += [(f * g, f * b) for g, b in _cf_hits(dabs, z, abs(m), m, pre, c0)]
     reps = set()
     for x, y in raw:
         if x * x - dabs * y * y != n:

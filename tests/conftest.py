@@ -1,9 +1,19 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cubicha import assocorder
+
+
+def pytest_configure(config):
+    # tests that start "python -m cubicha" or "python -O -c ..." need the
+    # package of this checkout, which pytest's pythonpath setting gives only
+    # to its own process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

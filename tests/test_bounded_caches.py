@@ -29,5 +29,6 @@ def functools_caches():
 def test_every_functools_cache_is_bounded():
     caches = dict(functools_caches())
     assert "cubicha.quadrep._principal_cycle" in caches
+    assert "cubicha.quadrep._located_roots" in caches
     unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []

@@ -113,6 +113,21 @@ class TestAnalyze:
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["conventions"]["trial_division_limit"] == 4
 
+    def test_malformed_env_var_limit_exit_64(self):
+        env = dict(os.environ, CHA_TRIAL_DIVISION_LIMIT="abc")
+        for args in (["analyze", "--a", "1", "--b", "1"], ["verify"], ["--version"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cubicha", *args],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 64, args
+            assert proc.stdout == ""
+            assert proc.stderr.splitlines() == [
+                "cubicha: error: CHA_TRIAL_DIVISION_LIMIT must be an integer, got 'abc'"
+            ], args
+
     def test_pell_unit_past_the_int_str_digit_cap(self, capsys):
         # its Pell unit has over 4,300 digits, Python's default cap on
         # int <-> str conversion; main lifts the cap for the process

@@ -1,10 +1,14 @@
 import random
+from functools import lru_cache
 from math import isqrt
 
 import pytest
 
+from cubicha import quadrep
 from cubicha.arith import periodic_sqrt_cf
+from cubicha.cubicfield import validate
 from cubicha.errors import DegenerateFormError, FactorizationLimitError
+from cubicha.freeness import NOT_FREE, decide_freeness
 from cubicha.quadrep import (
     DEFINITE,
     DEGENERATE,
@@ -16,6 +20,7 @@ from cubicha.quadrep import (
     solve_indefinite,
     solve_with_conditions,
     _normalize_rep,
+    _principal_cycle,
 )
 
 
@@ -189,6 +194,60 @@ class TestPellFundamental:
         assert odd > 100
 
 
+def full_period_walk(d):
+    """Referee for _principal_cycle: (s, ps, qs, quots) walked state by state
+    over the whole period, up to the state with Q = 1."""
+    s = isqrt(d)
+    ps, qs, quots = [], [], []
+    p, q = s, d - s * s
+    while True:
+        a = (p + s) // q
+        ps.append(p)
+        qs.append(q)
+        quots.append(a)
+        if q == 1:
+            return s, ps, qs, quots
+        p = a * q - p
+        q = (d - p * p) // q
+
+
+class TestPrincipalCycle:
+    @staticmethod
+    def mirrored(d):
+        s, ps, qs, quots, _ = _principal_cycle(d)
+        return s, list(ps), list(qs), list(quots)
+
+    def test_small_d_both_parities(self):
+        parities = set()
+        for d in range(2, 20000):
+            if isqrt(d) ** 2 != d:
+                want = full_period_walk(d)
+                assert self.mirrored(d) == want, d
+                parities.add(len(want[3]) % 2)
+        assert parities == {0, 1}
+
+    def test_period_one(self):
+        # sqrt(s^2 + 1) = [s; 2s], the last with list storage
+        for s in (1, 2, 3, 10, 999, 2**31, 2**70):
+            d = s * s + 1
+            assert self.mirrored(d) == full_period_walk(d) == (s, [s], [1], [2 * s]), s
+
+    def test_seeded_large_d(self):
+        rng = random.Random(1108)
+        done = 0
+        while done < 300:
+            d = rng.randint(10**8, 10**11)
+            if isqrt(d) ** 2 != d:
+                assert self.mirrored(d) == full_period_walk(d), d
+                done += 1
+
+    def test_list_storage(self):
+        # 2s does not fit int64, so the arrays are lists
+        d = 2**140 - 1
+        assert isinstance(_principal_cycle(d)[1], list)
+        assert self.mirrored(d) == full_period_walk(d)
+
+
 def test_solution_certificates_raise_under_optimize(run_optimized):
     # a zero target, to the solver and to FormProblem; then a bogus convergent hit
     # (1, 1) for x^2 - 7y^2 = 9, then a bogus orbit representative (3, 1)
@@ -202,8 +261,8 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "    except AssertionError as exc:\n"
         "        print('raised:', exc)\n"
         "orig = quadrep._cf_hits\n"
-        "quadrep._cf_hits = lambda dabs, z, q0, m: (\n"
-        "    orig(dabs, z, q0, m) + ([(1, 1)] if q0 > 1 else []))\n"
+        "quadrep._cf_hits = lambda dabs, z, q0, m, pre, c0: (\n"
+        "    orig(dabs, z, q0, m, pre, c0) + ([(1, 1)] if q0 > 1 else []))\n"
         "try:\n"
         "    quadrep.solve_indefinite(-7, 9)\n"
         "except AssertionError as exc:\n"
@@ -280,6 +339,34 @@ class TestSolveIndefinite:
         for d, n in problems:
             cert = solve_indefinite(-d, n)
             assert (cert.fundamental, set(cert.representatives)) == referee_representatives(d, n), (d, n)
+
+    def test_both_signs_share_one_cycle_unit_and_root_location(self, monkeypatch):
+        # a NOT_FREE field solves x^2 + 3*delta*y^2 = +-N: |N| is factored,
+        # the principal cycle walked (with the unit built in that walk) and
+        # the roots located once, for both signs
+        calls = {"factorize": [], "cycle": 0, "roots": 0}
+        factorize = quadrep.factorize
+
+        def counting_factorize(n, *args):
+            calls["factorize"].append(abs(n))
+            return factorize(n, *args)
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return lru_cache(maxsize=2)(wrapped)
+
+        monkeypatch.setattr(quadrep, "factorize", counting_factorize)
+        monkeypatch.setattr(quadrep, "_principal_cycle", counting("cycle", quadrep._principal_cycle.__wrapped__))
+        monkeypatch.setattr(quadrep, "_located_roots", counting("roots", quadrep._located_roots.__wrapped__))
+        rep = decide_freeness(validate(-792, 209))
+        assert rep.verdict == NOT_FREE
+        (rhs, plus), (minus_rhs, minus) = rep.pell
+        assert minus_rhs == -rhs and plus.kind == minus.kind == INDEFINITE
+        assert calls == {"factorize": [abs(rhs)], "cycle": 1, "roots": 1}
+        # one unit: a second product tree would make a second int object
+        assert plus.fundamental[0] is minus.fundamental[0]
 
     def test_factorization_limit_surfaces(self):
         # the roots z come from the factorization of the target, so a target
