@@ -10,14 +10,14 @@ cases with a binary 2-adic refinement:
 
 For each of the six (major, minor) combinations a literal 3x3 reduced matrix
 R is known in closed form; it is integral with det R = I_W > 0, and the basis
-is read off the columns of R^-1 = adj(R) / det R.  ``build`` always
-recomputes the generic reduction of the 9x3 action matrix as well and
-certifies that both generate the same lattice, so every returned
-AssociatedOrder carries a per-input proof rather than trusting the case
-table.  Every certificate runs in integers on R and adj(R), as a congruence
-modulo det R (Cohen, GTM 138, section 2.4); the rational views ``reduced``
-and ``basis`` are made only when read.  ``in_order`` is the Fraction
-membership test the test suite referees the integer route with.
+is read off the columns of R^-1 = adj(R) / det R.  ``build`` proves per input
+that R cuts out the associated order A_H = {h : M h integral}, M the 9x3
+action matrix: M * adj(R) = 0 mod det R puts the lattice of R inside A_H,
+and the gcd of the 3x3 minors of M, which is [A_H : Z^3] (Cohen, GTM 138,
+section 2.4), must then equal det R.  Every certificate is a congruence in
+straight-line integers on tuples of rows; the rational views ``reduced`` and
+``basis`` are made only when read.  ``in_order`` is the Fraction membership
+test the test suite referees the integer route with.
 """
 
 from __future__ import annotations
@@ -29,16 +29,7 @@ from math import gcd
 from .arith import valuation
 from .cubicfield import HopfElement, TrinomialCubic, hopf_mul_coords
 from .errors import LatticeMismatchError
-from .exactlinalg import (
-    IntMatrix,
-    RatMatrix,
-    adjugate3,
-    det3,
-    divisible,
-    int_lattice_equal3,
-    int_matmul,
-    reduce_tall,
-)
+from .exactlinalg import RatMatrix, adjugate_rows, det_rows, divides_product, minors_gcd
 from . import cubicfield
 
 CASE1 = "CASE1"
@@ -48,6 +39,16 @@ V2GE = "V2GE"
 V2LT = "V2LT"
 
 _INDEX_FACTOR = {CASE1: 2, CASE2: 18, CASE3: 54}
+
+# the reduced matrix R of each case at g = 1; its middle pivot scales with g
+_REDUCED = {
+    (CASE1, V2GE): ((1, 0, 0), (0, 1, 1), (0, 0, 2)),
+    (CASE1, V2LT): ((1, 0, 0), (0, 2, 0), (0, 0, 1)),
+    (CASE2, V2GE): ((1, 0, 2), (0, 3, 3), (0, 0, 6)),
+    (CASE2, V2LT): ((1, 0, 2), (0, 6, 0), (0, 0, 3)),
+    (CASE3, V2GE): ((1, 0, 2), (0, 9, 3), (0, 0, 6)),
+    (CASE3, V2LT): ((1, 0, 2), (0, 18, 0), (0, 0, 3)),
+}
 
 
 @dataclass(frozen=True)
@@ -61,23 +62,23 @@ class CaseLabel:
 
 @dataclass(frozen=True)
 class AssociatedOrder:
-    """The order as its integral reduced matrix R (det R = index_iw) and
-    adj(R), whose columns are index_iw times the basis vectors.  ``reduced``
-    and ``basis`` are the rational views of the same data."""
+    """The order as the integer rows of its reduced matrix R (det R =
+    index_iw) and of adj(R), whose columns are index_iw times the basis
+    vectors.  ``reduced`` and ``basis`` are the rational views of them."""
 
     case: CaseLabel
     index_iw: int
-    int_reduced: IntMatrix
-    adj: IntMatrix
+    int_reduced: tuple[tuple[int, int, int], ...]
+    adj: tuple[tuple[int, int, int], ...]
 
     @property
     def reduced(self) -> RatMatrix:
-        return self.int_reduced.to_rat()
+        return RatMatrix.from_rows(self.int_reduced)
 
     @property
     def basis(self) -> tuple[HopfElement, HopfElement, HopfElement]:
         d = self.index_iw
-        cols = zip(*self.adj.entries)
+        cols = zip(*self.adj)
         return tuple(HopfElement(*(Fraction(x, d) for x in col)) for col in cols)
 
 
@@ -122,20 +123,12 @@ def h_closed_form(k: TrinomialCubic) -> int:
 
 def closed_form_reduced(k: TrinomialCubic) -> RatMatrix:
     """The literal reduced matrix for the classified case."""
-    return _closed_form(k, classify(k)).to_rat()
+    return RatMatrix.from_rows(_closed_form(k, classify(k)))
 
 
-def _closed_form(k: TrinomialCubic, case: CaseLabel) -> IntMatrix:
-    g = k.g
-    table = {
-        (CASE1, V2GE): [[1, 0, 0], [0, g, 1], [0, 0, 2]],
-        (CASE1, V2LT): [[1, 0, 0], [0, 2 * g, 0], [0, 0, 1]],
-        (CASE2, V2GE): [[1, 0, 2], [0, 3 * g, 3], [0, 0, 6]],
-        (CASE2, V2LT): [[1, 0, 2], [0, 6 * g, 0], [0, 0, 3]],
-        (CASE3, V2GE): [[1, 0, 2], [0, 9 * g, 3], [0, 0, 6]],
-        (CASE3, V2LT): [[1, 0, 2], [0, 18 * g, 0], [0, 0, 3]],
-    }
-    return IntMatrix.from_rows(table[(case.major, case.minor)])
+def _closed_form(k: TrinomialCubic, case: CaseLabel) -> tuple[tuple[int, int, int], ...]:
+    top, (r10, r11, r12), bottom = _REDUCED[case.major, case.minor]
+    return (top, (r10, r11 * k.g, r12), bottom)
 
 
 def in_order(reduced: RatMatrix, h: HopfElement) -> bool:
@@ -150,41 +143,43 @@ def in_order(reduced: RatMatrix, h: HopfElement) -> bool:
 def build(k: TrinomialCubic) -> AssociatedOrder:
     """Assemble the associated order with all its certificates.
 
-    Computes the generic reduction of the action matrix alongside the closed
-    form and demands lattice equality (LatticeMismatchError otherwise) and
-    that det R is the index the case table gives; then checks that the
-    basis stabilizes B, spans a ring and contains the identity.
+    Demands that det R of the closed form is the index the case table gives,
+    then that R cuts out the associated order (LatticeMismatchError
+    otherwise), spans a ring and contains the identity.
     """
     case = classify(k)
     reduced = _closed_form(k, case)
-    generic = reduce_tall(cubicfield.action_matrix(k))
-    if not int_lattice_equal3(reduced, generic):
-        raise LatticeMismatchError(
-            f"closed-form and generic reduced matrices disagree for (a, b) = "
-            f"({k.a}, {k.b})"
-        )
-    index = det3(reduced)
+    index = det_rows(reduced)
     expected = index_of_case(case, k.g)
     if index != expected:
         raise AssertionError(
             f"det = {index} but the index table says {expected} for {k}"
         )
-    order = AssociatedOrder(case, index, reduced, adjugate3(reduced))
+    order = AssociatedOrder(case, index, reduced, adjugate_rows(reduced))
     _verify_certificates(k, order)
     return order
 
 
 def _verify_certificates(k: TrinomialCubic, order: AssociatedOrder) -> None:
     d, adj = order.index_iw, order.adj
-    # basis vectors must map all of B into Z[alpha]: row block j of
-    # action * adj holds the images of alpha^j under the adj columns
-    if not divisible(int_matmul(cubicfield.action_matrix(k), adj), d):
+    cols = tuple(zip(*adj))
+    rows = cubicfield.action_matrix(k).entries
+    # containment: the basis vectors map all of B into Z[alpha]; row block j
+    # of M * adj(R) holds the images of alpha^j under the adj columns
+    if not divides_product(d, rows, cols):
         raise AssertionError(f"a basis vector moves B out of Z[alpha] for {k}")
+    # equality: with containment every 3x3 minor of M is a multiple of d, so
+    # their gcd, the index of the associated order, is d or never reaches it
+    if minors_gcd(rows, d) != d:
+        raise LatticeMismatchError(
+            f"closed-form and generic reduced matrices disagree for (a, b) = "
+            f"({k.a}, {k.b})"
+        )
     # ring closure: pairwise products stay in the lattice the basis spans,
-    # i.e. R * (adj_i * adj_j) = 0 mod d^2
-    cols = list(zip(*adj.entries))
-    products = [hopf_mul_coords(k.delta, u, v) for u in cols for v in cols]
-    if not divisible(int_matmul(order.int_reduced, IntMatrix(tuple(zip(*products)))), d * d):
+    # i.e. R * (adj_i * adj_j) = 0 mod d^2; W is commutative, so one order
+    # of each pair is enough
+    products = [hopf_mul_coords(k.delta, u, v) for i, u in enumerate(cols) for v in cols[i:]]
+    if not divides_product(d * d, order.int_reduced, products):
         raise AssertionError(f"a product of basis vectors escapes the order for {k}")
     # the identity operator is a basis vector in every case table
     if cols[0] != (d, 0, 0):

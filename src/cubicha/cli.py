@@ -204,14 +204,19 @@ def cmd_scan(args) -> int:
     except ValueError:
         print("scan: ranges must look like lo:hi with integers", file=sys.stderr)
         return EX_USAGE
+    if args.jobs < 1:
+        print(f"scan: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EX_USAGE
     tasks = [
         (a, b, args.reduced_convention, args.trial_division_limit)
         for a in a_range
         for b in b_range
     ]
-    if args.jobs > 1 and len(tasks) > 1:
+    # a forked pool starts all its workers at once: no more than tasks or CPUs
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # workers need the cap lifted too when they do not fork from main
-        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_lift_int_str_cap) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_lift_int_str_cap) as pool:
             results = list(pool.map(_scan_row, tasks, chunksize=16))
     else:
         results = [_scan_row(t) for t in tasks]

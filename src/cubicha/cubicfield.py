@@ -213,18 +213,18 @@ def action_matrix(k: TrinomialCubic) -> IntMatrix:
     columns are indexed by W.
     """
     a, b = k.a, k.b
-    return IntMatrix.from_rows(
-        [
-            [1, 0, 2],
-            [0, 0, 0],
-            [0, 0, 0],
-            [0, -4 * a * a, 0],
-            [1, 9 * b, -1],
-            [0, 6 * a, 0],
-            [0, 6 * a * b, 2 * a],
-            [0, -2 * a * a, 0],
-            [1, -9 * b, -1],
-        ]
+    return IntMatrix(
+        (
+            (1, 0, 2),
+            (0, 0, 0),
+            (0, 0, 0),
+            (0, -4 * a * a, 0),
+            (1, 9 * b, -1),
+            (0, 6 * a, 0),
+            (0, 6 * a * b, 2 * a),
+            (0, -2 * a * a, 0),
+            (1, -9 * b, -1),
+        )
     )
 
 

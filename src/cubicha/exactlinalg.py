@@ -11,19 +11,20 @@ multiple of another row, negate), and returns D: an integer Hermite normal
 form computation (Cohen, GTM 138, section 2.4).  D spans the same lattice as
 the rows of the input.
 
-The associated order's certificates run in integers.  Its reduced matrix R
-is integral, so R^-1 is carried as adj(R) and det(R), and "X * Y^-1 is
-integral" becomes the congruence X * adj(Y) = 0 mod det(Y)
-(``int_lattice_equal3``, ``divisible``).  The Fraction routines
+The associated order's certificates run in straight-line integers on tuples
+of rows.  ``minors_gcd``, the gcd of the 3x3 minors of a tall matrix, is the
+index in Z^3 of the lattice its rows span, the |det D| that ``reduce_tall``
+reaches by row operations.  ``reduce_tall`` and the Fraction routines
 (``inverse3``, ``lattice_equal3``, ``rat_matmul``) are the independent
-referee that the test suite and ``cubicha verify`` hold the integer route
-against.
+referee that the test suite and ``cubicha verify`` hold the integers against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from .errors import RankError, SingularMatrixError
 
@@ -79,18 +80,6 @@ class RatMatrix:
         return all(x.denominator == 1 for row in self.entries for x in row)
 
 
-def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
-        raise AssertionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = list(zip(*b.entries))
-    return IntMatrix(
-        tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-            for row in a.entries
-        )
-    )
-
-
 def rat_matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     if a.cols != b.rows:
         raise AssertionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
@@ -103,17 +92,15 @@ def rat_matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     )
 
 
-def det3(m: IntMatrix | RatMatrix) -> int | Fraction:
-    """Determinant of a 3x3 matrix, in the entries' own arithmetic."""
-    if m.rows != 3 or m.cols != 3:
-        raise ValueError(f"det3 needs a 3x3 matrix, got {m.rows}x{m.cols}")
-    ((a, b, c), (d, e, f), (g, h, i)) = m.entries
+def det_rows(rows) -> int | Fraction:
+    """Determinant of the 3x3 matrix with these three rows."""
+    ((a, b, c), (d, e, f), (g, h, i)) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _adjugate_entries(m) -> tuple[tuple, ...]:
-    # transposed cofactors: m * adj(m) = det(m) * I
-    ((a, b, c), (d, e, f), (g, h, i)) = m.entries
+def adjugate_rows(rows) -> tuple[tuple, ...]:
+    """adj(m) = det(m) * m^-1 as rows, integral for an integer matrix."""
+    ((a, b, c), (d, e, f), (g, h, i)) = rows
     return (
         (e * i - f * h, c * h - b * i, b * f - c * e),
         (f * g - d * i, a * i - c * g, c * d - a * f),
@@ -121,21 +108,37 @@ def _adjugate_entries(m) -> tuple[tuple, ...]:
     )
 
 
-def adjugate3(m: IntMatrix) -> IntMatrix:
-    """adj(m) = det(m) * m^-1, integral for an integer matrix."""
-    return IntMatrix(_adjugate_entries(m))
+def divides_product(n: int, rows, cols) -> bool:
+    """Whether n divides every entry of rows * C, C the matrix with columns
+    ``cols``; rows and columns have length 3."""
+    return not any((r0 * c0 + r1 * c1 + r2 * c2) % n for r0, r1, r2 in rows for c0, c1, c2 in cols)
+
+
+def det3(m: IntMatrix | RatMatrix) -> int | Fraction:
+    """Determinant of a 3x3 matrix, in the entries' own arithmetic."""
+    if m.rows != 3 or m.cols != 3:
+        raise ValueError(f"det3 needs a 3x3 matrix, got {m.rows}x{m.cols}")
+    return det_rows(m.entries)
 
 
 def inverse3(m: RatMatrix) -> RatMatrix:
     det = det3(m)
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    return RatMatrix(tuple(tuple(x / det for x in row) for row in _adjugate_entries(m)))
+    return RatMatrix(tuple(tuple(x / det for x in row) for row in adjugate_rows(m.entries)))
 
 
-def divisible(m: IntMatrix, n: int) -> bool:
-    """Whether every entry of m is a multiple of n, i.e. m / n is integral."""
-    return all(x % n == 0 for row in m.entries for x in row)
+def minors_gcd(rows, stop: int = 1) -> int:
+    """gcd of the 3x3 minors of integer rows of length 3: the index in Z^3 of
+    the lattice they span, 0 below rank 3.  The scan ends once the gcd equals
+    ``stop``, below which it cannot fall when every minor is a multiple of
+    ``stop`` (always so for the default 1)."""
+    g = 0
+    for trio in combinations([r for r in rows if any(r)], 3):
+        g = gcd(g, det_rows(trio))
+        if g == stop:
+            break
+    return g
 
 
 def reduce_tall(m: IntMatrix) -> IntMatrix:
@@ -182,13 +185,3 @@ def lattice_equal3(a: RatMatrix, b: RatMatrix) -> bool:
     i.e. a * b^-1 is an integer matrix of determinant +-1."""
     p = rat_matmul(a, inverse3(b))
     return p.is_integral() and abs(det3(p)) == 1
-
-
-def int_lattice_equal3(a: IntMatrix, b: IntMatrix) -> bool:
-    """``lattice_equal3`` for integer matrices, in integers: a * b^-1 is
-    integral iff a * adj(b) = 0 mod det(b), and then its determinant is +-1
-    iff |det a| = |det b|."""
-    det_b = det3(b)
-    if det_b == 0:
-        raise SingularMatrixError("matrix is singular")
-    return abs(det3(a)) == abs(det_b) and divisible(int_matmul(a, adjugate3(b)), det_b)

@@ -30,7 +30,7 @@ from .arith import DEFAULT_TRIAL_DIVISION_LIMIT
 from .assocorder import AssociatedOrder, CASE1, CaseLabel, build, classify, index_of_case
 from .cubicfield import OrderElement, TrinomialCubic
 from .errors import FactorizationLimitError, NoIntegralCandidateError
-from .exactlinalg import IntMatrix, RatMatrix, det3, divisible, int_matmul
+from .exactlinalg import RatMatrix, det_rows, divides_product
 from .quadrep import FormProblem, PellCertificate, solve_with_conditions
 
 log = logging.getLogger(__name__)
@@ -85,18 +85,19 @@ def is_generator(k: TrinomialCubic, beta: OrderElement, order: AssociatedOrder |
     they form a Z-basis of Z[alpha] (coordinate determinant +-1) exactly when
     beta generates.  Both routes must agree.  In integers: the images under
     the adj(R) columns are m_beta * adj(R), each a multiple of d = det R,
-    and their determinant is +-d^3 exactly when beta generates.
+    and their determinant det(m_beta) * det(adj R) is +-d^3 exactly when
+    beta generates.
     """
     if order is None:
         order = build(k)
     d = order.index_iw
     primary = abs(d_beta(k, beta)) == d
-    images = int_matmul(IntMatrix(_m_beta_rows(k, beta)), order.adj)
-    if not divisible(images, d):
+    m = _m_beta_rows(k, beta)
+    if not divides_product(d, m, tuple(zip(*order.adj))):
         raise AssertionError(
             f"an associated-order basis vector moves {beta} out of Z[alpha] for {k}"
         )
-    structural = abs(det3(images)) == d**3
+    structural = abs(det_rows(m) * det_rows(order.adj)) == d**3
     if primary != structural:
         raise AssertionError(
             f"determinant criterion says {primary} but the basis images say "

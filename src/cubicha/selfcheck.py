@@ -101,14 +101,17 @@ def suite_hopf(rng: random.Random, grid: int) -> int:
 
 
 def suite_index_table(rng: random.Random, grid: int) -> int:
-    """Generic reduction vs closed form on the grid: |det|, lattice, gcd."""
+    """Generic reduction vs closed form on the grid: |det|, lattice, gcd, and
+    vs the gcd of the 3x3 minors that build certifies the index with."""
     checks = 0
     for k in validated_pairs(grid):
         case = assocorder.classify(k)
         closed = assocorder.closed_form_reduced(k)
-        generic = exactlinalg.reduce_tall(cubicfield.action_matrix(k)).to_rat()
+        action = cubicfield.action_matrix(k)
+        generic = exactlinalg.reduce_tall(action).to_rat()
         want = assocorder.index_of_case(case, k.g)
         check(abs(exactlinalg.det3(generic)) == want, k, case)
+        check(exactlinalg.minors_gcd(action.entries) == abs(exactlinalg.det3(generic)), k)
         check(exactlinalg.lattice_equal3(closed, generic), k)
         assocorder.h_closed_form(k)  # raises on closed form vs gcd mismatch
         checks += 1

@@ -220,14 +220,40 @@ def test_certificates_raise_under_optimize(run_optimized):
         "import dataclasses\n"
         "from cubicha.assocorder import build, _verify_certificates\n"
         "from cubicha.cubicfield import validate\n"
-        "from cubicha.exactlinalg import IntMatrix\n"
         "k = validate(3, 3)\n"
         "order = build(k)\n"
-        "cols = list(zip(*order.adj.entries))[::-1]\n"
-        "broken = dataclasses.replace(order, adj=IntMatrix(tuple(zip(*cols))))\n"
+        "cols = list(zip(*order.adj))[::-1]\n"
+        "broken = dataclasses.replace(order, adj=tuple(zip(*cols)))\n"
         "try:\n"
         "    _verify_certificates(k, broken)\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
     )
     assert out.startswith("raised: the first basis vector is not the identity"), out
+
+
+def test_planted_suborder_caught_by_the_equality_check(run_optimized):
+    # (1, 2) is CASE1/V2LT with R = diag(1, 2g, 1); diag(1, g, 1) cuts out a
+    # proper suborder of index 2 that is B-stable, a ring and holds the
+    # identity, so only the gcd of the action matrix's minors tells them apart
+    out = run_optimized(
+        "from cubicha import assocorder\n"
+        "from cubicha.cubicfield import validate\n"
+        "from cubicha.errors import LatticeMismatchError\n"
+        "k = validate(1, 2)\n"
+        "case = assocorder.classify(k)\n"
+        "print(case, assocorder.build(k).index_iw)\n"
+        "assocorder._REDUCED[case.major, case.minor] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))\n"
+        "assocorder.index_of_case = lambda case, g: g\n"
+        "try:\n"
+        "    assocorder.build(k)\n"
+        "except LatticeMismatchError as exc:\n"
+        "    print('raised:', exc)\n"
+        "assocorder.minors_gcd = lambda rows, stop: stop\n"
+        "print('without the equality check:', assocorder.build(k).index_iw)\n"
+    )
+    assert out.splitlines() == [
+        "CASE1/V2LT 2",
+        "raised: closed-form and generic reduced matrices disagree for (a, b) = (1, 2)",
+        "without the equality check: 1",
+    ], out

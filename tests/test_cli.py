@@ -213,6 +213,58 @@ class TestScan:
     def test_bad_range_exit_64(self, capsys):
         assert main(["scan", "--a-range", "1-3", "--b-range", "1:3"]) == 64
 
+    def test_jobs_capped_by_tasks_and_cpus(self, capsys, monkeypatch):
+        # a recording stand-in for the pool: no process is ever started
+        from cubicha import cli
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        serial = ["scan", "--a-range=1:3", "--b-range=1:3"]
+        assert main(serial) == 0
+        want = capsys.readouterr().out
+        for jobs, ranges, workers in [
+            (5000, ["--a-range=1:1", "--b-range=1:2"], 2),
+            (5000, ["--a-range=1:3", "--b-range=1:3"], 4),
+            (3, ["--a-range=1:3", "--b-range=1:3"], 3),
+        ]:
+            pools.clear()
+            assert main(["scan", *ranges, "--jobs", str(jobs)]) == 0
+            assert pools == [workers], (jobs, ranges)
+            out = capsys.readouterr().out
+            if ranges == serial[1:]:
+                assert out == want
+        pools.clear()
+        assert main(serial + ["--jobs", "1"]) == 0
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert main(serial + ["--jobs", "8"]) == 0
+        assert pools == []
+        assert capsys.readouterr().out == want + want
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_64(self, capsys, monkeypatch, jobs):
+        from cubicha import cli
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        assert main(["scan", "--a-range=1:3", "--b-range=1:3", f"--jobs={jobs}"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--jobs must be at least 1, got {jobs}" in captured.err
+
     def test_golden_digest(self, capsys):
         # sha256 of this CSV as the Fraction-arithmetic certificates wrote it
         assert main(["scan", "--a-range=-15:15", "--b-range=-15:15"]) == 0

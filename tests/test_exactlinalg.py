@@ -6,16 +6,16 @@ from math import gcd
 import pytest
 
 from cubicha.cubicfield import action_matrix, validate
-from cubicha.errors import RankError, SingularMatrixError
+from cubicha.errors import RankError, SingularMatrixError, ValidationError
 from cubicha.exactlinalg import (
     IntMatrix,
     RatMatrix,
-    adjugate3,
+    adjugate_rows,
     det3,
-    int_lattice_equal3,
-    int_matmul,
+    det_rows,
     inverse3,
     lattice_equal3,
+    minors_gcd,
     rat_matmul,
     reduce_tall,
 )
@@ -172,11 +172,6 @@ class TestLatticeEqual:
         assert not lattice_equal3(a, b)
         assert not lattice_equal3(b, a)
 
-    def test_int_matmul(self):
-        a = IntMatrix.from_rows([[1, 2], [3, 4]])
-        b = IntMatrix.from_rows([[0, 1], [1, 0]])
-        assert int_matmul(a, b) == IntMatrix.from_rows([[2, 1], [4, 3]])
-
 
 class TestIntegerRoutes:
     """The integer routes the order certificates run on, refereed by the
@@ -195,33 +190,56 @@ class TestIntegerRoutes:
         for _ in range(60):
             m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
             det = det3(m)
-            assert det == gauss_det(m.to_rat())
-            assert int_matmul(m, adjugate3(m)) == IntMatrix.from_rows(
+            assert det == det_rows(m.entries) == gauss_det(m.to_rat())
+            adj = RatMatrix.from_rows(adjugate_rows(m.entries))
+            assert rat_matmul(m.to_rat(), adj) == RatMatrix.from_rows(
                 [[det * (i == j) for j in range(3)] for i in range(3)]
             )
 
-    def test_int_lattice_equal3_matches_fraction_referee(self):
-        rng = random.Random(19)
-        agree = {True: 0, False: 0}
-        for _ in range(300):
-            a = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
-            if det3(a) == 0:
-                continue
-            # b spans the same lattice after a random row operation, or is random
-            rows = [list(r) for r in a.entries]
-            i, j = rng.sample(range(3), 2)
-            q = rng.randint(-3, 3)
-            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
-            if rng.random() < 0.5:
-                rows[j][rng.randrange(3)] += rng.randint(1, 2)
-            b = IntMatrix.from_rows(rows)
-            if det3(b) == 0:
-                continue
-            want = lattice_equal3(a.to_rat(), b.to_rat())
-            assert int_lattice_equal3(a, b) == want, (a, b)
-            agree[want] += 1
-        assert min(agree.values()) > 20
 
-    def test_int_lattice_equal3_singular_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            int_lattice_equal3(IntMatrix.identity(3), IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
+class TestMinorsGcd:
+    """The gcd of the 3x3 minors, which build certifies the associated
+    order's index with, refereed by the Hermite reduction: it must equal
+    |det reduce_tall(M)|."""
+
+    def test_equals_reduce_tall_index_on_fields(self):
+        checked = 0
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                try:
+                    k = validate(a, b)
+                except ValidationError:
+                    continue
+                m = action_matrix(k)
+                index = abs(det3(reduce_tall(m)))
+                assert minors_gcd(m.entries) == index, (a, b)
+                # every minor is a multiple of the index, so stopping there
+                # loses nothing
+                assert minors_gcd(m.entries, index) == index, (a, b)
+                checked += 1
+        assert checked > 400
+
+    def test_equals_reduce_tall_index_on_random_tall_matrices(self):
+        # half the draws are a random 9x3 matrix times a random 3x3 one, so
+        # that the index is often far from 1
+        rng = random.Random(23)
+        checked = 0
+        for trial in range(300):
+            rows = [[rng.randint(-12, 12) for _ in range(3)] for _ in range(9)]
+            for r in rng.sample(range(9), rng.randint(0, 4)):
+                rows[r] = [0, 0, 0]
+            if trial % 2:
+                t = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
+                rows = [[sum(row[i] * t[i][j] for i in range(3)) for j in range(3)] for row in rows]
+            m = IntMatrix.from_rows(rows)
+            try:
+                d = reduce_tall(m)
+            except RankError:
+                assert minors_gcd(m.entries) == 0
+                continue
+            assert minors_gcd(m.entries) == abs(det3(d)), rows
+            checked += 1
+        assert checked > 250
+
+    def test_rank_deficient_gives_zero(self):
+        assert minors_gcd(((1, 2, 3), (2, 4, 6), (0, 0, 0), (1, 2, 3))) == 0
