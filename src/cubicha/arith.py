@@ -3,19 +3,15 @@
 p-adic valuations, BPSW primality (Miller-Rabin plus a strong Lucas test),
 factorization within an explicit work budget (trial division to a small
 bound, then Brent's rho) that hands back what it could not split instead of
-a silent wrong answer, square roots modulo n from the factorization of n,
-and the periodic continued fraction of sqrt(D).  The last one is not used
-by the solvers: it is the independent referee that
-``quadrep.pell_fundamental`` (a product tree over the principal cycle) is
-held against.
+a silent wrong answer, and square roots modulo n from the factorization of
+n.  The one continued-fraction engine is the principal-cycle walk in
+``quadrep``.
 """
 
 from __future__ import annotations
 
 import math
 from math import gcd, isqrt
-
-from .errors import DegenerateFormError
 
 INFINITY = math.inf
 
@@ -128,30 +124,6 @@ def valuation(n: int, p: int) -> int | float:
         n //= p
         e += 1
     return e
-
-
-def periodic_sqrt_cf(d: int) -> tuple[int, tuple[int, ...]]:
-    """Continued fraction of sqrt(d) as (a0, minimal period).
-
-    Uses the integer (m, den, a) recurrence; the period closes at the first
-    index with den == 1, where the partial quotient equals 2*a0.
-    """
-    if d <= 0:
-        raise ValueError("periodic_sqrt_cf requires d > 0")
-    a0 = isqrt(d)
-    if a0 * a0 == d:
-        raise DegenerateFormError(f"{d} is a perfect square")
-    m, den, a = 0, 1, a0
-    period = []
-    while True:
-        m = den * a - m
-        den = (d - m * m) // den
-        a = (a0 + m) // den
-        period.append(a)
-        if den == 1:
-            if a != 2 * a0:
-                raise AssertionError(f"period of sqrt({d}) closed at {a}, not {2 * a0}")
-            return a0, tuple(period)
 
 
 def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> tuple[dict[int, int], int]:

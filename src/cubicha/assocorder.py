@@ -14,22 +14,22 @@ is read off the columns of R^-1 = adj(R) / det R.  ``build`` proves per input
 that R cuts out the associated order A_H = {h : M h integral}, M the 9x3
 action matrix: M * adj(R) = 0 mod det R puts the lattice of R inside A_H,
 and the gcd of the 3x3 minors of M, which is [A_H : Z^3] (Cohen, GTM 138,
-section 2.4), must then equal det R.  Every certificate is a congruence in
-straight-line integers on tuples of rows; the rational views ``reduced`` and
-``basis`` are made only when read.  ``in_order`` is the Fraction membership
-test the test suite referees the integer route with.
+section 2.4), must then equal det R.  Every matrix is a tuple of integer
+rows and every certificate a congruence on them in straight-line integers;
+rationals appear only in the ``basis`` view, made when read.  The Fraction
+routes that referee these integers (membership, the basis matrix, the gcd
+closed form) live in ``selfcheck``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .arith import valuation
 from .cubicfield import HopfElement, TrinomialCubic, hopf_mul_coords
 from .errors import LatticeMismatchError
-from .exactlinalg import RatMatrix, adjugate_rows, det_rows, divides_product, minors_gcd
+from .exactlinalg import adjugate_rows, det3, divides_product, minors_gcd
 from . import cubicfield
 
 CASE1 = "CASE1"
@@ -64,16 +64,12 @@ class CaseLabel:
 class AssociatedOrder:
     """The order as the integer rows of its reduced matrix R (det R =
     index_iw) and of adj(R), whose columns are index_iw times the basis
-    vectors.  ``reduced`` and ``basis`` are the rational views of them."""
+    vectors.  ``basis`` is the rational view of the latter."""
 
     case: CaseLabel
     index_iw: int
-    int_reduced: tuple[tuple[int, int, int], ...]
+    reduced: tuple[tuple[int, int, int], ...]
     adj: tuple[tuple[int, int, int], ...]
-
-    @property
-    def reduced(self) -> RatMatrix:
-        return RatMatrix.from_rows(self.int_reduced)
 
     @property
     def basis(self) -> tuple[HopfElement, HopfElement, HopfElement]:
@@ -98,46 +94,10 @@ def index_of_case(case: CaseLabel, g: int) -> int:
     return _INDEX_FACTOR[case.major] * g
 
 
-def h_closed_form(k: TrinomialCubic) -> int:
-    """gcd(2a, 9b) (CASE1) resp. gcd(6a, 9b) (3 | a), via the valuation table.
-
-    The closed form is cross-checked against the directly computed gcd; a
-    mismatch would mean the table is being applied outside its hypotheses.
-    """
-    case = classify(k)
-    g = k.g
-    if case.major == CASE1:
-        h = g if case.minor == V2GE else 2 * g
-        direct = gcd(2 * k.a, 9 * k.b)
-    else:
-        v3_le = valuation(k.a, 3) <= valuation(k.b, 3)
-        if case.minor == V2GE:
-            h = 3 * g if v3_le else 9 * g
-        else:
-            h = 6 * g if v3_le else 18 * g
-        direct = gcd(6 * k.a, 9 * k.b)
-    if h != direct:
-        raise AssertionError(f"closed-form gcd {h} != direct gcd {direct} for {k}")
-    return h
-
-
-def closed_form_reduced(k: TrinomialCubic) -> RatMatrix:
-    """The literal reduced matrix for the classified case."""
-    return RatMatrix.from_rows(_closed_form(k, classify(k)))
-
-
-def _closed_form(k: TrinomialCubic, case: CaseLabel) -> tuple[tuple[int, int, int], ...]:
+def closed_form_reduced(k: TrinomialCubic, case: CaseLabel) -> tuple[tuple[int, int, int], ...]:
+    """The rows of the literal reduced matrix R for the case."""
     top, (r10, r11, r12), bottom = _REDUCED[case.major, case.minor]
     return (top, (r10, r11 * k.g, r12), bottom)
-
-
-def in_order(reduced: RatMatrix, h: HopfElement) -> bool:
-    """Membership test: h lies in the order cut out by the reduced matrix
-    iff reduced * h is an integer vector."""
-    for row in reduced.entries:
-        if sum(x * y for x, y in zip(row, h.coords)).denominator != 1:
-            return False
-    return True
 
 
 def build(k: TrinomialCubic) -> AssociatedOrder:
@@ -148,8 +108,8 @@ def build(k: TrinomialCubic) -> AssociatedOrder:
     otherwise), spans a ring and contains the identity.
     """
     case = classify(k)
-    reduced = _closed_form(k, case)
-    index = det_rows(reduced)
+    reduced = closed_form_reduced(k, case)
+    index = det3(reduced)
     expected = index_of_case(case, k.g)
     if index != expected:
         raise AssertionError(
@@ -163,7 +123,7 @@ def build(k: TrinomialCubic) -> AssociatedOrder:
 def _verify_certificates(k: TrinomialCubic, order: AssociatedOrder) -> None:
     d, adj = order.index_iw, order.adj
     cols = tuple(zip(*adj))
-    rows = cubicfield.action_matrix(k).entries
+    rows = cubicfield.action_matrix(k)
     # containment: the basis vectors map all of B into Z[alpha]; row block j
     # of M * adj(R) holds the images of alpha^j under the adj columns
     if not divides_product(d, rows, cols):
@@ -179,15 +139,8 @@ def _verify_certificates(k: TrinomialCubic, order: AssociatedOrder) -> None:
     # i.e. R * (adj_i * adj_j) = 0 mod d^2; W is commutative, so one order
     # of each pair is enough
     products = [hopf_mul_coords(k.delta, u, v) for i, u in enumerate(cols) for v in cols[i:]]
-    if not divides_product(d * d, order.int_reduced, products):
+    if not divides_product(d * d, order.reduced, products):
         raise AssertionError(f"a product of basis vectors escapes the order for {k}")
     # the identity operator is a basis vector in every case table
     if cols[0] != (d, 0, 0):
         raise AssertionError(f"the first basis vector is not the identity for {k}")
-
-
-def basis_matrix(order: AssociatedOrder) -> RatMatrix:
-    """Basis vectors as columns (this is exactly reduced^-1)."""
-    return RatMatrix.from_rows(
-        [[v.coords[r] for v in order.basis] for r in range(3)]
-    )

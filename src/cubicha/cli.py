@@ -28,7 +28,6 @@ from .cubicfield import REDUCED_LOOSE, REDUCED_STRICT, validate
 from .errors import ValidationError
 from .freeness import UNDECIDED
 from .integrality import UNDECIDED_FACTORIZATION, combined_verdict
-from . import selfcheck
 
 EX_OK = 0
 EX_REJECTED = 2
@@ -46,10 +45,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _rat(x) -> str:
-    return str(x)
 
 
 def _maximality_dict(rep) -> dict:
@@ -112,8 +107,8 @@ def analyze_document(a: int, b: int, convention: str, limit: int) -> tuple[dict,
     doc["case"] = {"major": order.case.major, "minor": order.case.minor}
     doc["index_iw"] = order.index_iw
     doc["associated_order"] = {
-        "reduced": [[_rat(x) for x in row] for row in order.reduced.entries],
-        "basis_w": [[_rat(c) for c in v.coords] for v in order.basis],
+        "reduced": [[str(x) for x in row] for row in order.reduced],
+        "basis_w": [[str(c) for c in v.coords] for v in order.basis],
     }
     doc["maximality"] = _maximality_dict(verdicts.maximality)
     doc["freeness"] = _freeness_dict(verdicts.freeness)
@@ -250,6 +245,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the referee routines load only for verify, never for analyze or scan
+    from . import selfcheck
+
     results = selfcheck.run_all(grid=args.grid, seed=args.seed)
     failed = 0
     for res in results:
@@ -327,7 +325,17 @@ def main(argv=None) -> int:
     _lift_int_str_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; the interpreter flushes stdout once more on
+        # exit, so point it at devnull to keep that flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EX_IOERR
+    return code
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from math import gcd, isqrt
 
 from .arith import _perfect_power, factorize, valuation
 from .errors import ValidationError
-from .exactlinalg import IntMatrix
 
 REDUCED_STRICT = "strict"
 REDUCED_LOOSE = "loose"
@@ -57,9 +56,6 @@ class OrderElement:
     @property
     def coords(self) -> tuple[int, int, int]:
         return (self.c0, self.c1, self.c2)
-
-    def __neg__(self) -> "OrderElement":
-        return OrderElement(-self.c0, -self.c1, -self.c2)
 
 
 @dataclass(frozen=True)
@@ -170,27 +166,6 @@ def _coords(u) -> tuple:
     return tuple(u)
 
 
-def _mul_coords(a: int, b: int, u: tuple, v: tuple) -> tuple:
-    """Product of two elements in coordinates, reduced by alpha^3 = a*alpha - b.
-
-    Works for int or Fraction coordinates alike.
-    """
-    u0, u1, u2 = u
-    v0, v1, v2 = v
-    e0 = u0 * v0
-    e1 = u0 * v1 + u1 * v0
-    e2 = u0 * v2 + u1 * v1 + u2 * v0
-    e3 = u1 * v2 + u2 * v1
-    e4 = u2 * v2
-    # alpha^3 = a*alpha - b, alpha^4 = a*alpha^2 - b*alpha
-    return (e0 - b * e3, e1 + a * e3 - b * e4, e2 + a * e4)
-
-
-def trace(k: TrinomialCubic, u: OrderElement) -> int:
-    # alpha has trace 0 and alpha^2 has trace 2a
-    return 3 * u.c0 + 2 * k.a * u.c2
-
-
 def gram_matrix(k: TrinomialCubic) -> tuple[tuple[OrderElement, ...], ...]:
     """The 3x3 array of values w_i . gamma_j, each an element of Z[alpha]."""
     a, b = k.a, k.b
@@ -205,26 +180,24 @@ def gram_matrix(k: TrinomialCubic) -> tuple[tuple[OrderElement, ...], ...]:
     )
 
 
-def action_matrix(k: TrinomialCubic) -> IntMatrix:
-    """The 9x3 coordinate matrix of the W-action on B.
+def action_matrix(k: TrinomialCubic) -> tuple[tuple[int, int, int], ...]:
+    """The rows of the 9x3 coordinate matrix of the W-action on B.
 
     Rows are grouped in blocks of three by basis element of B (block j holds
     the B-coordinates of w1.gamma_j, w2.gamma_j, w3.gamma_j as columns);
     columns are indexed by W.
     """
     a, b = k.a, k.b
-    return IntMatrix(
-        (
-            (1, 0, 2),
-            (0, 0, 0),
-            (0, 0, 0),
-            (0, -4 * a * a, 0),
-            (1, 9 * b, -1),
-            (0, 6 * a, 0),
-            (0, 6 * a * b, 2 * a),
-            (0, -2 * a * a, 0),
-            (1, -9 * b, -1),
-        )
+    return (
+        (1, 0, 2),
+        (0, 0, 0),
+        (0, 0, 0),
+        (0, -4 * a * a, 0),
+        (1, 9 * b, -1),
+        (0, 6 * a, 0),
+        (0, 6 * a * b, 2 * a),
+        (0, -2 * a * a, 0),
+        (1, -9 * b, -1),
     )
 
 
@@ -268,18 +241,3 @@ def apply_hopf(k: TrinomialCubic, h: HopfElement, u) -> tuple[Fraction, Fraction
             row = mat[r]
             out[r] += hi * (row[0] * uc[0] + row[1] * uc[1] + row[2] * uc[2])
     return tuple(out)
-
-
-def verify_sqrt_identity(k: TrinomialCubic) -> bool:
-    """The polynomial identity grounding the Gram matrix:
-
-        (6a*alpha^2 + 9b*alpha - 4a^2)^2 = delta * (-3*alpha^2 + 4a)
-
-    holds in Z[alpha] mod f.  Both sides are computed with _mul_coords and
-    compared coordinate-wise.
-    """
-    a, b, d = k.a, k.b, k.delta
-    s = (-4 * a * a, 9 * b, 6 * a)
-    lhs = _mul_coords(a, b, s, s)
-    rhs = (4 * a * d, 0, -3 * d)
-    return lhs == rhs

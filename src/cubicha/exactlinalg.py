@@ -1,27 +1,27 @@
-"""Exact matrices over Z and Q.
+"""Exact matrices over Z and Q, each a tuple of row tuples.
 
 Small fixed-size problems only: the tall matrices reduced here are 9x3 and
 every square matrix is 3x3.  Everything is exact; no floating point appears
 anywhere.
+
+The associated order's certificates run in straight-line integers on rows:
+``det3``, ``adjugate_rows``, ``divides_product`` and ``minors_gcd``, the
+gcd of the 3x3 minors of a tall matrix, which is the index in Z^3 of the
+lattice its rows span.
 
 ``reduce_tall`` brings an m x n integer matrix (m >= n, full column rank) to
 an upper-triangular n x n block D stacked on zeros, using only the three
 determinant-preserving-up-to-sign row operations (swap, add an integer
 multiple of another row, negate), and returns D: an integer Hermite normal
 form computation (Cohen, GTM 138, section 2.4).  D spans the same lattice as
-the rows of the input.
-
-The associated order's certificates run in straight-line integers on tuples
-of rows.  ``minors_gcd``, the gcd of the 3x3 minors of a tall matrix, is the
-index in Z^3 of the lattice its rows span, the |det D| that ``reduce_tall``
-reaches by row operations.  ``reduce_tall`` and the Fraction routines
-(``inverse3``, ``lattice_equal3``, ``rat_matmul``) are the independent
-referee that the test suite and ``cubicha verify`` hold the integers against.
+the rows of the input, and |det D| is the gcd of its minors.  It and the
+Fraction routines (``inverse3``, ``lattice_equal3``, ``rat_matmul``) are the
+independent referee that the test suite and ``cubicha verify`` hold the
+integers against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -29,71 +29,18 @@ from math import gcd
 from .errors import RankError, SingularMatrixError
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    @staticmethod
-    def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix.from_rows(self.entries)
+def rat_matmul(a, b) -> tuple[tuple, ...]:
+    """The product of two matrices given as rows, in the entries' own
+    arithmetic."""
+    if len(a[0]) != len(b):
+        raise AssertionError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Exact rational matrix; every entry a Fraction (lowest terms, positive
-    denominator -- Fraction guarantees both)."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    @staticmethod
-    def from_rows(rows) -> "RatMatrix":
-        return RatMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix.from_rows(IntMatrix.identity(n).entries)
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-
-def rat_matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    if a.cols != b.rows:
-        raise AssertionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = list(zip(*b.entries))
-    return RatMatrix(
-        tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-            for row in a.entries
-        )
-    )
-
-
-def det_rows(rows) -> int | Fraction:
-    """Determinant of the 3x3 matrix with these three rows."""
+def det3(rows) -> int | Fraction:
+    """Determinant of the 3x3 matrix with these rows, in the entries' own
+    arithmetic; ValueError for any other shape."""
     ((a, b, c), (d, e, f), (g, h, i)) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
@@ -114,18 +61,12 @@ def divides_product(n: int, rows, cols) -> bool:
     return not any((r0 * c0 + r1 * c1 + r2 * c2) % n for r0, r1, r2 in rows for c0, c1, c2 in cols)
 
 
-def det3(m: IntMatrix | RatMatrix) -> int | Fraction:
-    """Determinant of a 3x3 matrix, in the entries' own arithmetic."""
-    if m.rows != 3 or m.cols != 3:
-        raise ValueError(f"det3 needs a 3x3 matrix, got {m.rows}x{m.cols}")
-    return det_rows(m.entries)
-
-
-def inverse3(m: RatMatrix) -> RatMatrix:
-    det = det3(m)
+def inverse3(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """The inverse of a 3x3 matrix as Fraction rows."""
+    det = det3(rows)
     if det == 0:
         raise SingularMatrixError("matrix is singular")
-    return RatMatrix(tuple(tuple(x / det for x in row) for row in adjugate_rows(m.entries)))
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adjugate_rows(rows))
 
 
 def minors_gcd(rows, stop: int = 1) -> int:
@@ -135,24 +76,24 @@ def minors_gcd(rows, stop: int = 1) -> int:
     ``stop`` (always so for the default 1)."""
     g = 0
     for trio in combinations([r for r in rows if any(r)], 3):
-        g = gcd(g, det_rows(trio))
+        g = gcd(g, det3(trio))
         if g == stop:
             break
     return g
 
 
-def reduce_tall(m: IntMatrix) -> IntMatrix:
-    """Reduce a tall full-column-rank integer matrix to [D; 0] by unimodular
-    row operations and return D.
+def reduce_tall(m) -> tuple[tuple[int, ...], ...]:
+    """Reduce a tall full-column-rank integer matrix, given as rows, to
+    [D; 0] by unimodular row operations and return the rows of D.
 
     D is in Hermite normal form: positive pivots on the diagonal, entries
     above each pivot reduced into [0, pivot).  Pivots are chosen as the
     least-absolute-value nonzero entry of the working column to bound growth.
     """
-    rows, cols = m.rows, m.cols
+    rows, cols = len(m), len(m[0])
     if rows < cols:
         raise ValueError("reduce_tall requires rows >= cols")
-    a = [list(row) for row in m.entries]
+    a = [list(row) for row in m]
 
     for col in range(cols):
         while True:
@@ -177,11 +118,11 @@ def reduce_tall(m: IntMatrix) -> IntMatrix:
             if q:
                 a[r] = [x - q * y for x, y in zip(a[r], a[col])]
 
-    return IntMatrix(tuple(tuple(a[r]) for r in range(cols)))
+    return tuple(tuple(a[r]) for r in range(cols))
 
 
-def lattice_equal3(a: RatMatrix, b: RatMatrix) -> bool:
+def lattice_equal3(a, b) -> bool:
     """Whether two nonsingular 3x3 reduced matrices cut out the same lattice,
     i.e. a * b^-1 is an integer matrix of determinant +-1."""
     p = rat_matmul(a, inverse3(b))
-    return p.is_integral() and abs(det3(p)) == 1
+    return all(x.denominator == 1 for row in p for x in row) and abs(det3(p)) == 1

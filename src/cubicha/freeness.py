@@ -30,7 +30,7 @@ from .arith import DEFAULT_TRIAL_DIVISION_LIMIT
 from .assocorder import AssociatedOrder, CASE1, CaseLabel, build, classify, index_of_case
 from .cubicfield import OrderElement, TrinomialCubic
 from .errors import FactorizationLimitError, NoIntegralCandidateError
-from .exactlinalg import RatMatrix, det_rows, divides_product
+from .exactlinalg import det3, divides_product
 from .quadrep import FormProblem, PellCertificate, solve_with_conditions
 
 log = logging.getLogger(__name__)
@@ -55,7 +55,9 @@ class FreenessReport:
     limit_hit: int | None = None
 
 
-def _m_beta_rows(k: TrinomialCubic, beta: OrderElement) -> tuple[tuple[int, ...], ...]:
+def m_beta(k: TrinomialCubic, beta: OrderElement) -> tuple[tuple[int, int, int], ...]:
+    """Rows of the coordinate matrix of the W-action on beta: column i holds
+    w_i . beta in B."""
     a, b = k.a, k.b
     b1, b2, b3 = beta.coords
     return (
@@ -63,12 +65,6 @@ def _m_beta_rows(k: TrinomialCubic, beta: OrderElement) -> tuple[tuple[int, ...]
         (b2, 9 * b * b2 - 2 * a * a * b3, -b2),
         (b3, 6 * a * b2 - 9 * b * b3, -b3),
     )
-
-
-def m_beta(k: TrinomialCubic, beta: OrderElement) -> RatMatrix:
-    """Coordinate matrix of the W-action on beta (integer entries): column i
-    holds w_i . beta in B."""
-    return RatMatrix.from_rows(_m_beta_rows(k, beta))
 
 
 def d_beta(k: TrinomialCubic, beta: OrderElement) -> int:
@@ -92,12 +88,12 @@ def is_generator(k: TrinomialCubic, beta: OrderElement, order: AssociatedOrder |
         order = build(k)
     d = order.index_iw
     primary = abs(d_beta(k, beta)) == d
-    m = _m_beta_rows(k, beta)
+    m = m_beta(k, beta)
     if not divides_product(d, m, tuple(zip(*order.adj))):
         raise AssertionError(
             f"an associated-order basis vector moves {beta} out of Z[alpha] for {k}"
         )
-    structural = abs(det_rows(m) * det_rows(order.adj)) == d**3
+    structural = abs(det3(m) * det3(order.adj)) == d**3
     if primary != structural:
         raise AssertionError(
             f"determinant criterion says {primary} but the basis images say "

@@ -5,6 +5,12 @@ routes together (closed form vs generic reduction, table vs referee, solver
 vs exhaustive search).  A suite returns the number of checks it performed and
 raises AssertionError with a pinpointed message on the first violation, via
 ``check`` rather than ``assert``, so that ``python -O`` still fails it.
+
+The referee routines that no production path calls live here too: the
+continued fraction of sqrt(d), multiplication and trace in Z[alpha] with
+the square-root identity behind the Gram matrix, the gcd closed form of the
+case table, and Fraction membership in an associated order.  ``cli`` loads
+this module only for ``verify``.
 """
 
 from __future__ import annotations
@@ -14,16 +20,114 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from . import arith, assocorder, cubicfield, exactlinalg, freeness, integrality, quadrep
-from .errors import ValidationError
+from .errors import DegenerateFormError, ValidationError
 
 
 def check(cond: bool, *detail) -> None:
     """Raise AssertionError(*detail) unless cond holds."""
     if not cond:
         raise AssertionError(*detail)
+
+
+def periodic_sqrt_cf(d: int) -> tuple[int, tuple[int, ...]]:
+    """Continued fraction of sqrt(d) as (a0, minimal period).
+
+    Uses the integer (m, den, a) recurrence; the period closes at the first
+    index with den == 1, where the partial quotient equals 2*a0.
+    """
+    if d <= 0:
+        raise ValueError("periodic_sqrt_cf requires d > 0")
+    a0 = isqrt(d)
+    if a0 * a0 == d:
+        raise DegenerateFormError(f"{d} is a perfect square")
+    m, den, a = 0, 1, a0
+    period = []
+    while True:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        period.append(a)
+        if den == 1:
+            if a != 2 * a0:
+                raise AssertionError(f"period of sqrt({d}) closed at {a}, not {2 * a0}")
+            return a0, tuple(period)
+
+
+def _mul_coords(a: int, b: int, u: tuple, v: tuple) -> tuple:
+    """Product of two elements in coordinates, reduced by alpha^3 = a*alpha - b.
+
+    Works for int or Fraction coordinates alike.
+    """
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    e0 = u0 * v0
+    e1 = u0 * v1 + u1 * v0
+    e2 = u0 * v2 + u1 * v1 + u2 * v0
+    e3 = u1 * v2 + u2 * v1
+    e4 = u2 * v2
+    # alpha^3 = a*alpha - b, alpha^4 = a*alpha^2 - b*alpha
+    return (e0 - b * e3, e1 + a * e3 - b * e4, e2 + a * e4)
+
+
+def trace(k: cubicfield.TrinomialCubic, u: cubicfield.OrderElement) -> int:
+    # alpha has trace 0 and alpha^2 has trace 2a
+    return 3 * u.c0 + 2 * k.a * u.c2
+
+
+def verify_sqrt_identity(k: cubicfield.TrinomialCubic) -> bool:
+    """The polynomial identity grounding the Gram matrix:
+
+        (6a*alpha^2 + 9b*alpha - 4a^2)^2 = delta * (-3*alpha^2 + 4a)
+
+    holds in Z[alpha] mod f.  Both sides are computed with _mul_coords and
+    compared coordinate-wise.
+    """
+    a, b, d = k.a, k.b, k.delta
+    s = (-4 * a * a, 9 * b, 6 * a)
+    lhs = _mul_coords(a, b, s, s)
+    rhs = (4 * a * d, 0, -3 * d)
+    return lhs == rhs
+
+
+def h_closed_form(k: cubicfield.TrinomialCubic) -> int:
+    """gcd(2a, 9b) (CASE1) resp. gcd(6a, 9b) (3 | a), via the valuation table.
+
+    The closed form is cross-checked against the directly computed gcd; a
+    mismatch would mean the table is being applied outside its hypotheses.
+    """
+    case = assocorder.classify(k)
+    g = k.g
+    if case.major == assocorder.CASE1:
+        h = g if case.minor == assocorder.V2GE else 2 * g
+        direct = gcd(2 * k.a, 9 * k.b)
+    else:
+        v3_le = arith.valuation(k.a, 3) <= arith.valuation(k.b, 3)
+        if case.minor == assocorder.V2GE:
+            h = 3 * g if v3_le else 9 * g
+        else:
+            h = 6 * g if v3_le else 18 * g
+        direct = gcd(6 * k.a, 9 * k.b)
+    if h != direct:
+        raise AssertionError(f"closed-form gcd {h} != direct gcd {direct} for {k}")
+    return h
+
+
+def in_order(reduced, h: cubicfield.HopfElement) -> bool:
+    """Membership test: h lies in the order cut out by the rows of the
+    reduced matrix iff reduced * h is an integer vector."""
+    for row in reduced:
+        if sum(x * y for x, y in zip(row, h.coords)).denominator != 1:
+            return False
+    return True
+
+
+def basis_matrix(order: assocorder.AssociatedOrder) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of the matrix with the basis vectors as columns (this is exactly
+    reduced^-1)."""
+    return tuple(zip(*(v.coords for v in order.basis)))
 
 
 def validated_pairs(bound: int):
@@ -57,7 +161,7 @@ def suite_sqrt_cf(rng: random.Random, grid: int) -> int:
         d = rng.randint(2, 10**6)
         if isqrt(d) ** 2 == d:
             continue
-        a0, period = arith.periodic_sqrt_cf(d)
+        a0, period = periodic_sqrt_cf(d)
         h0, h1, k0, k1 = 1, a0, 0, 1
         for a in period[:-1]:
             h0, h1 = h1, a * h1 + h0
@@ -75,7 +179,7 @@ def suite_hopf(rng: random.Random, grid: int) -> int:
     w = [cubicfield.HopfElement.of(*v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     for _ in range(max(30, 5 * grid)):
         k = random_valid_field(rng, 10**6)
-        check(cubicfield.verify_sqrt_identity(k), k)
+        check(verify_sqrt_identity(k), k)
         basis = cubicfield.gram_matrix(k)[0]
         for wi in w:
             for wj in w:
@@ -87,7 +191,7 @@ def suite_hopf(rng: random.Random, grid: int) -> int:
         w1_plus_w3 = cubicfield.HopfElement.of(1, 0, 1)
         for gamma in basis:
             image = cubicfield.apply_hopf(k, w1_plus_w3, gamma)
-            tr = cubicfield.trace(k, gamma)
+            tr = trace(k, gamma)
             check(image == (Fraction(tr), Fraction(0), Fraction(0)), k, gamma)
         # action matrix rows match gram coordinates
         am = cubicfield.action_matrix(k)
@@ -95,7 +199,7 @@ def suite_hopf(rng: random.Random, grid: int) -> int:
         for j in range(3):
             for r in range(3):
                 for i in range(3):
-                    check(am.entries[3 * j + r][i] == gm[i][j].coords[r])
+                    check(am[3 * j + r][i] == gm[i][j].coords[r])
         checks += 1
     return checks
 
@@ -106,14 +210,14 @@ def suite_index_table(rng: random.Random, grid: int) -> int:
     checks = 0
     for k in validated_pairs(grid):
         case = assocorder.classify(k)
-        closed = assocorder.closed_form_reduced(k)
+        closed = assocorder.closed_form_reduced(k, case)
         action = cubicfield.action_matrix(k)
-        generic = exactlinalg.reduce_tall(action).to_rat()
+        generic = exactlinalg.reduce_tall(action)
         want = assocorder.index_of_case(case, k.g)
         check(abs(exactlinalg.det3(generic)) == want, k, case)
-        check(exactlinalg.minors_gcd(action.entries) == abs(exactlinalg.det3(generic)), k)
+        check(exactlinalg.minors_gcd(action) == abs(exactlinalg.det3(generic)), k)
         check(exactlinalg.lattice_equal3(closed, generic), k)
-        assocorder.h_closed_form(k)  # raises on closed form vs gcd mismatch
+        h_closed_form(k)  # raises on closed form vs gcd mismatch
         checks += 1
     return checks
 
@@ -123,19 +227,17 @@ def suite_order_certificates(rng: random.Random, grid: int) -> int:
     checks = 0
     for k in validated_pairs(min(grid, 12)):
         order = assocorder.build(k)  # internal certificates run here
-        basis_inv = exactlinalg.inverse3(assocorder.basis_matrix(order))
+        basis_inv = exactlinalg.inverse3(basis_matrix(order))
         for _ in range(5):
             h = cubicfield.HopfElement.of(
                 Fraction(rng.randint(-24, 24), rng.randint(1, 12)),
                 Fraction(rng.randint(-24, 24), rng.randint(1, 12)),
                 Fraction(rng.randint(-24, 24), rng.randint(1, 12)),
             )
-            direct = assocorder.in_order(order.reduced, h)
+            direct = in_order(order.reduced, h)
             # the same membership read as "integer combination of the basis"
-            coeffs = exactlinalg.rat_matmul(
-                basis_inv, exactlinalg.RatMatrix.from_rows([[c] for c in h.coords])
-            )
-            check(direct == coeffs.is_integral(), k, h)
+            coeffs = exactlinalg.rat_matmul(basis_inv, [[c] for c in h.coords])
+            check(direct == all(c.denominator == 1 for (c,) in coeffs), k, h)
             checks += 1
     return checks
 

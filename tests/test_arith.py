@@ -13,11 +13,11 @@ from cubicha.arith import (
     divisors,
     factorize,
     is_prime,
-    periodic_sqrt_cf,
     sqrt_mod,
     valuation,
 )
 from cubicha.errors import DegenerateFormError, FactorizationLimitError
+from cubicha.selfcheck import periodic_sqrt_cf
 
 
 def naive_valuation(n, p):

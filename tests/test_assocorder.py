@@ -9,17 +9,15 @@ from cubicha.assocorder import (
     CASE3,
     V2GE,
     V2LT,
-    basis_matrix,
     build,
     classify,
     closed_form_reduced,
-    h_closed_form,
-    in_order,
     index_of_case,
 )
 from cubicha.cubicfield import HopfElement, gram_matrix, apply_hopf, hopf_mul, validate
 from cubicha.errors import ValidationError
-from cubicha.exactlinalg import RatMatrix, det3, inverse3, lattice_equal3, reduce_tall
+from cubicha.exactlinalg import det3, inverse3, lattice_equal3, reduce_tall
+from cubicha.selfcheck import basis_matrix, h_closed_form, in_order
 from cubicha import cubicfield
 
 
@@ -69,16 +67,14 @@ class TestHClosedForm:
 
 class TestClosedFormReduced:
     def test_examples(self):
-        assert closed_form_reduced(validate(1, 1)) == RatMatrix.from_rows(
-            [[1, 0, 0], [0, 1, 1], [0, 0, 2]]
-        )
-        assert closed_form_reduced(validate(3, 1)) == RatMatrix.from_rows(
-            [[1, 0, 2], [0, 9, 3], [0, 0, 6]]
-        )
+        def closed(a, b):
+            k = validate(a, b)
+            return closed_form_reduced(k, classify(k))
+
+        assert closed(1, 1) == ((1, 0, 0), (0, 1, 1), (0, 0, 2))
+        assert closed(3, 1) == ((1, 0, 2), (0, 9, 3), (0, 0, 6))
         # g = 3 lands in the same literal matrix for (3, 3): 3g = 9
-        assert closed_form_reduced(validate(3, 3)) == RatMatrix.from_rows(
-            [[1, 0, 2], [0, 9, 3], [0, 0, 6]]
-        )
+        assert closed(3, 3) == ((1, 0, 2), (0, 9, 3), (0, 0, 6))
 
 
 class TestBuild:
@@ -106,7 +102,7 @@ class TestBuild:
         assert order.index_iw == 54
         inv = inverse3(order.reduced)
         for i, v in enumerate(order.basis):
-            assert v.coords == tuple(inv.entries[r][i] for r in range(3))
+            assert v.coords == tuple(inv[r][i] for r in range(3))
         assert order.basis[1].coords == (0, Fraction(1, 9), 0)
         assert order.basis[2].coords == (
             Fraction(-1, 3),
@@ -162,7 +158,7 @@ class TestBuild:
                 )
                 direct = in_order(order.reduced, h)
                 coeffs = [
-                    sum(binv.entries[i][j] * h.coords[j] for j in range(3))
+                    sum(binv[i][j] * h.coords[j] for j in range(3))
                     for i in range(3)
                 ]
                 assert direct == all(c.denominator == 1 for c in coeffs)
@@ -187,8 +183,8 @@ class TestBuild:
 
     def test_lattice_equality_closed_vs_generic(self):
         for k in pairs_in_grid(8):
-            closed = closed_form_reduced(k)
-            generic = reduce_tall(cubicfield.action_matrix(k)).to_rat()
+            closed = closed_form_reduced(k, classify(k))
+            generic = reduce_tall(cubicfield.action_matrix(k))
             assert lattice_equal3(closed, generic), (k.a, k.b)
 
     def test_index_of_case(self):
@@ -203,7 +199,7 @@ class TestBuild:
             order = build(k)
             inv = inverse3(order.reduced)
             assert [v.coords for v in order.basis] == [
-                tuple(inv.entries[r][i] for r in range(3)) for i in range(3)
+                tuple(inv[r][i] for r in range(3)) for i in range(3)
             ]
             assert order.basis[0].coords == (1, 0, 0)
             for v in order.basis:

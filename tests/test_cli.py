@@ -205,6 +205,19 @@ class TestScan:
         )
         assert code == 74
 
+    def test_closed_stdout_exit_74(self):
+        # the CSV of this square is larger than a pipe buffer, so the write
+        # fails whenever the reader has gone, however fast it went
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cubicha", "scan", "--a-range=-40:40", "--b-range=-40:40"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 74
+        assert "Traceback" not in err, err
+
     def test_row_content(self, capsys):
         main(["scan", "--a-range", "1:1", "--b-range", "1:1"])
         lines = capsys.readouterr().out.strip().split("\n")
@@ -280,6 +293,20 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("ok") == len(selfcheck.SUITES)
 
+    def test_default_grid_output_pinned(self, capsys):
+        # the number of checks per suite, so that no check goes missing
+        assert main(["verify", "--grid", "20", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "ok   sqrt-cf-pell (100 checks)\n"
+            "ok   hopf-identities (100 checks)\n"
+            "ok   index-table (1424 checks)\n"
+            "ok   order-certificates (2460 checks)\n"
+            "ok   pell-oracle (39 checks)\n"
+            "ok   freeness-oracle (1624 checks)\n"
+            "ok   alaca-dedekind (9145 checks)\n"
+            "7/7 suites passed\n"
+        )
+
     def test_injected_fault_detected(self, capsys, monkeypatch):
         from cubicha import freeness
 
@@ -302,8 +329,8 @@ class TestVerify:
     def test_injected_fault_detected_under_optimize(self, run_optimized):
         # python -O strips assert statements; the suites must fail regardless
         out = run_optimized(
-            "from cubicha import cli, cubicfield\n"
-            "cubicfield.verify_sqrt_identity = lambda k: False\n"
+            "from cubicha import cli, selfcheck\n"
+            "selfcheck.verify_sqrt_identity = lambda k: False\n"
             "print('exit', cli.main(['verify', '--grid', '2']))\n"
         )
         assert "FAIL hopf-identities" in out

@@ -11,16 +11,14 @@ from cubicha.cubicfield import (
     OrderElement,
     REDUCED_LOOSE,
     _integer_roots,
-    _mul_coords,
     action_matrix,
     apply_hopf,
     gram_matrix,
     hopf_mul,
-    trace,
     validate,
-    verify_sqrt_identity,
 )
 from cubicha.errors import ValidationError
+from cubicha.selfcheck import _mul_coords, trace, verify_sqrt_identity
 
 W1 = HopfElement.of(1, 0, 0)
 W2 = HopfElement.of(0, 1, 0)
@@ -183,9 +181,9 @@ class TestGramAndAction:
 
     def test_action_matrix_entries(self):
         m = action_matrix(validate(1, 1))
-        assert m.entries[3] == (0, -4, 0)
-        assert m.entries[5] == (0, 6, 0)
-        assert m.entries[1] == (0, 0, 0) and m.entries[2] == (0, 0, 0)
+        assert m[3] == (0, -4, 0)
+        assert m[5] == (0, 6, 0)
+        assert m[1] == (0, 0, 0) and m[2] == (0, 0, 0)
 
     def test_action_matrix_matches_gram(self):
         rng = random.Random(4)
@@ -201,7 +199,7 @@ class TestGramAndAction:
             for j in range(3):
                 for r in range(3):
                     for i in range(3):
-                        assert am.entries[3 * j + r][i] == gm[i][j].coords[r]
+                        assert am[3 * j + r][i] == gm[i][j].coords[r]
 
 
 class TestHopfAlgebra:

@@ -8,11 +8,8 @@ import pytest
 from cubicha.cubicfield import action_matrix, validate
 from cubicha.errors import RankError, SingularMatrixError, ValidationError
 from cubicha.exactlinalg import (
-    IntMatrix,
-    RatMatrix,
     adjugate_rows,
     det3,
-    det_rows,
     inverse3,
     lattice_equal3,
     minors_gcd,
@@ -20,10 +17,16 @@ from cubicha.exactlinalg import (
     reduce_tall,
 )
 
+I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-def gauss_det(m: RatMatrix) -> Fraction:
+
+def is_integral(rows) -> bool:
+    return all(x.denominator == 1 for row in rows for x in row)
+
+
+def gauss_det(m) -> Fraction:
     # independent oracle: plain fraction Gaussian elimination
-    a = [list(row) for row in m.entries]
+    a = [[Fraction(x) for x in row] for row in m]
     n = len(a)
     det = Fraction(1)
     for col in range(n):
@@ -43,11 +46,11 @@ def gauss_det(m: RatMatrix) -> Fraction:
 
 class TestReduceTall:
     def test_identity(self):
-        assert reduce_tall(IntMatrix.identity(3)) == IntMatrix.identity(3)
+        assert reduce_tall(I3) == I3
 
     def test_worked_instance_1_1(self):
         d = reduce_tall(action_matrix(validate(1, 1)))
-        assert d == IntMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 2]])
+        assert d == ((1, 0, 0), (0, 1, 1), (0, 0, 2))
 
     def test_worked_instance_3_1_det(self):
         d = reduce_tall(action_matrix(validate(3, 1)))
@@ -60,17 +63,17 @@ class TestReduceTall:
         rng = random.Random(3)
         checked = 0
         for rows_count, bound in [(7, 9)] * 40 + [(6, 20)] * 40:
-            m = IntMatrix.from_rows(
-                [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(rows_count)]
+            m = tuple(
+                tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(rows_count)
             )
             try:
                 d = reduce_tall(m)
             except RankError:
                 continue
-            assert rat_matmul(m.to_rat(), inverse3(d.to_rat())).is_integral()
+            assert is_integral(rat_matmul(m, inverse3(d)))
             minors = 0
-            for rows in combinations(m.entries, 3):
-                minors = gcd(minors, det3(IntMatrix(rows)))
+            for rows in combinations(m, 3):
+                minors = gcd(minors, det3(rows))
             assert abs(det3(d)) == minors
             checked += 1
         assert checked > 60
@@ -78,20 +81,19 @@ class TestReduceTall:
     def test_canonical_shape(self):
         rng = random.Random(5)
         for _ in range(40):
-            rows = [[rng.randint(-20, 20) for _ in range(3)] for _ in range(6)]
-            m = IntMatrix.from_rows(rows)
+            m = [[rng.randint(-20, 20) for _ in range(3)] for _ in range(6)]
             try:
                 d = reduce_tall(m)
             except RankError:
                 continue
             for i in range(3):
-                assert d.entries[i][i] > 0
+                assert d[i][i] > 0
                 for j in range(i):
-                    assert d.entries[j][j] != 0
+                    assert d[j][j] != 0
                 for r in range(i):
-                    assert 0 <= d.entries[r][i] < d.entries[i][i]
+                    assert 0 <= d[r][i] < d[i][i]
                 for r in range(i + 1, 3):
-                    assert d.entries[r][i] == 0
+                    assert d[r][i] == 0
 
     def test_det_invariant_under_row_shuffle(self):
         # a permuted stack is another valid reduction path of the same lattice
@@ -99,27 +101,27 @@ class TestReduceTall:
         for a, b in [(1, 1), (3, 1), (5, 6), (-4, 2)]:
             m = action_matrix(validate(a, b))
             d1 = reduce_tall(m)
-            rows = list(m.entries)
+            rows = list(m)
             rng.shuffle(rows)
-            d2 = reduce_tall(IntMatrix(tuple(rows)))
+            d2 = reduce_tall(tuple(rows))
             assert abs(det3(d1)) == abs(det3(d2))
-            assert lattice_equal3(d1.to_rat(), d2.to_rat())
+            assert lattice_equal3(d1, d2)
 
     def test_rank_deficient_rejected(self):
-        m = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 2, 3]])
+        m = ((1, 2, 3), (2, 4, 6), (0, 0, 0), (1, 2, 3))
         with pytest.raises(RankError):
             reduce_tall(m)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
-            reduce_tall(IntMatrix.from_rows([[1, 2, 3], [0, 1, 2]]))
+            reduce_tall(((1, 2, 3), (0, 1, 2)))
 
 
 class TestDet3Inverse3:
     def test_det_examples(self):
-        assert det3(RatMatrix.identity(3)) == 1
+        assert det3(I3) == 1
         for g in (1, 2, 5):
-            assert det3(RatMatrix.from_rows([[1, 0, 0], [0, g, 0], [0, 0, 2]])) == 2 * g
+            assert det3(((1, 0, 0), (0, g, 0), (0, 0, 2))) == 2 * g
 
     def test_det_m_beta_worked_instance(self):
         # coordinate matrix of the action on beta = -1 + alpha^2 for (a, b) = (1, 1)
@@ -132,43 +134,43 @@ class TestDet3Inverse3:
 
     def test_det_wrong_shape(self):
         with pytest.raises(ValueError):
-            det3(RatMatrix.from_rows([[1, 2], [3, 4]]))
+            det3(((1, 2), (3, 4)))
 
     def test_inverse_examples(self):
-        assert inverse3(RatMatrix.identity(3)) == RatMatrix.identity(3)
-        assert inverse3(RatMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 2]])) == (
-            RatMatrix.from_rows([[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, Fraction(1, 2)]])
+        assert inverse3(I3) == I3
+        assert inverse3(((1, 0, 0), (0, 2, 0), (0, 0, 2))) == (
+            (1, 0, 0), (0, Fraction(1, 2), 0), (0, 0, Fraction(1, 2))
         )
-        m = RatMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 2]])
-        assert inverse3(m) == RatMatrix.from_rows(
-            [[1, 0, 0], [0, 1, Fraction(-1, 2)], [0, 0, Fraction(1, 2)]]
-        )
+        m = ((1, 0, 0), (0, 1, 1), (0, 0, 2))
+        assert inverse3(m) == ((1, 0, 0), (0, 1, Fraction(-1, 2)), (0, 0, Fraction(1, 2)))
+        assert all(type(x) is Fraction for row in inverse3(m) for x in row)
 
     def test_inverse_random_roundtrip(self):
         rng = random.Random(1)
         for _ in range(60):
-            m = RatMatrix.from_rows(
-                [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)] for _ in range(3)]
+            m = tuple(
+                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
+                for _ in range(3)
             )
             if det3(m) == 0:
                 continue
-            assert rat_matmul(m, inverse3(m)) == RatMatrix.identity(3)
+            assert rat_matmul(m, inverse3(m)) == I3
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            inverse3(RatMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
+            inverse3(((1, 2, 3), (2, 4, 6), (0, 0, 1)))
 
 
 class TestLatticeEqual:
     def test_same_lattice_different_form(self):
-        a = RatMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 2]])
+        a = ((1, 0, 0), (0, 1, 1), (0, 0, 2))
         # add row multiples: same lattice, different matrix
-        b = RatMatrix.from_rows([[1, 0, 0], [0, 1, 3], [0, 0, 2]])
+        b = ((1, 0, 0), (0, 1, 3), (0, 0, 2))
         assert lattice_equal3(a, b)
 
     def test_sublattice_rejected(self):
-        a = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
-        b = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 4]])
+        a = ((1, 0, 0), (0, 1, 0), (0, 0, 2))
+        b = ((1, 0, 0), (0, 1, 0), (0, 0, 4))
         assert not lattice_equal3(a, b)
         assert not lattice_equal3(b, a)
 
@@ -181,19 +183,18 @@ class TestIntegerRoutes:
         for a, b in [(1, 1), (3, 1), (5, 6), (-4, 2), (17, 1)]:
             m = action_matrix(validate(a, b))
             d = reduce_tall(m)
-            assert isinstance(d, IntMatrix)
-            assert all(type(x) is int for row in d.entries for x in row)
-            assert rat_matmul(m.to_rat(), inverse3(d.to_rat())).is_integral()
+            assert type(d) is tuple and all(type(row) is tuple for row in d)
+            assert all(type(x) is int for row in d for x in row)
+            assert is_integral(rat_matmul(m, inverse3(d)))
 
     def test_adjugate(self):
         rng = random.Random(17)
         for _ in range(60):
-            m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
+            m = tuple(tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3))
             det = det3(m)
-            assert det == det_rows(m.entries) == gauss_det(m.to_rat())
-            adj = RatMatrix.from_rows(adjugate_rows(m.entries))
-            assert rat_matmul(m.to_rat(), adj) == RatMatrix.from_rows(
-                [[det * (i == j) for j in range(3)] for i in range(3)]
+            assert type(det) is int and det == gauss_det(m)
+            assert rat_matmul(m, adjugate_rows(m)) == tuple(
+                tuple(det * (i == j) for j in range(3)) for i in range(3)
             )
 
 
@@ -212,10 +213,10 @@ class TestMinorsGcd:
                     continue
                 m = action_matrix(k)
                 index = abs(det3(reduce_tall(m)))
-                assert minors_gcd(m.entries) == index, (a, b)
+                assert minors_gcd(m) == index, (a, b)
                 # every minor is a multiple of the index, so stopping there
                 # loses nothing
-                assert minors_gcd(m.entries, index) == index, (a, b)
+                assert minors_gcd(m, index) == index, (a, b)
                 checked += 1
         assert checked > 400
 
@@ -231,13 +232,12 @@ class TestMinorsGcd:
             if trial % 2:
                 t = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
                 rows = [[sum(row[i] * t[i][j] for i in range(3)) for j in range(3)] for row in rows]
-            m = IntMatrix.from_rows(rows)
             try:
-                d = reduce_tall(m)
+                d = reduce_tall(rows)
             except RankError:
-                assert minors_gcd(m.entries) == 0
+                assert minors_gcd(rows) == 0
                 continue
-            assert minors_gcd(m.entries) == abs(det3(d)), rows
+            assert minors_gcd(rows) == abs(det3(d)), rows
             checked += 1
         assert checked > 250
 

@@ -5,7 +5,6 @@ from math import isqrt
 import pytest
 
 from cubicha import quadrep
-from cubicha.arith import periodic_sqrt_cf
 from cubicha.cubicfield import validate
 from cubicha.errors import DegenerateFormError, FactorizationLimitError
 from cubicha.freeness import NOT_FREE, decide_freeness
@@ -22,6 +21,7 @@ from cubicha.quadrep import (
     _normalize_rep,
     _principal_cycle,
 )
+from cubicha.selfcheck import periodic_sqrt_cf
 
 
 def _pqa_candidates(d, z, q0):
