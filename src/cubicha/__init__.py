@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .cubicfield import HopfElement, OrderElement, TrinomialCubic, validate
 from .assocorder import AssociatedOrder, build, classify
-from .freeness import FreenessReport, brute_force_generator, decide_freeness, is_generator
+from .freeness import FreenessReport, decide_freeness, is_generator
 from .integrality import MaximalityReport, combined_verdict, is_maximal
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "MaximalityReport",
     "OrderElement",
     "TrinomialCubic",
-    "brute_force_generator",
     "build",
     "classify",
     "combined_verdict",

@@ -5,9 +5,10 @@
     cubicha verify [--grid 20] [--seed 0]
 
 All numeric output is exact: integers stay integers and rationals are
-rendered as "num/den" strings.  Exit codes: 0 decided verdict, 2 validation
-rejection, 3 undecided (a factorization limit was hit), 64 usage error,
-74 unwritable output.
+rendered as "num/den" strings.  Exit codes: 0 decided verdict (or every
+verify suite passed), 1 a verify suite failed, 2 validation rejection,
+3 undecided (a factorization limit was hit), 64 usage error, 74 unwritable
+output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import logging
 import os
 import sys
 import time
@@ -30,6 +30,7 @@ from .freeness import UNDECIDED
 from .integrality import UNDECIDED_FACTORIZATION, combined_verdict
 
 EX_OK = 0
+EX_VERIFY_FAILED = 1
 EX_REJECTED = 2
 EX_UNDECIDED = 3
 EX_USAGE = 64
@@ -257,7 +258,7 @@ def cmd_verify(args) -> int:
             failed += 1
             print(f"FAIL {res.name}: {res.detail}")
     print(f"{len(results) - failed}/{len(results)} suites passed")
-    return EX_OK if failed == 0 else 1
+    return EX_OK if failed == 0 else EX_VERIFY_FAILED
 
 
 def build_parser() -> _Parser:
@@ -321,7 +322,6 @@ def _lift_int_str_cap() -> None:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
     _lift_int_str_cap()
     parser = build_parser()
     args = parser.parse_args(argv)

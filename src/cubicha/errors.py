@@ -46,8 +46,11 @@ class FactorizationLimitError(RuntimeError):
 
 
 class NoIntegralCandidateError(RuntimeError):
-    """No sign choice in the generator formulas produced an integer vector.
+    """The generator formulas give no integer vector for a solution (x, y)
+    and branch: 6a does not divide 9by + branch*x, or in CASE1 3 divides y,
+    so no linear factor 3*b1 + 2a*y is +-1.
 
-    The defining theorems guarantee one whenever the side conditions hold, so
-    this surfaces an inconsistency rather than being silently swallowed.
+    The solver only reports matches that meet the side conditions, so from
+    decide_freeness this surfaces an inconsistency rather than being
+    silently swallowed.
     """

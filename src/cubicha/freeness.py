@@ -13,27 +13,23 @@ questions handled by quadrep:
     CASE2: x^2 + 3*delta*y^2 = +-36ag, 6a | 9by +- x
     CASE3: x^2 + 3*delta*y^2 = +-108ag, 6a | 9by +- x
 
-A matching (x, y) is converted to candidate generators by the closed
-formulas (all sign choices are enumerated and every candidate is verified
-through the determinant criterion before being reported; the theorems'
-implicit sign coupling never needs to be reconstructed).  NOT_FREE is only
-reported with a completeness certificate from the Pell layer; UNDECIDED
-records a hit factorization limit in the degenerate regime.
+The solver reports the branch sign it matched, so a match (x, y, branch)
+fixes the one generator of the closed formulas (generator_from_solution),
+which is verified through the determinant criterion before it is reported.
+NOT_FREE is only reported with a completeness certificate from the Pell
+layer; UNDECIDED records a hit factorization limit in the degenerate regime.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT
-from .assocorder import AssociatedOrder, CASE1, CaseLabel, build, classify, index_of_case
+from .assocorder import AssociatedOrder, CASE1, CaseLabel, build
 from .cubicfield import OrderElement, TrinomialCubic
 from .errors import FactorizationLimitError, NoIntegralCandidateError
 from .exactlinalg import det3, divides_product
 from .quadrep import FormProblem, PellCertificate, solve_with_conditions
-
-log = logging.getLogger(__name__)
 
 FREE = "FREE"
 NOT_FREE = "NOT_FREE"
@@ -103,50 +99,36 @@ def is_generator(k: TrinomialCubic, beta: OrderElement, order: AssociatedOrder |
 
 
 def generator_from_solution(
-    k: TrinomialCubic, x: int, y: int, order: AssociatedOrder | None = None
-) -> list[OrderElement]:
-    """Integral generator candidates built from a Pell solution (x, y).
+    k: TrinomialCubic, x: int, y: int, branch: int, order: AssociatedOrder
+) -> OrderElement:
+    """The verified generator b1 + b2*alpha + b3*alpha^2 of a matched solution.
 
-    CASE1 enumerates the unit r in the linear factor and both +-x branches;
-    the 3|a cases fix the linear factor at 1 - (2a/3)y and enumerate the
-    branches.  Non-integral sign choices are dropped; surviving candidates
-    are verified and any verification failure is logged as an anomaly.
+    b3 = y and 6a*b2 = 9by + branch*x.  b1 sets the linear factor
+    L = 3*b1 + 2a*y of d_beta: in CASE1, L is the one of +-1 congruent to
+    2ay mod 3, which exists because 3 does not divide y; when 3 | a, L = 3.
+    The quadratic factor of d_beta is then N/(12a), so
+    |d_beta| = 2|L||N|/(12|a|), which is I_W (2g, 18g or 54g) in every case.
+    The candidate is still verified through is_generator.  Raises
+    NoIntegralCandidateError when 6a does not divide 9by + branch*x or no
+    unit L exists.
     """
-    if order is None:
-        order = build(k)
-    a, b = k.a, k.b
-    candidates: list[OrderElement] = []
-    first_factors: list[int] = []
-    if order.case.major == CASE1:
-        for r in (1, -1):
-            if (r - 2 * a * y) % 3 == 0:
-                first_factors.append((r - 2 * a * y) // 3)
-    else:
-        first_factors.append(1 - 2 * (a // 3) * y)
-    for branch in (-1, 1):
-        num = 9 * b * y + branch * x
-        if num % (6 * a) != 0:
-            continue
-        b2 = num // (6 * a)
-        for b1 in first_factors:
-            cand = OrderElement(b1, b2, y)
-            if cand not in candidates:
-                candidates.append(cand)
-    if not candidates:
+    a = k.a
+    num = 9 * k.b * y + branch * x
+    # in CASE1 3 does not divide a; (2ay + 1) % 3 - 1 is 0, 1 or -1 and
+    # congruent to 2ay mod 3, so it is a unit exactly when 3 does not divide y
+    lin = (2 * a * y + 1) % 3 - 1 if order.case.major == CASE1 else 3
+    if lin == 0 or num % (6 * a) != 0:
         raise NoIntegralCandidateError(
-            f"no sign choice yields an integral generator from (x, y) = ({x}, {y}) "
-            f"for (a, b) = ({a}, {b})"
+            f"branch {branch} of (x, y) = ({x}, {y}) yields no integral generator "
+            f"for (a, b) = ({a}, {k.b})"
         )
-    verified = []
-    for cand in candidates:
-        if is_generator(k, cand, order):
-            verified.append(cand)
-        else:
-            log.warning(
-                "candidate %s from (x, y) = (%s, %s) failed verification for "
-                "(a, b) = (%s, %s)", cand, x, y, a, b,
-            )
-    return verified
+    beta = OrderElement((lin - 2 * a * y) // 3, num // (6 * a), y)
+    if not is_generator(k, beta, order):
+        raise AssertionError(
+            f"{beta} from (x, y, branch) = ({x}, {y}, {branch}) is not a generator "
+            f"for (a, b) = ({a}, {k.b})"
+        )
+    return beta
 
 
 def decide_freeness(
@@ -180,15 +162,8 @@ def decide_freeness(
         checked.append(rhs)
         certs.append((rhs, cert))
         if match is not None:
-            x, y, branch = match
-            verified = generator_from_solution(k, x, y, order)
-            if not verified:
-                raise AssertionError(
-                    f"matched solution ({x}, {y}) produced no verified generator "
-                    f"for (a, b) = ({k.a}, {k.b})"
-                )
             return FreenessReport(
-                k, case, order.index_iw, FREE, verified[0],
+                k, case, order.index_iw, FREE, generator_from_solution(k, *match, order),
                 tuple(certs), tuple(checked), matched=match,
             )
     if limit_hit is not None:
@@ -200,30 +175,3 @@ def decide_freeness(
         k, case, order.index_iw, NOT_FREE, None, tuple(certs), tuple(checked)
     )
 
-
-def brute_force_generator(k: TrinomialCubic, bound: int) -> OrderElement | None:
-    """Box search for a generator with all coordinates in [-bound, bound].
-
-    Exhaustive over the box: for each (b2, b3) the quadratic factor divides
-    half the index or no b1 can work, and then b1 is pinned by a linear
-    congruence, so the scan is quadratic rather than cubic in the bound.
-    """
-    if bound < 1:
-        raise AssertionError(f"box bound must be >= 1, got {bound}")
-    iw = index_of_case(classify(k), k.g)
-    half = iw // 2
-    a, b = k.a, k.b
-    for b2 in range(-bound, bound + 1):
-        for b3 in range(-bound, bound + 1):
-            f2 = 3 * a * b2 * b2 - 9 * b * b2 * b3 + a * a * b3 * b3
-            if f2 == 0 or half % abs(f2) != 0:
-                continue
-            target = half // abs(f2)
-            for f1 in (target, -target):
-                num = f1 - 2 * a * b3
-                if num % 3 != 0:
-                    continue
-                b1 = num // 3
-                if abs(b1) <= bound:
-                    return OrderElement(b1, b2, b3)
-    return None

@@ -84,13 +84,17 @@ class FormProblem:
             raise AssertionError(f"FormProblem modulus {self.modulus} is not 6k, k > 0")
 
     def accepts(self, x: int, y: int) -> int | None:
-        """Matched branch sign (+1 for ycoef*y + x, -1 for ycoef*y - x), or None."""
+        """Matched branch sign (-1 for ycoef*y - x, +1 for ycoef*y + x), or None.
+
+        When modulus divides both, the branch is -1.  The caller builds its
+        generator from this branch, so the reported match reproduces it.
+        """
         if self.require_y_not_div3 and y % 3 == 0:
             return None
-        if (self.ycoef * y + x) % self.modulus == 0:
-            return 1
         if (self.ycoef * y - x) % self.modulus == 0:
             return -1
+        if (self.ycoef * y + x) % self.modulus == 0:
+            return 1
         return None
 
 

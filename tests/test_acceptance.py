@@ -26,12 +26,12 @@ from cubicha.exactlinalg import det3, lattice_equal3, reduce_tall
 from cubicha.freeness import (
     FREE,
     NOT_FREE,
-    brute_force_generator,
     d_beta,
     decide_freeness,
     is_generator,
 )
 from cubicha.integrality import alaca_condition, dedekind_check, is_maximal
+from cubicha.selfcheck import brute_force_generator
 
 
 def _grid(bound):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,20 +6,20 @@ from hypothesis import given, strategies as st
 
 from cubicha.assocorder import build
 from cubicha.cubicfield import OrderElement, apply_hopf, validate
-from cubicha.errors import FactorizationLimitError, ValidationError
+from cubicha.errors import FactorizationLimitError, NoIntegralCandidateError, ValidationError
 from cubicha.exactlinalg import det3
 from cubicha.freeness import (
     FREE,
     NOT_FREE,
     UNDECIDED,
-    brute_force_generator,
     d_beta,
     decide_freeness,
     generator_from_solution,
     is_generator,
     m_beta,
 )
-from cubicha import freeness, selfcheck
+from cubicha import cli, freeness, selfcheck
+from cubicha.selfcheck import brute_force_generator
 
 
 class TestDBeta:
@@ -83,36 +84,71 @@ class TestIsGenerator:
         assert is_generator(k, OrderElement(1, 0, -1))
 
 
+def _per_branch(a, b, x, y):
+    k = validate(a, b)
+    order = build(k)
+    return {branch: generator_from_solution(k, x, y, branch, order) for branch in (-1, 1)}
+
+
 class TestGeneratorFromSolution:
+    # each branch of a solution gives its own generator, 6a*b2 = 9by + branch*x
     def test_worked_1_1(self):
-        k = validate(1, 1)
-        cands = generator_from_solution(k, 9, 1)
-        assert OrderElement(-1, 0, 1) in cands
-        assert OrderElement(-1, 3, 1) in cands
-        for c in cands:
-            assert is_generator(k, c)
+        assert _per_branch(1, 1, 9, 1) == {
+            -1: OrderElement(-1, 0, 1), 1: OrderElement(-1, 3, 1),
+        }
 
     def test_worked_3_3(self):
-        k = validate(3, 3)
-        cands = generator_from_solution(k, 27, 1)
-        assert OrderElement(-1, 0, 1) in cands
-        assert OrderElement(-1, 3, 1) in cands
+        assert _per_branch(3, 3, 27, 1) == {
+            -1: OrderElement(-1, 0, 1), 1: OrderElement(-1, 3, 1),
+        }
 
     def test_worked_3_1_y0(self):
         k = validate(3, 1)
-        cands = generator_from_solution(k, 18, 0)
-        assert set(cands) == {OrderElement(1, 1, 0), OrderElement(1, -1, 0)}
+        assert _per_branch(3, 1, 18, 0) == {
+            -1: OrderElement(1, -1, 0), 1: OrderElement(1, 1, 0),
+        }
         assert d_beta(k, OrderElement(1, 1, 0)) in (54, -54)
 
     def test_no_integral_candidate_surfaces(self):
-        from cubicha.errors import NoIntegralCandidateError
-
         # (36, 0) solves x^2 + 3*delta*y^2 = 1296 for (-12, -11), but
         # 6a = -72 divides neither 9by + x = 36 nor 9by - x = -36
         k = validate(-12, -11)
+        order = build(k)
         assert 36 * 36 == 1296 == -108 * (-12) * k.g  # (36, 0) solves a target
+        for branch in (-1, 1):
+            with pytest.raises(NoIntegralCandidateError):
+                generator_from_solution(k, 36, 0, branch, order)
+
+    def test_case1_y_divisible_by_3_raises(self):
+        # (1, 1) is CASE1: with 3 | y the linear factor 3*b1 + 2a*y is a
+        # multiple of 3, never +-1, although 6a = 6 divides 9by - x = 27 - 3
+        k = validate(1, 1)
+        order = build(k)
         with pytest.raises(NoIntegralCandidateError):
-            generator_from_solution(k, 36, 0)
+            generator_from_solution(k, 3, 3, -1, order)
+
+
+def test_matched_solution_explains_the_generator(monkeypatch, capsys):
+    # b3 = y and 6a*b2 = 9by + branch*x on every FREE field of [-20, 20]^2,
+    # and the one candidate is verified once
+    calls = []
+    real = freeness.is_generator
+    monkeypatch.setattr(freeness, "is_generator", lambda *args: calls.append(1) or real(*args))
+    free = 0
+    for k in selfcheck.validated_pairs(20):
+        rep = decide_freeness(k)
+        if rep.verdict != FREE:
+            continue
+        free += 1
+        x, y, branch = rep.matched
+        _, b2, b3 = rep.generator.coords
+        assert (b3, 6 * k.a * b2) == (y, 9 * k.b * y + branch * x), (k.a, k.b)
+    assert free == len(calls) == 842
+    monkeypatch.undo()
+    assert cli.main(["analyze", "--a", "1", "--b", "471"]) == cli.EX_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["freeness"]["matched_solution"] == [4239, 1, -1]
+    assert doc["freeness"]["generator"] == [-1, 0, 1]
 
 
 class TestDecideFreeness:
@@ -311,3 +347,18 @@ def test_is_generator_checks_raise_under_optimize(run_optimized):
     assert len(lines) == 2, out
     assert "out of Z[alpha]" in lines[0]
     assert "determinant criterion says True" in lines[1]
+
+
+def test_generator_check_raises_under_optimize(run_optimized):
+    # python -O strips assert statements; a matched solution whose generator
+    # fails verification must still raise
+    out = run_optimized(
+        "from cubicha import freeness\n"
+        "from cubicha.cubicfield import validate\n"
+        "freeness.is_generator = lambda k, beta, order=None: False\n"
+        "try:\n"
+        "    freeness.decide_freeness(validate(1, 1))\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    assert out.startswith("raised:") and "is not a generator" in out, out
