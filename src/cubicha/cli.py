@@ -156,8 +156,7 @@ def cmd_analyze(args) -> int:
     return code
 
 
-def _scan_row(task) -> tuple:
-    a, b, convention, limit = task
+def _scan_row(a: int, b: int, convention: str, limit: int) -> tuple:
     try:
         k = validate(a, b, convention)
     except ValidationError as exc:
@@ -188,6 +187,24 @@ def _scan_row(task) -> tuple:
     )
 
 
+def _scan_group(task) -> tuple:
+    a, bs, convention, limit = task
+    return tuple(_scan_row(a, b, convention, limit) for b in bs)
+
+
+def _mirror_groups(a_range: range, b_range: range):
+    """(a, bs) per unit of scan work: bs is (b, -b) when both lie in
+    b_range, and (b,) otherwise.  The two fields of a pair share delta, g
+    and every Pell certificate, which quadrep caches only for the latest
+    targets, so they run back to back."""
+    for a in a_range:
+        for b in b_range:
+            if -b not in b_range or b == 0:
+                yield a, (b,)
+            elif b < 0:
+                yield a, (b, -b)
+
+
 def _parse_range(text: str) -> range:
     lo, _, hi = text.partition(":")
     return range(int(lo), int(hi) + 1)
@@ -204,18 +221,19 @@ def cmd_scan(args) -> int:
         print(f"scan: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EX_USAGE
     tasks = [
-        (a, b, args.reduced_convention, args.trial_division_limit)
-        for a in a_range
-        for b in b_range
+        (a, bs, args.reduced_convention, args.trial_division_limit)
+        for a, bs in _mirror_groups(a_range, b_range)
     ]
     # a forked pool starts all its workers at once: no more than tasks or CPUs
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # workers need the cap lifted too when they do not fork from main
         with ProcessPoolExecutor(max_workers=workers, initializer=_lift_int_str_cap) as pool:
-            results = list(pool.map(_scan_row, tasks, chunksize=16))
+            groups = list(pool.map(_scan_group, tasks, chunksize=8))
     else:
-        results = [_scan_row(t) for t in tasks]
+        groups = [_scan_group(t) for t in tasks]
+    # groups run in the order of their first field; rows go out a-major, b-minor
+    results = sorted((res for group in groups for res in group), key=lambda res: res[1:3])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))

@@ -41,6 +41,12 @@ Three regimes:
     are normalized to the orbit's (|y|, |x|)-minimal point and closed under
     both sign flips.
 
+    The certificate (unit and sorted representatives) is built once per
+    (|D|, N).  b -> -b maps x^3 - ax + b to x^3 - ax - b (alpha -> -alpha)
+    and keeps delta and g, so the fields (a, b) and (a, -b) pose the same
+    problems, and a scan, which evaluates the two back to back, solves them
+    once for both.  Only the orbit walk modulo 6|a| depends on b.
+
 Condition checking on an infinite orbit terminates because the conditions
 only depend on (x, y) modulo 6|a| (3 divides 6a, so "3 | y" is determined
 too): the orbit is walked modulo 6|a| with cycle detection, and an exact
@@ -326,18 +332,10 @@ def _normalize_rep(dabs: int, t: int, u: int, x: int, y: int) -> tuple[int, int]
         x, y = best
 
 
-def solve_indefinite(d: int, n: int) -> PellCertificate:
-    """Complete orbit representatives of x^2 + d*y^2 = n for d < 0, |d| nonsquare.
-
-    An empty representative set is a proof that no solutions exist.  Raises
-    FactorizationLimitError when the default factorization budget cannot
-    factor |n|.
-    """
-    if d >= 0 or n == 0:
-        raise AssertionError(f"solve_indefinite needs d < 0, n != 0, got d = {d}, n = {n}")
-    dabs = -d
-    if isqrt(dabs) ** 2 == dabs:
-        raise DegenerateFormError(f"|d| = {dabs} is a perfect square")
+@lru_cache(maxsize=2)
+def _indefinite_certificate(dabs: int, n: int) -> PellCertificate:
+    """solve_indefinite's certificate, kept for the mirror field (a, -b),
+    which poses the same (dabs, n) (see the module docstring)."""
     t, u = pell_fundamental(dabs)
     raw = []
     for f, z, pre, c0 in _located_roots(dabs, abs(n)):
@@ -350,6 +348,21 @@ def solve_indefinite(d: int, n: int) -> PellCertificate:
         nx, ny = _normalize_rep(dabs, t, u, x, y)
         reps.update({(nx, ny), (-nx, ny), (nx, -ny), (-nx, -ny)})
     return PellCertificate(INDEFINITE, (t, u), tuple(sorted(reps, key=_rep_order)))
+
+
+def solve_indefinite(d: int, n: int) -> PellCertificate:
+    """Complete orbit representatives of x^2 + d*y^2 = n for d < 0, |d| nonsquare.
+
+    An empty representative set is a proof that no solutions exist.  Raises
+    FactorizationLimitError when the default factorization budget cannot
+    factor |n|.
+    """
+    if d >= 0 or n == 0:
+        raise AssertionError(f"solve_indefinite needs d < 0, n != 0, got d = {d}, n = {n}")
+    dabs = -d
+    if isqrt(dabs) ** 2 == dabs:
+        raise DegenerateFormError(f"|d| = {dabs} is a perfect square")
+    return _indefinite_certificate(dabs, n)
 
 
 def solve_degenerate(d: int, n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> list[tuple[int, int]]:

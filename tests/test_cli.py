@@ -159,10 +159,47 @@ def test_one_build_per_valid_field(capsys, build_calls):
     assert main(["scan", "--a-range", "3:3", "--b-range=-9:9"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert len(rows) > 5
-    assert build_calls == [(int(r.split(",")[0]), int(r.split(",")[1])) for r in rows]
+    valid = {(int(r.split(",")[0]), int(r.split(",")[1])) for r in rows}
+    # the mirror pairs (3, -b), (3, b) run back to back, from b = 9 down
+    order = [(3, sign * b) for b in range(9, 0, -1) for sign in (-1, 1)] + [(3, 0)]
+    assert build_calls == [field for field in order if field in valid]
     build_calls.clear()
     assert main(["analyze", "--a", "6", "--b", "1"]) == 0
     assert build_calls == [(6, 1)]
+
+
+def test_mirror_pairs_agree(capsys):
+    # referee for the certificate cache the two fields of a mirror pair
+    # share: alpha -> -alpha takes x^3 - ax + b to x^3 - ax - b, so (a, b)
+    # and (a, -b) agree on everything but the generator
+    assert main(["scan", "--a-range=-15:15", "--b-range=-15:15"]) == 0
+    rows = {}
+    for line in capsys.readouterr().out.strip().split("\n")[1:]:
+        a, b, *cols = line.split(",")
+        rows[int(a), int(b)] = cols[:6]  # delta, g, case, iw, maximal, verdict
+    pairs = 0
+    for (a, b), cols in rows.items():
+        assert ((a, -b) in rows) == (b != 0), (a, b)
+        if b > 0:
+            assert rows[a, -b] == cols, (a, b)
+            pairs += 1
+    assert pairs > 250
+
+
+def test_one_unit_per_mirror_pair_problem(capsys, monkeypatch):
+    # every field of this row is indefinite or degenerate, and its mirror
+    # poses the same problems x^2 - |D|*y^2 = +-N: a scan solves each once
+    from cubicha import quadrep
+
+    problems, units = [], []
+    solve, unit = quadrep.solve_indefinite, quadrep.pell_fundamental
+    monkeypatch.setattr(quadrep, "solve_indefinite", lambda d, n: problems.append((d, n)) or solve(d, n))
+    monkeypatch.setattr(quadrep, "pell_fundamental", lambda dabs: units.append(dabs) or unit(dabs))
+    quadrep._indefinite_certificate.cache_clear()
+    assert main(["scan", "--a-range=-7:-7", "--b-range=-9:9"]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) > 10
+    assert len(problems) > 10
+    assert len(units) == len(set(problems)) == len(problems) // 2
 
 
 class TestScan:
@@ -226,15 +263,17 @@ class TestScan:
     def test_bad_range_exit_64(self, capsys):
         assert main(["scan", "--a-range", "1-3", "--b-range", "1:3"]) == 64
 
-    def test_jobs_capped_by_tasks_and_cpus(self, capsys, monkeypatch):
-        # a recording stand-in for the pool: no process is ever started
+    @pytest.fixture
+    def recording_pool(self, monkeypatch):
+        """A stand-in for the pool on a 4-CPU machine that records its
+        worker counts and mapped tasks; no process is ever started."""
         from cubicha import cli
 
-        pools = []
+        record = {"pools": [], "tasks": []}
 
         class RecordingPool:
             def __init__(self, max_workers, initializer):
-                pools.append(max_workers)
+                record["pools"].append(max_workers)
 
             def __enter__(self):
                 return self
@@ -243,10 +282,18 @@ class TestScan:
                 return False
 
             def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                record["tasks"] += tasks
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        return record
+
+    def test_jobs_capped_by_tasks_and_cpus(self, capsys, monkeypatch, recording_pool):
+        from cubicha import cli
+
+        pools = recording_pool["pools"]
         serial = ["scan", "--a-range=1:3", "--b-range=1:3"]
         assert main(serial) == 0
         want = capsys.readouterr().out
@@ -267,6 +314,22 @@ class TestScan:
         assert main(serial + ["--jobs", "8"]) == 0
         assert pools == []
         assert capsys.readouterr().out == want + want
+
+    def test_pool_tasks_keep_mirror_pairs_whole(self, capsys, recording_pool):
+        mapped = recording_pool["tasks"]
+        # b = 4..8 have no mirror in range, and b = 0 is its own
+        ranges = ["--a-range=-4:4", "--b-range=-3:8"]
+        assert main(["scan", *ranges, "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert mapped == []
+        assert main(["scan", *ranges, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        fields = [(a, b) for a, bs, *_ in mapped for b in bs]
+        assert sorted(fields) == [(a, b) for a in range(-4, 5) for b in range(-3, 9)]
+        for a, bs, *_ in mapped:
+            assert all(-b in bs for b in bs if -3 <= -b <= 8), (a, bs)
+        keys = [tuple(map(int, line.split(",")[:2])) for line in serial.strip().split("\n")[1:]]
+        assert len(keys) > 40 and keys == sorted(keys)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_64(self, capsys, monkeypatch, jobs):

@@ -360,6 +360,10 @@ class TestSolveIndefinite:
         monkeypatch.setattr(quadrep, "factorize", counting_factorize)
         monkeypatch.setattr(quadrep, "_principal_cycle", counting("cycle", quadrep._principal_cycle.__wrapped__))
         monkeypatch.setattr(quadrep, "_located_roots", counting("roots", quadrep._located_roots.__wrapped__))
+        # an empty certificate cache, so that no earlier test answers for the solver
+        monkeypatch.setattr(
+            quadrep, "_indefinite_certificate", lru_cache(maxsize=2)(quadrep._indefinite_certificate.__wrapped__)
+        )
         rep = decide_freeness(validate(-792, 209))
         assert rep.verdict == NOT_FREE
         (rhs, plus), (minus_rhs, minus) = rep.pell
