@@ -33,13 +33,22 @@ Three regimes:
     few steps; the periodic tail of the whole expansion, which is the cycle
     of its first reduced state, is then the principal cycle.  So a z whose
     first reduced state is off the principal cycle has no |Q| = 1 state at
-    all, pre-period included, and is dropped.  Otherwise the cycle's one
-    Q = 1 state (s, 1) is found by position, at both parities when the
-    period is odd, and a convergent is built only for a hit.  For the
-    forms here the period is always even: 3 divides |D|, and -1 is not a
-    square mod 3, so t^2 - |D|*u^2 = -1 has no solution.  Representatives
-    are normalized to the orbit's (|y|, |x|)-minimal point and closed under
-    both sign flips.
+    all, pre-period included, and is dropped.  Otherwise its hit is the
+    convergent at the cycle's one Q = 1 state (s, 1), which multiplies the
+    partial quotients from the root's position c0 up to (s, 1).  As
+    a_1 ... a_(L-1) is a palindrome, that stretch is the reverse of the
+    prefix a_1 ... a_(L-1-c0), so its product is that prefix product
+    transposed; and when c0 is the shorter of the two, the prefix product up
+    to c0, inverted, gives a point of the same orbit.  So each hit needs one
+    prefix product of the first half of the period, whose product tree the
+    unit already built: one left-to-right sweep over the sorted cut points
+    of a |N| reads them all off the tree's nodes, for both signs of N, and
+    each hit costs O(1) 2x2 products more.  A point whose value is N is
+    kept; one whose value is -N is multiplied by the unit of norm -1 when
+    the period is odd, and dropped otherwise.  For the forms here the
+    period is always even: 3 divides |D|, and -1 is not a square mod 3, so
+    t^2 - |D|*u^2 = -1 has no solution.  Representatives are normalized to
+    the orbit's (|y|, |x|)-minimal point and closed under both sign flips.
 
     The certificate (unit and sorted representatives) is built once per
     (|D|, N).  b -> -b maps x^3 - ax + b to x^3 - ax - b (alpha -> -alpha)
@@ -159,30 +168,68 @@ def _mat_mul(x: tuple, y: tuple) -> tuple:
     )
 
 
+def _row_mul(r: tuple, y: tuple) -> tuple:
+    # a row vector times a 2x2 matrix
+    return r[0] * y[0] + r[1] * y[2], r[0] * y[1] + r[1] * y[3]
+
+
 _LEAF = 32
 
 
 def _cf_matrix(quots) -> tuple:
     """The product of [[a, 1], [1, 0]] over the partial quotients a_0..a_i,
-    which is [[A_i, A_(i-1)], [B_i, B_(i-1)]] for the convergents A/B: runs
-    of _LEAF quotients multiplied in turn, then a balanced product tree."""
-    level = []
-    for i in range(0, len(quots), _LEAF):
-        a1, a0, b1, b0 = 1, 0, 0, 1
-        for a in quots[i:i + _LEAF]:
-            a1, a0, b1, b0 = a * a1 + a0, a1, a * b1 + b0, b1
-        level.append((a1, a0, b1, b0))
-    if not level:
-        return 1, 0, 0, 1
+    which is [[A_i, A_(i-1)], [B_i, B_(i-1)]] for the convergents A/B,
+    multiplied in turn: the leaf loop, for short runs only (the runs of
+    _LEAF in _cf_tree, a pre-period, the rest of a run up to a cut)."""
+    a1, a0, b1, b0 = 1, 0, 0, 1
+    for a in quots:
+        a1, a0, b1, b0 = a * a1 + a0, a1, a * b1 + b0, b1
+    return a1, a0, b1, b0
+
+
+def _cf_tree(quots) -> list:
+    """The product tree of _cf_matrix over quots, level by level: level 0
+    holds the runs of _LEAF quotients, and each level above the products of
+    neighbouring pairs below it, an odd last node carried up unchanged.  So
+    node j of level i covers runs j*2^i .. (j+1)*2^i - 1 (the last node up
+    to the last run), and the last level holds the whole product alone."""
+    level = [_cf_matrix(quots[i:i + _LEAF]) for i in range(0, len(quots), _LEAF)] or [(1, 0, 0, 1)]
+    tree = [level]
     while len(level) > 1:
         tail = level[-1:] if len(level) % 2 else []
         level = [_mat_mul(x, y) for x, y in zip(level[::2], level[1::2])] + tail
-    return level[0]
+        tree.append(level)
+    return tree
+
+
+def _prefix_rows(quots, tree, cuts) -> list:
+    """The top row of P(c) = _cf_matrix(quots[:c]) for each of the sorted
+    cuts, which lie within the quotients of ``tree`` (_cf_tree).
+
+    One left-to-right sweep: the top row of the product of the first whole
+    runs is carried from cut to cut, times the product of the tree nodes
+    that cover the runs between (O(log) of them per gap), and each cut adds
+    its last partial run."""
+    row, pos = (1, 0), 0  # the top row of the product of the first pos runs
+    rows = []
+    for c in cuts:
+        b = c // _LEAF
+        gap = (1, 0, 0, 1)
+        while pos < b:
+            # the highest node that starts at run pos and ends by run b
+            i = min(len(tree), (b - pos).bit_length(), (pos & -pos).bit_length() or len(tree)) - 1
+            gap = _mat_mul(gap, tree[i][pos >> i])
+            pos += 1 << i
+        row = _row_mul(row, gap)
+        rows.append(_row_mul(row, _cf_matrix(quots[b * _LEAF:c])))
+    return rows
 
 
 @lru_cache(maxsize=2)
 def _principal_cycle(dabs: int):
-    """(s, ps, qs, quots, (t, u)): the period of sqrt(dabs) and its unit.
+    """(s, ps, qs, quots, (t, u), tree, minus): the period of sqrt(dabs),
+    its unit, the product tree of the unit's half and, when the period is
+    odd, the unit of norm -1 (else None).
 
     s = isqrt(dabs); ps[i], qs[i] and quots[i] are P, Q and the partial
     quotient of the complete quotient (P + sqrt(dabs))/Q at step i + 1, so
@@ -196,7 +243,13 @@ def _principal_cycle(dabs: int):
     dabs = s^2 + 1).  The unit is the first column of M(s) M(a_1) ...
     M(a_(L-1)), M(a) = [[a, 1], [1, 0]], squared when L is odd; as M(a) is
     symmetric, that product is K M(a_h) K^T (L = 2h) or K K^T (L = 2h + 1)
-    for K = M(a_1) ... M(a_r), r = L - 1 - h.
+    for K = M(a_1) ... M(a_r), r = L - 1 - h, the root of ``tree``.
+
+    By the same symmetry a hit needs only a prefix P(c) = M(a_1) ... M(a_c)
+    with c <= r (see _cycle_points): a_(c+1) ... a_(L-1) is the reverse of
+    a_1 ... a_(L-1-c), so its product is P(L-1-c)^T.  The tree's nodes are
+    kept for _prefix_rows, which reads all the prefixes a target needs off
+    them in one sweep.
     """
     s = isqrt(dabs)
     new = (lambda: array("q")) if (2 * s).bit_length() < 64 else list
@@ -216,11 +269,14 @@ def _principal_cycle(dabs: int):
         p, q = p1, q1
     h = len(quots)
     r = h if odd else h - 1
-    k0, k1, k2, k3 = _cf_matrix(quots[:r])
+    tree = _cf_tree(quots[:r])
+    k0, k1, k2, k3 = tree[-1][0]
     x, y = (k0, k1) if odd else (quots[-1] * k0 + k1, k0)
     n0 = k0 * x + k1 * y
     t, u = s * n0 + k2 * x + k3 * y, n0
+    minus = None
     if odd:
+        minus = t, u
         t, u = t * t + dabs * u * u, 2 * t * u
         ps.append(p)  # P_(h+1)
     ps += ps[:h][::-1]
@@ -228,7 +284,7 @@ def _principal_cycle(dabs: int):
     qs.append(1)
     quots += quots[:r][::-1]
     quots.append(2 * s)
-    return s, ps, qs, quots, (t, u)
+    return s, ps, qs, quots, (t, u), tree, minus
 
 
 def pell_fundamental(dabs: int) -> tuple[int, int]:
@@ -248,7 +304,7 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
     reduced state, which is at position c of the cycle.
 
     Only (P, Q) is walked, to that state; a root whose first reduced state
-    is off the principal cycle has no hit (see _cf_hits and the module
+    is off the principal cycle has no hit (see _cycle_points and the module
     docstring) and is dropped.  All states are looked up in one pass over
     the cycle.  Nothing here depends on the sign of the target, so
     x^2 - dabs*y^2 = +-nabs share one call.  Raises FactorizationLimitError
@@ -264,7 +320,7 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
             for f, mf in splits
             for k in range(e // 2 + 1)
         ]
-    s, ps, qs, _, _ = _principal_cycle(dabs)
+    s, ps, qs = _principal_cycle(dabs)[:3]
     roots = []  # (f, z, pre, first reduced state)
     for f, mf in splits:
         m = nabs // (f * f)
@@ -286,35 +342,44 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
     return tuple((f, z, pre, where[st]) for f, z, pre, st in roots if st in where)
 
 
-def _cf_hits(dabs: int, z: int, q0: int, m: int, pre: tuple, c0: int) -> list[tuple[int, int]]:
-    """(G, B) with G^2 - dabs*B^2 = m from the PQa expansion of
-    (z + sqrt(dabs))/q0, q0 > 0 dividing z^2 - dabs, with partial quotients
-    ``pre`` up to its first reduced state j, at position c0 of the cycle.
+@lru_cache(maxsize=2)
+def _cycle_points(dabs: int, nabs: int) -> tuple:
+    """(f, x, y) for every located root (f, z, pre, c0) of nabs: a point
+    with x^2 - dabs*y^2 = +-nabs/f^2 in the orbit of the root's hits.
 
-    Its state k has value G_(k-1)^2 - dabs*B_(k-1)^2 = (-1)^k * q0 * Q_k,
-    and a hit is a state with |Q_k| = 1 and that value m.  Of the states
-    j .. j + L' - 1 (state j + L' repeats state j) only those at the
-    position of (s, 1) have Q = 1; L' is the period L, or 2L when L is odd,
-    so that (s, 1) is met at both parities, hence with both signs of the
-    value.  A state before j with |Q| = 1 adds no orbit: it is
-    +-(P + sqrt(dabs)), whose expansion meets (s, 1) at the same parity
-    within those states, and the two solutions differ by a unit of norm 1.
-    Convergents are built only for hits, by product trees.
+    The PQa expansion of (z + sqrt(dabs))/q0, q0 = nabs/f^2, has at its
+    state k the value G_(k-1)^2 - dabs*B_(k-1)^2 = (-1)^k * q0 * Q_k, and a
+    hit is a state with |Q_k| = 1, read off as (q0*G - z*B, B).  From its
+    first reduced state j = len(pre) on, at position c0 of the cycle, only
+    the states at the position of (s, 1) have Q = 1.  The first,
+    k = j + L - 1 - c0, has the convergent matrix
+    H = M(pre) P(c0)^-1 P(L-1) = M(pre) P(L-1-c0)^T (see _principal_cycle),
+    whose first column is (G, B).  When c0 < L-1-c0, the second column of
+    H P(L-1)^-1 = M(pre) P(c0)^-1 (det P(c0) = +-1, so the inverse is a
+    signed adjugate) gives instead -+ the hit times the conjugate of the
+    period's convergent, a unit of norm (-1)^L.  Either way a root needs
+    only the top row of P(min(c0, L-1-c0)), and min(c0, L-1-c0) <= r, so
+    one sweep of _prefix_rows over the unit's tree serves every root, and
+    both signs of the target.  The hits one period on differ by that unit
+    as well, so for odd L a point of either sign stands for the orbits of
+    both (see _indefinite_certificate).  A state before j with |Q| = 1 adds
+    no orbit: it is +-(P + sqrt(dabs)), whose expansion meets (s, 1) at the
+    same parity within the period, and the two solutions differ by a unit
+    of norm 1.
     """
-    quots = _principal_cycle(dabs)[3]
-    period = len(quots)
-    j = len(pre)
-    span = period if period % 2 == 0 else 2 * period
+    _, _, _, quots, _, tree, _ = _principal_cycle(dabs)
+    roots = _located_roots(dabs, nabs)
+    last = len(quots) - 1
+    cuts = sorted({min(c0, last - c0) for *_, c0 in roots})
+    rows = dict(zip(cuts, _prefix_rows(quots, tree, cuts)))
     out = []
-    for k in range(j + period - 1 - c0, j + span, period):
-        if (q0 if k % 2 == 0 else -q0) != m:
-            continue
-        seg = quots[c0:c0 + k - j]
-        if len(seg) < k - j:
-            seg += quots[:k - j - len(seg)]
-        g1, _, b1, _ = _mat_mul(_cf_matrix(pre), _cf_matrix(seg))
-        out.append((q0 * g1 - z * b1, b1))
-    return out
+    for f, z, pre, c0 in roots:
+        p0, p1 = rows[min(c0, last - c0)]
+        v0, v1 = (p0, p1) if c0 >= last - c0 else (-p1, p0)
+        m0, m1, m2, m3 = _cf_matrix(pre)
+        g, b = m0 * v0 + m1 * v1, m2 * v0 + m3 * v1
+        out.append((f, nabs // (f * f) * g - z * b, b))
+    return tuple(out)
 
 
 def _normalize_rep(dabs: int, t: int, u: int, x: int, y: int) -> tuple[int, int]:
@@ -335,17 +400,25 @@ def _normalize_rep(dabs: int, t: int, u: int, x: int, y: int) -> tuple[int, int]
 @lru_cache(maxsize=2)
 def _indefinite_certificate(dabs: int, n: int) -> PellCertificate:
     """solve_indefinite's certificate, kept for the mirror field (a, -b),
-    which poses the same (dabs, n) (see the module docstring)."""
+    which poses the same (dabs, n) (see the module docstring).
+
+    A point of _cycle_points with value +m = n/f^2 is a hit; one with value
+    -m is the other sign's hit, which the unit of norm -1 turns into one of
+    this sign when the period is odd, and is dropped otherwise."""
     t, u = pell_fundamental(dabs)
-    raw = []
-    for f, z, pre, c0 in _located_roots(dabs, abs(n)):
-        m = n // (f * f)
-        raw += [(f * g, f * b) for g, b in _cf_hits(dabs, z, abs(m), m, pre, c0)]
+    minus = _principal_cycle(dabs)[6]
     reps = set()
-    for x, y in raw:
-        if x * x - dabs * y * y != n:
-            raise AssertionError(f"({x}, {y}) does not solve x^2 - {dabs}*y^2 = {n}")
-        nx, ny = _normalize_rep(dabs, t, u, x, y)
+    for f, x, y in _cycle_points(dabs, abs(n)):
+        m = n // (f * f)
+        v = x * x - dabs * y * y
+        if v == -m:
+            if minus is None:
+                continue
+            x, y = minus[0] * x + dabs * minus[1] * y, minus[1] * x + minus[0] * y
+            v = x * x - dabs * y * y
+        if v != m:
+            raise AssertionError(f"({f * x}, {f * y}) does not solve x^2 - {dabs}*y^2 = {n}")
+        nx, ny = _normalize_rep(dabs, t, u, f * x, f * y)
         reps.update({(nx, ny), (-nx, ny), (nx, -ny), (-nx, -ny)})
     return PellCertificate(INDEFINITE, (t, u), tuple(sorted(reps, key=_rep_order)))
 

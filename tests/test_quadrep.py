@@ -214,7 +214,7 @@ def full_period_walk(d):
 class TestPrincipalCycle:
     @staticmethod
     def mirrored(d):
-        s, ps, qs, quots, _ = _principal_cycle(d)
+        s, ps, qs, quots = _principal_cycle(d)[:4]
         return s, list(ps), list(qs), list(quots)
 
     def test_small_d_both_parities(self):
@@ -249,9 +249,9 @@ class TestPrincipalCycle:
 
 
 def test_solution_certificates_raise_under_optimize(run_optimized):
-    # a zero target, to the solver and to FormProblem; then a bogus convergent hit
-    # (1, 1) for x^2 - 7y^2 = 9, then a bogus orbit representative (3, 1)
-    # that the side condition accepts at once
+    # a zero target, to the solver and to FormProblem; then a bogus point
+    # (1, 1) read off the cycle for x^2 - 7y^2 = 9, then a bogus orbit
+    # representative (3, 1) that the side condition accepts at once
     out = run_optimized(
         "from cubicha import quadrep\n"
         "for call in (lambda: quadrep.solve_indefinite(-69, 0),\n"
@@ -260,14 +260,13 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "        call()\n"
         "    except AssertionError as exc:\n"
         "        print('raised:', exc)\n"
-        "orig = quadrep._cf_hits\n"
-        "quadrep._cf_hits = lambda dabs, z, q0, m, pre, c0: (\n"
-        "    orig(dabs, z, q0, m, pre, c0) + ([(1, 1)] if q0 > 1 else []))\n"
+        "orig = quadrep._cycle_points\n"
+        "quadrep._cycle_points = lambda dabs, nabs: orig(dabs, nabs) + ((1, 1, 1),)\n"
         "try:\n"
         "    quadrep.solve_indefinite(-7, 9)\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
-        "quadrep._cf_hits = orig\n"
+        "quadrep._cycle_points = orig\n"
         "quadrep.solve_indefinite = lambda d, n: quadrep.PellCertificate(\n"
         "    quadrep.INDEFINITE, (8, 3), ((3, 1),))\n"
         "try:\n"
@@ -336,9 +335,21 @@ class TestSolveIndefinite:
             d, n = rng.randint(2, 20000), rng.randint(-200000, 200000)
             if n and isqrt(d) ** 2 != d:
                 problems.append((d, n))
+        # each way a point is read off the cycle (see quadrep._cycle_points):
+        # the hit from the transposed prefix P(L-1-c0)^T, its orbit point from
+        # the inverted prefix P(c0)^-1, and the shift of a hit of -m by the
+        # unit of norm -1
+        built = {"transposed": 0, "inverted": 0, "odd shift": 0}
         for d, n in problems:
             cert = solve_indefinite(-d, n)
             assert (cert.fundamental, set(cert.representatives)) == referee_representatives(d, n), (d, n)
+            last = len(_principal_cycle(d)[3]) - 1
+            for *_, c0 in quadrep._located_roots(d, abs(n)):
+                built["transposed" if c0 >= last - c0 else "inverted"] += 1
+            if last % 2 == 0:
+                for f, x, y in quadrep._cycle_points(d, abs(n)):
+                    built["odd shift"] += x * x - d * y * y == -(n // (f * f))
+        assert min(built.values()) >= 100, built
 
     def test_both_signs_share_one_cycle_unit_and_root_location(self, monkeypatch):
         # a NOT_FREE field solves x^2 + 3*delta*y^2 = +-N: |N| is factored,
@@ -371,6 +382,39 @@ class TestSolveIndefinite:
         assert calls == {"factorize": [abs(rhs)], "cycle": 1, "roots": 1}
         # one unit: a second product tree would make a second int object
         assert plus.fundamental[0] is minus.fundamental[0]
+
+    def test_hits_need_no_product_past_the_half_period(self, monkeypatch):
+        # from empty caches, the quotients multiplied one at a time (the leaf
+        # loop) are those of the unit's half period, each root's pre-period
+        # and at most one partial run of _LEAF per root: a hit's prefix comes
+        # from the unit's tree, not from a product over its own stretch
+        fed, roots, dabs = [0], [], set()
+        leaf, locate = quadrep._cf_matrix, quadrep._located_roots.__wrapped__
+
+        def counting_leaf(quots):
+            fed[0] += len(quots)
+            return leaf(quots)
+
+        def recording(d, nabs):
+            found = locate(d, nabs)
+            dabs.add(d)
+            roots.extend(found)
+            return found
+
+        monkeypatch.setattr(quadrep, "_cf_matrix", counting_leaf)
+        monkeypatch.setattr(quadrep, "_located_roots", lru_cache(maxsize=2)(recording))
+        for a, b in ((-315, 471), (-672, -830)):
+            for fn in list(vars(quadrep).values()):
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+            fed[0] = 0
+            roots.clear()
+            dabs.clear()
+            decide_freeness(validate(a, b))
+            (d,) = dabs
+            period = len(_principal_cycle(d)[3])
+            bound = -(-period // 2) + sum(len(pre) + quadrep._LEAF for _, _, pre, _ in roots)
+            assert 0 < fed[0] <= bound, (a, b, period, fed[0], bound)
 
     def test_factorization_limit_surfaces(self):
         # the roots z come from the factorization of the target, so a target
