@@ -22,13 +22,18 @@ Three regimes:
     the factorization of m (Hensel lifting and the CRT), not from a scan of
     all m residues.
 
-    The principal cycle of sqrt(|D|) (its reduced (P, Q) states and partial
-    quotients, in int64 arrays) and the fundamental unit are found once per
-    |D| and cached: the period is a palindrome, so half of it is walked and
-    mirrored, and the unit comes from a product tree over the first half.
-    The roots z, and where each meets the cycle, depend only on |N| and are
-    found once for both signs of N.  For each z only (P, Q) is walked, to
-    the first reduced state.  A state with Q = +-1 is +-(P + sqrt(|D|)),
+    The principal cycle of sqrt(|D|) and the fundamental unit are found
+    once per |D| and cached.  The period is a palindrome, so only its first
+    half is walked, and only its Q values and partial quotients are kept, in
+    plain lists: the walk steps Q by the recurrence
+    Q_(k+1) = Q_(k-1) + a_k (P_k - P_(k+1)), the second half is read back
+    through the palindrome, and any P comes from P_k^2 + Q_(k-1) Q_k = |D|.
+    The unit comes from a product tree over the first half.  The roots z,
+    and where each meets the cycle, depend only on |N| and are found once
+    for both signs of N.  For each z only (P, Q) is walked, to the first
+    reduced state, and the states are found on the cycle by one filter over
+    its stored Q for the wanted values, with P recovered for the few
+    positions that pass.  A state with Q = +-1 is +-(P + sqrt(|D|)),
     whose expansion runs into the complete quotients of sqrt(|D|) within a
     few steps; the periodic tail of the whole expansion, which is the cycle
     of its first reduced state, is then the principal cycle.  So a z whose
@@ -64,10 +69,11 @@ solution is reconstructed by automorph powering only when a state matches.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, divisors, factorize, sqrt_mod
 from .errors import DegenerateFormError, FactorizationLimitError
@@ -225,25 +231,43 @@ def _prefix_rows(quots, tree, cuts) -> list:
     return rows
 
 
+class _Cycle(NamedTuple):
+    """A _principal_cycle entry (see there)."""
+
+    s: int
+    qs: list
+    quots: list
+    unit: tuple[int, int]
+    tree: list
+    minus: tuple[int, int] | None
+    period: int
+
+
 @lru_cache(maxsize=2)
-def _principal_cycle(dabs: int):
-    """(s, ps, qs, quots, (t, u), tree, minus): the period of sqrt(dabs),
-    its unit, the product tree of the unit's half and, when the period is
-    odd, the unit of norm -1 (else None).
+def _principal_cycle(dabs: int) -> _Cycle:
+    """The first half of the period of sqrt(dabs), its length, its unit, the
+    product tree of the unit's half and, when the period is odd, the unit of
+    norm -1 (else None).
 
-    s = isqrt(dabs); ps[i], qs[i] and quots[i] are P, Q and the partial
-    quotient of the complete quotient (P + sqrt(dabs))/Q at step i + 1, so
-    index 0 holds (s, dabs - s^2) and the last index the only state with
-    Q = 1, (s, 1), whose quotient is 2s.  Every entry lies in (0, 2s], so the
-    arrays are int64 unless 2s does not fit.
+    s = isqrt(dabs); qs[i] and quots[i] are Q and the partial quotient of
+    the complete quotient (P + sqrt(dabs))/Q at step i + 1, for the first
+    h = len(qs) steps of the period L, h = floor(L/2).  Index 0 holds Q_1 =
+    dabs - s^2.  P is not stored: P_k^2 + Q_(k-1) Q_k = dabs with Q_0 = 1,
+    and the walk itself steps Q by Q_(k+1) = Q_(k-1) + a_k (P_k - P_(k+1))
+    rather than by a division.
 
-    The period L is a palindrome, Q_k = Q_(L-k), P_k = P_(L+1-k) and
+    The period is a palindrome, Q_k = Q_(L-k), P_k = P_(L+1-k) and
     a_k = a_(L-k), so (P, Q) is walked to its middle only: the first k with
     P_(k+1) = P_k (L = 2k) or Q_(k+1) = Q_k (L = 2k + 1, k = 0 for
-    dabs = s^2 + 1).  The unit is the first column of M(s) M(a_1) ...
-    M(a_(L-1)), M(a) = [[a, 1], [1, 0]], squared when L is odd; as M(a) is
-    symmetric, that product is K M(a_h) K^T (L = 2h) or K K^T (L = 2h + 1)
-    for K = M(a_1) ... M(a_r), r = L - 1 - h, the root of ``tree``.
+    dabs = s^2 + 1).  Position i of the whole cycle holds step i + 1: for
+    i < h, Q and the quotient are qs[i] and quots[i]; for h <= i < L - 1
+    they are qs[j] and quots[j], j = L - 2 - i; position L - 1 is the only
+    state with Q = 1, (s, 1), whose quotient is 2s.
+
+    The unit is the first column of M(s) M(a_1) ... M(a_(L-1)),
+    M(a) = [[a, 1], [1, 0]], squared when L is odd; as M(a) is symmetric,
+    that product is K M(a_h) K^T (L = 2h) or K K^T (L = 2h + 1) for
+    K = M(a_1) ... M(a_r), r = L - 1 - h, the root of ``tree``.
 
     By the same symmetry a hit needs only a prefix P(c) = M(a_1) ... M(a_c)
     with c <= r (see _cycle_points): a_(c+1) ... a_(L-1) is the reverse of
@@ -252,21 +276,19 @@ def _principal_cycle(dabs: int):
     them in one sweep.
     """
     s = isqrt(dabs)
-    new = (lambda: array("q")) if (2 * s).bit_length() < 64 else list
-    ps, qs, quots = new(), new(), new()
-    p, q = s, dabs - s * s
-    odd = q == 1
+    qs, quots = [], []
+    q0, p, q = 1, s, dabs - s * s  # Q_0, P_1, Q_1
+    odd = q == q0
     while not odd:
         a = (p + s) // q
-        ps.append(p)
         qs.append(q)
         quots.append(a)
         p1 = a * q - p
-        q1 = (dabs - p1 * p1) // q
         if p1 == p:
             break
-        odd = q1 == q
-        p, q = p1, q1
+        q0, q = q, q0 + a * (p - p1)
+        p = p1
+        odd = q == q0
     h = len(quots)
     r = h if odd else h - 1
     tree = _cf_tree(quots[:r])
@@ -278,13 +300,7 @@ def _principal_cycle(dabs: int):
     if odd:
         minus = t, u
         t, u = t * t + dabs * u * u, 2 * t * u
-        ps.append(p)  # P_(h+1)
-    ps += ps[:h][::-1]
-    qs += qs[:r][::-1]
-    qs.append(1)
-    quots += quots[:r][::-1]
-    quots.append(2 * s)
-    return s, ps, qs, quots, (t, u), tree, minus
+    return _Cycle(s, qs, quots, (t, u), tree, minus, 2 * h + odd)
 
 
 def pell_fundamental(dabs: int) -> tuple[int, int]:
@@ -293,7 +309,7 @@ def pell_fundamental(dabs: int) -> tuple[int, int]:
     (that convergent then has norm -1).  Built once per dabs, with its cycle."""
     if isqrt(dabs) ** 2 == dabs:
         raise DegenerateFormError(f"{dabs} is a perfect square")
-    return _principal_cycle(dabs)[4]
+    return _principal_cycle(dabs).unit
 
 
 @lru_cache(maxsize=2)
@@ -305,8 +321,11 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
 
     Only (P, Q) is walked, to that state; a root whose first reduced state
     is off the principal cycle has no hit (see _cycle_points and the module
-    docstring) and is dropped.  All states are looked up in one pass over
-    the cycle.  Nothing here depends on the sign of the target, so
+    docstring) and is dropped.  The states are looked up by one filter over
+    the stored Q of the cycle's first half for the Q values wanted: each
+    stored Q_k stands for two positions of the cycle (see _principal_cycle),
+    and each position's P comes from P^2 = dabs - Q_prev*Q, which must be a
+    square.  Nothing here depends on the sign of the target, so
     x^2 - dabs*y^2 = +-nabs share one call.  Raises FactorizationLimitError
     when the default budget cannot factor nabs.
     """
@@ -320,7 +339,8 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
             for f, mf in splits
             for k in range(e // 2 + 1)
         ]
-    s, ps, qs = _principal_cycle(dabs)[:3]
+    cycle = _principal_cycle(dabs)
+    s, qs = cycle.s, cycle.qs
     roots = []  # (f, z, pre, first reduced state)
     for f, mf in splits:
         m = nabs // (f * f)
@@ -337,15 +357,31 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
                     if 0 < p <= s and s - p < q <= s + p:
                         break
                 roots.append((f, z, tuple(pre), (p, q)))
-    wanted = {state for *_, state in roots}
-    where = {state: i for i, state in enumerate(zip(ps, qs)) if state in wanted}
+    wanted_q = {q for *_, (_, q) in roots}
+    h, last = len(qs), cycle.period - 1
+    where = {(s, 1): last}
+    for k in compress(range(h), map(wanted_q.__contains__, qs)):
+        q = qs[k]
+        # position k holds (P_(k+1), Q_(k+1)); position last - 1 - k, when
+        # it lies past the stored half, holds (P_(k+2), Q_(k+1))
+        sides = [(k, qs[k - 1] if k else 1)]
+        if last - 1 - k >= h:
+            sides.append((last - 1 - k, qs[min(k + 1, h - 1)]))
+        for i, q_prev in sides:
+            p2 = dabs - q_prev * q
+            p = isqrt(p2) if p2 > 0 else 0
+            if p == 0 or p * p != p2:
+                raise AssertionError(f"Q = {q} at position {i} of the cycle of sqrt({dabs}) has no P")
+            where[p, q] = i
     return tuple((f, z, pre, where[st]) for f, z, pre, st in roots if st in where)
 
 
 @lru_cache(maxsize=2)
 def _cycle_points(dabs: int, nabs: int) -> tuple:
-    """(f, x, y) for every located root (f, z, pre, c0) of nabs: a point
-    with x^2 - dabs*y^2 = +-nabs/f^2 in the orbit of the root's hits.
+    """(f, x, y, v) for every located root (f, z, pre, c0) of nabs: a point
+    in the orbit of the root's hits and its value v = x^2 - dabs*y^2, which
+    is +-nabs/f^2.  The value is computed here once for both signs of the
+    target; _indefinite_certificate checks it before it uses the point.
 
     The PQa expansion of (z + sqrt(dabs))/q0, q0 = nabs/f^2, has at its
     state k the value G_(k-1)^2 - dabs*B_(k-1)^2 = (-1)^k * q0 * Q_k, and a
@@ -367,18 +403,19 @@ def _cycle_points(dabs: int, nabs: int) -> tuple:
     same parity within the period, and the two solutions differ by a unit
     of norm 1.
     """
-    _, _, _, quots, _, tree, _ = _principal_cycle(dabs)
+    cycle = _principal_cycle(dabs)
     roots = _located_roots(dabs, nabs)
-    last = len(quots) - 1
+    last = cycle.period - 1
     cuts = sorted({min(c0, last - c0) for *_, c0 in roots})
-    rows = dict(zip(cuts, _prefix_rows(quots, tree, cuts)))
+    rows = dict(zip(cuts, _prefix_rows(cycle.quots, cycle.tree, cuts)))
     out = []
     for f, z, pre, c0 in roots:
         p0, p1 = rows[min(c0, last - c0)]
         v0, v1 = (p0, p1) if c0 >= last - c0 else (-p1, p0)
         m0, m1, m2, m3 = _cf_matrix(pre)
         g, b = m0 * v0 + m1 * v1, m2 * v0 + m3 * v1
-        out.append((f, nabs // (f * f) * g - z * b, b))
+        x = nabs // (f * f) * g - z * b
+        out.append((f, x, b, x * x - dabs * b * b))
     return tuple(out)
 
 
@@ -406,11 +443,10 @@ def _indefinite_certificate(dabs: int, n: int) -> PellCertificate:
     -m is the other sign's hit, which the unit of norm -1 turns into one of
     this sign when the period is odd, and is dropped otherwise."""
     t, u = pell_fundamental(dabs)
-    minus = _principal_cycle(dabs)[6]
+    minus = _principal_cycle(dabs).minus
     reps = set()
-    for f, x, y in _cycle_points(dabs, abs(n)):
+    for f, x, y, v in _cycle_points(dabs, abs(n)):
         m = n // (f * f)
-        v = x * x - dabs * y * y
         if v == -m:
             if minus is None:
                 continue

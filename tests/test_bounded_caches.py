@@ -1,6 +1,7 @@
 """Every functools cache in the package has a finite maxsize: an unbounded
 one grows for the life of the process (a ``scan`` meets thousands of
-fields), and the principal-cycle cache holds arrays as long as the period."""
+fields), and the principal-cycle cache holds lists half as long as the
+period."""
 
 import importlib
 import inspect

@@ -165,7 +165,7 @@ class TestPellFundamental:
 
     def test_period_past_int64(self):
         # sqrt(k^2 - 1) = [k - 1; 1, 2k - 2]: a two-step period whose
-        # entries (up to 2s) do not fit the int64 arrays
+        # entries (up to 2s) do not fit 64 bits
         k = 2**70
         d = k * k - 1
         assert periodic_sqrt_cf(d) == (k - 1, (1, 2 * k - 2))
@@ -211,26 +211,69 @@ def full_period_walk(d):
         q = (d - p * p) // q
 
 
-class TestPrincipalCycle:
-    @staticmethod
-    def mirrored(d):
-        s, ps, qs, quots = _principal_cycle(d)[:4]
-        return s, list(ps), list(qs), list(quots)
+def referee_located_roots(d, targets):
+    """Referee for _located_roots, for each |N| of targets: every f^2 | |N|
+    and every z <= m/2 with z^2 = d mod m = |N|/f^2, found by a scan of the
+    residues, walked by the PQa step to its first reduced state, which is
+    looked up in a dict of the states of full_period_walk."""
+    s, ps, qs, _ = full_period_walk(d)
+    where = {state: i for i, state in enumerate(zip(ps, qs))}
+    out = {}
+    for nabs in targets:
+        found = []
+        f = 1
+        while f * f <= nabs:
+            m = nabs // (f * f)
+            for z in range(m // 2 + 1) if nabs % (f * f) == 0 else ():
+                if (z * z - d) % m == 0:
+                    p, q, pre = z, m, []
+                    while True:
+                        a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
+                        pre.append(a)
+                        p = a * q - p
+                        q = (d - p * p) // q
+                        if 0 < p <= s and s - p < q <= s + p:
+                            break
+                    if (p, q) in where:
+                        found.append((f, z, tuple(pre), where[p, q]))
+            f += 1
+        out[nabs] = sorted(found)
+    return out
 
+
+def rebuilt_period(d):
+    """(s, ps, qs, quots) of the whole period, rebuilt from the half that
+    _principal_cycle stores: Q and the quotients of position i >= h read
+    from position L - 2 - i, the state (s, 1) last, and every P from
+    P_k^2 + Q_(k-1) Q_k = d, which must be an exact square."""
+    c = _principal_cycle(d)
+    h, period = len(c.qs), c.period
+    stored = list(range(h)) + [period - 2 - i for i in range(h, period - 1)]
+    qs = [c.qs[j] for j in stored] + [1]
+    quots = [c.quots[j] for j in stored] + [2 * c.s]
+    ps = []
+    for q_prev, q in zip([1] + qs, qs):
+        p = isqrt(d - q_prev * q)
+        assert p * p == d - q_prev * q, (d, len(ps))
+        ps.append(p)
+    return c.s, ps, qs, quots
+
+
+class TestPrincipalCycle:
     def test_small_d_both_parities(self):
         parities = set()
         for d in range(2, 20000):
             if isqrt(d) ** 2 != d:
                 want = full_period_walk(d)
-                assert self.mirrored(d) == want, d
+                assert rebuilt_period(d) == want, d
                 parities.add(len(want[3]) % 2)
         assert parities == {0, 1}
 
     def test_period_one(self):
-        # sqrt(s^2 + 1) = [s; 2s], the last with list storage
+        # sqrt(s^2 + 1) = [s; 2s]: nothing stored but s and the period
         for s in (1, 2, 3, 10, 999, 2**31, 2**70):
             d = s * s + 1
-            assert self.mirrored(d) == full_period_walk(d) == (s, [s], [1], [2 * s]), s
+            assert rebuilt_period(d) == full_period_walk(d) == (s, [s], [1], [2 * s]), s
 
     def test_seeded_large_d(self):
         rng = random.Random(1108)
@@ -238,20 +281,81 @@ class TestPrincipalCycle:
         while done < 300:
             d = rng.randint(10**8, 10**11)
             if isqrt(d) ** 2 != d:
-                assert self.mirrored(d) == full_period_walk(d), d
+                assert rebuilt_period(d) == full_period_walk(d), d
                 done += 1
 
     def test_list_storage(self):
-        # 2s does not fit int64, so the arrays are lists
+        # 2s does not fit 64 bits; the entries are plain lists all the same
         d = 2**140 - 1
-        assert isinstance(_principal_cycle(d)[1], list)
-        assert self.mirrored(d) == full_period_walk(d)
+        c = _principal_cycle(d)
+        assert type(c.qs) is type(c.quots) is list
+        assert rebuilt_period(d) == full_period_walk(d)
+
+    def test_stores_half_the_period_and_no_p(self):
+        # the entry's fields are named, none holds P, and the walk keeps at
+        # most ceil(L/2) values of Q and of the quotients
+        sizes = set()
+        for d in [*range(2, 3000), 2**140 - 1, 2**140 + 1, 10**10 + 19]:
+            if isqrt(d) ** 2 == d:
+                continue
+            c = _principal_cycle(d)
+            assert c._fields == ("s", "qs", "quots", "unit", "tree", "minus", "period")
+            period = len(full_period_walk(d)[3])
+            assert c.period == period, d
+            assert len(c.qs) == len(c.quots) <= -(-period // 2), d
+            sizes.add((period % 2, len(c.qs) == -(-period // 2)))
+        assert sizes == {(0, True), (1, False)}
+
+
+class TestLocatedRoots:
+    @staticmethod
+    def check(d, targets, seen):
+        want = referee_located_roots(d, targets)
+        h = len(_principal_cycle(d).qs)
+        for nabs in targets:
+            got = quadrep._located_roots(d, nabs)
+            assert sorted(got) == want[nabs], (d, nabs)
+            for *_, c in got:
+                seen["first half" if c < h else "second half"] += 1
+
+    def test_small_d(self):
+        # every nonsquare d < 3000, with targets that have roots: 1 (the
+        # state (s, d - s^2)), (s + 1)^2 - d, 4(d - s^2), and products of
+        # small primes with square factors
+        seen = {"first half": 0, "second half": 0}
+        for d in range(2, 3000):
+            s = isqrt(d)
+            if s * s != d:
+                self.check(d, (1, 12, 108, 900, (s + 1) ** 2 - d, 4 * (d - s * s)), seen)
+        assert min(seen.values()) > 5000, seen
+
+    def test_seeded_large_d(self):
+        rng = random.Random(1300)
+        seen = {"first half": 0, "second half": 0}
+        done = 0
+        while done < 300:
+            d = rng.randint(10**5, 10**10)
+            if isqrt(d) ** 2 != d:
+                self.check(d, (1, 12, 108, rng.randint(2, 5000)), seen)
+                done += 1
+        assert min(seen.values()) > 50, seen
+
+    def test_period_shapes(self):
+        # period 1 (d = s^2 + 1), odd and even periods, and 2s past 64 bits
+        parities = set()
+        for d in (2, 5, 13, 61, 3, 7, 69, 405, 10**6 + 1, 2**140 + 1, 2**140 - 1, 2**140 - 2**71):
+            self.check(d, range(1, 60), {"first half": 0, "second half": 0})
+            parities.add(_principal_cycle(d).period % 2)
+        assert parities == {0, 1}
 
 
 def test_solution_certificates_raise_under_optimize(run_optimized):
     # a zero target, to the solver and to FormProblem; then a bogus point
     # (1, 1) read off the cycle for x^2 - 7y^2 = 9, then a bogus orbit
-    # representative (3, 1) that the side condition accepts at once
+    # representative (3, 1) that the side condition accepts at once; then
+    # a stored Q of the cycle of sqrt(45) corrupted from 5 to 4, which
+    # without the check on P would move the root (1, 0) of 9 from position
+    # 3 of the cycle to position 2
     out = run_optimized(
         "from cubicha import quadrep\n"
         "for call in (lambda: quadrep.solve_indefinite(-69, 0),\n"
@@ -261,7 +365,7 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "    except AssertionError as exc:\n"
         "        print('raised:', exc)\n"
         "orig = quadrep._cycle_points\n"
-        "quadrep._cycle_points = lambda dabs, nabs: orig(dabs, nabs) + ((1, 1, 1),)\n"
+        "quadrep._cycle_points = lambda dabs, nabs: orig(dabs, nabs) + ((1, 1, 1, 1 - dabs),)\n"
         "try:\n"
         "    quadrep.solve_indefinite(-7, 9)\n"
         "except AssertionError as exc:\n"
@@ -273,12 +377,18 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "    quadrep.solve_with_conditions(quadrep.FormProblem(d=-7, n=9, modulus=6, ycoef=9))\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
+        "quadrep._principal_cycle(45).qs[2] -= 1\n"
+        "try:\n"
+        "    quadrep._located_roots(45, 9)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
     )
     assert out.splitlines() == [
         "raised: solve_indefinite needs d < 0, n != 0, got d = -69, n = 0",
         "raised: FormProblem needs d, n != 0, got d = -7, n = 0",
         "raised: (1, 1) does not solve x^2 - 7*y^2 = 9",
         "raised: (3, 1) does not solve x^2 - 7*y^2 = 9",
+        "raised: Q = 4 at position 3 of the cycle of sqrt(45) has no P",
     ], out
 
 
@@ -343,11 +453,11 @@ class TestSolveIndefinite:
         for d, n in problems:
             cert = solve_indefinite(-d, n)
             assert (cert.fundamental, set(cert.representatives)) == referee_representatives(d, n), (d, n)
-            last = len(_principal_cycle(d)[3]) - 1
+            last = _principal_cycle(d).period - 1
             for *_, c0 in quadrep._located_roots(d, abs(n)):
                 built["transposed" if c0 >= last - c0 else "inverted"] += 1
             if last % 2 == 0:
-                for f, x, y in quadrep._cycle_points(d, abs(n)):
+                for f, x, y, _ in quadrep._cycle_points(d, abs(n)):
                     built["odd shift"] += x * x - d * y * y == -(n // (f * f))
         assert min(built.values()) >= 100, built
 
@@ -412,7 +522,7 @@ class TestSolveIndefinite:
             dabs.clear()
             decide_freeness(validate(a, b))
             (d,) = dabs
-            period = len(_principal_cycle(d)[3])
+            period = _principal_cycle(d).period
             bound = -(-period // 2) + sum(len(pre) + quadrep._LEAF for _, _, pre, _ in roots)
             assert 0 < fed[0] <= bound, (a, b, period, fed[0], bound)
 
