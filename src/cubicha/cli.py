@@ -264,6 +264,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.grid < 1:
+        print(f"verify: --grid must be at least 1, got {args.grid}", file=sys.stderr)
+        return EX_USAGE
     # the referee routines load only for verify, never for analyze or scan
     from . import selfcheck
 

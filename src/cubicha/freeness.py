@@ -17,7 +17,10 @@ The solver reports the branch sign it matched, so a match (x, y, branch)
 fixes the one generator of the closed formulas (generator_from_solution),
 which is verified through the determinant criterion before it is reported.
 NOT_FREE is only reported with a completeness certificate from the Pell
-layer; UNDECIDED records a hit factorization limit in the degenerate regime.
+layer for both signs of the target: every solution (definite, degenerate)
+or one representative of every orbit of solutions (indefinite, where the
+side condition is constant on each orbit) fails the side condition.
+UNDECIDED records a hit factorization limit.
 """
 
 from __future__ import annotations

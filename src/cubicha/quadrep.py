@@ -59,12 +59,21 @@ Three regimes:
     (|D|, N).  b -> -b maps x^3 - ax + b to x^3 - ax - b (alpha -> -alpha)
     and keeps delta and g, so the fields (a, b) and (a, -b) pose the same
     problems, and a scan, which evaluates the two back to back, solves them
-    once for both.  Only the orbit walk modulo 6|a| depends on b.
+    once for both.  Only the side condition depends on b.
 
-Condition checking on an infinite orbit terminates because the conditions
-only depend on (x, y) modulo 6|a| (3 divides 6a, so "3 | y" is determined
-too): the orbit is walked modulo 6|a| with cycle detection, and an exact
-solution is reconstructed by automorph powering only when a state matches.
+The side condition is constant on each orbit, so every regime tests only
+its representatives, in one loop.  Take M = 6|a|, c = 9b, the forms
+l_s(x, y) = c*y + s*x for s = +-1, and the automorph
+A(x, y) = (t*x + |D|*u*y, u*x + t*y).  Then
+l_s(A(x, y)) = (t + s*c*u)*l_s(x, y) + s*u*(|D| - c^2)*y, and M divides
+|D| - c^2 = -(D + c^2) = -12a^3, so l_s(A v) = (t + s*c*u)*l_s(v) mod M.
+The multiplier is a unit mod M, as (t + s*c*u)(t - s*c*u) = t^2 - |D|*u^2
+= 1 mod M, and the same holds for A^-1 with -u.  So M divides l_s at one
+point of an orbit exactly when it divides l_s at every point, with the same
+s.  The condition "3 does not divide y" is constant too: 3 divides D and N,
+so 3 divides x, and t^2 = 1 mod 3 gives u*x + t*y = t*y mod 3.  FormProblem
+refuses any problem outside these hypotheses (M | D + c^2, and 3 | D, N when
+3 must not divide y).
 """
 
 from __future__ import annotations
@@ -89,7 +98,11 @@ class FormProblem:
 
     ``modulus`` is 6|a| and ``ycoef`` is 9b: a pair (x, y) is accepted when
     modulus divides ycoef*y + x or ycoef*y - x (and 3 does not divide y when
-    ``require_y_not_div3`` is set).
+    ``require_y_not_div3`` is set).  The problem must meet the hypotheses
+    under which acceptance is constant on each orbit of the automorph (see
+    the module docstring): modulus divides d + ycoef^2, and when
+    ``require_y_not_div3`` is set, 3 divides d and n.  The freeness problems
+    meet them (d + 81b^2 = 12a^3); any other raises AssertionError.
     """
 
     d: int
@@ -103,6 +116,14 @@ class FormProblem:
             raise AssertionError(f"FormProblem needs d, n != 0, got d = {self.d}, n = {self.n}")
         if self.modulus <= 0 or self.modulus % 6 != 0:
             raise AssertionError(f"FormProblem modulus {self.modulus} is not 6k, k > 0")
+        if (self.d + self.ycoef**2) % self.modulus != 0:
+            raise AssertionError(
+                f"FormProblem modulus {self.modulus} does not divide d + ycoef^2 = {self.d + self.ycoef**2}"
+            )
+        if self.require_y_not_div3 and (self.d % 3 or self.n % 3):
+            raise AssertionError(
+                f"FormProblem with 3 not dividing y needs 3 | d and 3 | n, got d = {self.d}, n = {self.n}"
+            )
 
     def accepts(self, x: int, y: int) -> int | None:
         """Matched branch sign (-1 for ycoef*y - x, +1 for ycoef*y + x), or None.
@@ -126,9 +147,9 @@ class PellCertificate:
     ``representatives`` is the complete solution set (DEFINITE, DEGENERATE)
     or a sign-closed complete set of orbit representatives (INDEFINITE).
     ``fundamental`` is present exactly in the INDEFINITE case.
-    ``orbit_period_mod`` records the longest orbit cycle length modulo the
-    condition modulus observed while checking conditions, when any orbit was
-    walked to completion.
+    ``orbit_period_mod`` is always None: the side condition is decided on
+    the representatives alone, and no orbit is walked.  The field stays for
+    the readers of the analyze JSON, which keeps its key.
     """
 
     kind: str
@@ -312,7 +333,6 @@ def pell_fundamental(dabs: int) -> tuple[int, int]:
     return _principal_cycle(dabs).unit
 
 
-@lru_cache(maxsize=2)
 def _located_roots(dabs: int, nabs: int) -> tuple:
     """(f, z, pre, c) for every f^2 | nabs and every square root z <= m/2 of
     dabs modulo m = nabs/f^2 whose expansion of (z + sqrt(dabs))/m reaches
@@ -326,8 +346,9 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
     stored Q_k stands for two positions of the cycle (see _principal_cycle),
     and each position's P comes from P^2 = dabs - Q_prev*Q, which must be a
     square.  Nothing here depends on the sign of the target, so
-    x^2 - dabs*y^2 = +-nabs share one call.  Raises FactorizationLimitError
-    when the default budget cannot factor nabs.
+    x^2 - dabs*y^2 = +-nabs share one call, through the cache of its one
+    caller, _cycle_points.  Raises FactorizationLimitError when the default
+    budget cannot factor nabs.
     """
     factors, cofactor = factorize(nabs)
     if cofactor != 1:
@@ -499,65 +520,31 @@ def solve_degenerate(d: int, n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) 
     return sorted(out, key=_rep_order)
 
 
-def _unit_pow(t: int, u: int, dabs: int, k: int) -> tuple[int, int]:
-    # (t + u*sqrt(dabs))^k by binary powering
-    rt, ru = 1, 0
-    bt, bu = t, u
-    while k:
-        if k & 1:
-            rt, ru = rt * bt + dabs * ru * bu, rt * bu + ru * bt
-        bt, bu = bt * bt + dabs * bu * bu, 2 * bt * bu
-        k >>= 1
-    return rt, ru
-
-
 def solve_with_conditions(
     problem: FormProblem, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT
 ) -> tuple[tuple[int, int, int] | None, PellCertificate]:
     """Search for a solution meeting the side conditions.
 
     Returns ((x, y, branch), certificate) on a hit, (None, certificate) for a
-    verified NONE.  For the indefinite kind each representative's orbit is
-    walked modulo the condition modulus with cycle detection, so NONE means
-    every solution class was examined exhaustively.
+    verified NONE.  The match is the first representative, in _rep_order,
+    that the problem accepts.  In the definite and degenerate kinds the
+    representatives are every solution; in the indefinite kind every
+    solution lies in the orbit of one, and the side condition is constant
+    on each orbit (see the module docstring), so NONE means every solution
+    class was examined exhaustively there too.
     """
-    d, n, m = problem.d, problem.n, problem.modulus
-    dabs = -d
-    if d > 0 or isqrt(dabs) ** 2 == dabs:
-        if d > 0:
-            cert = PellCertificate(DEFINITE, None, tuple(solve_definite(d, n)))
-        else:
-            cert = PellCertificate(DEGENERATE, None, tuple(solve_degenerate(d, n, limit)))
-        for x, y in cert.representatives:
-            branch = problem.accepts(x, y)
-            if branch is not None:
-                return (x, y, branch), cert
-        return None, cert
-
-    cert = solve_indefinite(d, n)
-    t, u = cert.fundamental
-    tm, um = t % m, u % m
-    dm = dabs % m
-    longest = 0
-    for x0, y0 in cert.representatives:
-        sx, sy = x0 % m, y0 % m
-        start = (sx, sy)
-        k = 0
-        while True:
-            branch = problem.accepts(sx, sy)
-            if branch is not None:
-                tk, uk = _unit_pow(t, u, dabs, k)
-                x, y = tk * x0 + dabs * uk * y0, uk * x0 + tk * y0
-                if x * x - dabs * y * y != n:
-                    raise AssertionError(f"({x}, {y}) does not solve x^2 - {dabs}*y^2 = {n}")
-                return (x, y, branch), cert
-            sx, sy = (tm * sx + dm * um * sy) % m, (um * sx + tm * sy) % m
-            k += 1
-            if (sx, sy) == start:
-                longest = max(longest, k)
-                break
-            if k > m * m + 1:  # unreachable: the map is a bijection mod m
-                raise AssertionError("orbit walk failed to cycle")
-    return None, PellCertificate(
-        cert.kind, cert.fundamental, cert.representatives, longest or None
-    )
+    d, n = problem.d, problem.n
+    if d > 0:
+        cert = PellCertificate(DEFINITE, None, tuple(solve_definite(d, n)))
+    elif isqrt(-d) ** 2 == -d:
+        cert = PellCertificate(DEGENERATE, None, tuple(solve_degenerate(d, n, limit)))
+    else:
+        cert = solve_indefinite(d, n)
+    for x, y in cert.representatives:
+        branch = problem.accepts(x, y)
+        if branch is not None:
+            if x * x + d * y * y != n:
+                sign = "-" if d < 0 else "+"
+                raise AssertionError(f"({x}, {y}) does not solve x^2 {sign} {abs(d)}*y^2 = {n}")
+            return (x, y, branch), cert
+    return None, cert

@@ -349,6 +349,14 @@ class TestScan:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_exit_64(self, capsys, grid):
+        # an empty grid would run suites of 0 checks and report them passed
+        assert main(["verify", f"--grid={grid}"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"verify: --grid must be at least 1, got {grid}" in captured.err
+
     def test_small_grid_passes(self, capsys):
         code = main(["verify", "--grid", "2", "--seed", "1"])
         out = capsys.readouterr().out

@@ -5,9 +5,10 @@ from math import isqrt
 import pytest
 
 from cubicha import quadrep
+from cubicha.assocorder import CASE1, classify
 from cubicha.cubicfield import validate
-from cubicha.errors import DegenerateFormError, FactorizationLimitError
-from cubicha.freeness import NOT_FREE, decide_freeness
+from cubicha.errors import DegenerateFormError, FactorizationLimitError, ValidationError
+from cubicha.freeness import _RHS_FACTOR, NOT_FREE, decide_freeness
 from cubicha.quadrep import (
     DEFINITE,
     DEGENERATE,
@@ -350,16 +351,21 @@ class TestLocatedRoots:
 
 
 def test_solution_certificates_raise_under_optimize(run_optimized):
-    # a zero target, to the solver and to FormProblem; then a bogus point
-    # (1, 1) read off the cycle for x^2 - 7y^2 = 9, then a bogus orbit
-    # representative (3, 1) that the side condition accepts at once; then
-    # a stored Q of the cycle of sqrt(45) corrupted from 5 to 4, which
-    # without the check on P would move the root (1, 0) of 9 from position
-    # 3 of the cycle to position 2
+    # a zero target, to the solver and to FormProblem; problems outside the
+    # hypotheses under which the side condition is constant on an orbit (6
+    # does not divide -7 + 81; 3 does not divide d; 3 does not divide n);
+    # then a bogus point (1, 1) read off the cycle for x^2 - 7y^2 = 9, then
+    # a bogus representative (3, 1) of x^2 - 69y^2 = 12 that the side
+    # condition accepts at once; then a stored Q of the cycle of sqrt(45)
+    # corrupted from 5 to 4, which without the check on P would move the
+    # root (1, 0) of 9 from position 3 of the cycle to position 2
     out = run_optimized(
         "from cubicha import quadrep\n"
         "for call in (lambda: quadrep.solve_indefinite(-69, 0),\n"
-        "             lambda: quadrep.FormProblem(d=-7, n=0, modulus=6, ycoef=9)):\n"
+        "             lambda: quadrep.FormProblem(d=-69, n=0, modulus=6, ycoef=9),\n"
+        "             lambda: quadrep.FormProblem(d=-7, n=9, modulus=6, ycoef=9),\n"
+        "             lambda: quadrep.FormProblem(d=-7, n=3, modulus=6, ycoef=1, require_y_not_div3=True),\n"
+        "             lambda: quadrep.FormProblem(d=-69, n=4, modulus=6, ycoef=9, require_y_not_div3=True)):\n"
         "    try:\n"
         "        call()\n"
         "    except AssertionError as exc:\n"
@@ -372,9 +378,9 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "    print('raised:', exc)\n"
         "quadrep._cycle_points = orig\n"
         "quadrep.solve_indefinite = lambda d, n: quadrep.PellCertificate(\n"
-        "    quadrep.INDEFINITE, (8, 3), ((3, 1),))\n"
+        "    quadrep.INDEFINITE, (7775, 936), ((3, 1),))\n"
         "try:\n"
-        "    quadrep.solve_with_conditions(quadrep.FormProblem(d=-7, n=9, modulus=6, ycoef=9))\n"
+        "    quadrep.solve_with_conditions(quadrep.FormProblem(d=-69, n=12, modulus=6, ycoef=9))\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
         "quadrep._principal_cycle(45).qs[2] -= 1\n"
@@ -385,9 +391,12 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
     )
     assert out.splitlines() == [
         "raised: solve_indefinite needs d < 0, n != 0, got d = -69, n = 0",
-        "raised: FormProblem needs d, n != 0, got d = -7, n = 0",
+        "raised: FormProblem needs d, n != 0, got d = -69, n = 0",
+        "raised: FormProblem modulus 6 does not divide d + ycoef^2 = 74",
+        "raised: FormProblem with 3 not dividing y needs 3 | d and 3 | n, got d = -7, n = 3",
+        "raised: FormProblem with 3 not dividing y needs 3 | d and 3 | n, got d = -69, n = 4",
         "raised: (1, 1) does not solve x^2 - 7*y^2 = 9",
-        "raised: (3, 1) does not solve x^2 - 7*y^2 = 9",
+        "raised: (3, 1) does not solve x^2 - 69*y^2 = 12",
         "raised: Q = 4 at position 3 of the cycle of sqrt(45) has no P",
     ], out
 
@@ -476,15 +485,17 @@ class TestSolveIndefinite:
             def wrapped(*args):
                 calls[key] += 1
                 return fn(*args)
-            return lru_cache(maxsize=2)(wrapped)
+            return wrapped
 
         monkeypatch.setattr(quadrep, "factorize", counting_factorize)
-        monkeypatch.setattr(quadrep, "_principal_cycle", counting("cycle", quadrep._principal_cycle.__wrapped__))
-        monkeypatch.setattr(quadrep, "_located_roots", counting("roots", quadrep._located_roots.__wrapped__))
-        # an empty certificate cache, so that no earlier test answers for the solver
-        monkeypatch.setattr(
-            quadrep, "_indefinite_certificate", lru_cache(maxsize=2)(quadrep._indefinite_certificate.__wrapped__)
-        )
+        cycle = counting("cycle", quadrep._principal_cycle.__wrapped__)
+        monkeypatch.setattr(quadrep, "_principal_cycle", lru_cache(maxsize=2)(cycle))
+        # _located_roots has no cache of its own: the one of _cycle_points,
+        # its one caller, shares it between the signs
+        monkeypatch.setattr(quadrep, "_located_roots", counting("roots", quadrep._located_roots))
+        # empty caches, so that no earlier test answers for the solver
+        for name in ("_cycle_points", "_indefinite_certificate"):
+            monkeypatch.setattr(quadrep, name, lru_cache(maxsize=2)(getattr(quadrep, name).__wrapped__))
         rep = decide_freeness(validate(-792, 209))
         assert rep.verdict == NOT_FREE
         (rhs, plus), (minus_rhs, minus) = rep.pell
@@ -498,8 +509,8 @@ class TestSolveIndefinite:
         # loop) are those of the unit's half period, each root's pre-period
         # and at most one partial run of _LEAF per root: a hit's prefix comes
         # from the unit's tree, not from a product over its own stretch
-        fed, roots, dabs = [0], [], set()
-        leaf, locate = quadrep._cf_matrix, quadrep._located_roots.__wrapped__
+        fed, roots, located = [0], [], []
+        leaf, locate = quadrep._cf_matrix, quadrep._located_roots
 
         def counting_leaf(quots):
             fed[0] += len(quots)
@@ -507,21 +518,22 @@ class TestSolveIndefinite:
 
         def recording(d, nabs):
             found = locate(d, nabs)
-            dabs.add(d)
+            located.append((d, nabs))
             roots.extend(found)
             return found
 
         monkeypatch.setattr(quadrep, "_cf_matrix", counting_leaf)
-        monkeypatch.setattr(quadrep, "_located_roots", lru_cache(maxsize=2)(recording))
+        monkeypatch.setattr(quadrep, "_located_roots", recording)
         for a, b in ((-315, 471), (-672, -830)):
             for fn in list(vars(quadrep).values()):
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
             fed[0] = 0
             roots.clear()
-            dabs.clear()
+            located.clear()
             decide_freeness(validate(a, b))
-            (d,) = dabs
+            # one root location for the one (|D|, |N|), whatever the signs solved
+            ((d, _),) = located
             period = _principal_cycle(d).period
             bound = -(-period // 2) + sum(len(pre) + quadrep._LEAF for _, _, pre, _ in roots)
             assert 0 < fed[0] <= bound, (a, b, period, fed[0], bound)
@@ -570,6 +582,123 @@ class TestSolveDegenerate:
         assert exc.value.limit == 1000
 
 
+def unit_pow(t, u, dabs, k):
+    """(t + u*sqrt(dabs))^k by binary powering."""
+    rt, ru = 1, 0
+    bt, bu = t, u
+    while k:
+        if k & 1:
+            rt, ru = rt * bt + dabs * ru * bu, rt * bu + ru * bt
+        bt, bu = bt * bt + dabs * bu * bu, 2 * bt * bu
+        k >>= 1
+    return rt, ru
+
+
+def referee_orbit_walk(problem, cert):
+    """Referee for solve_with_conditions in the indefinite regime: every
+    representative's orbit walked modulo the condition modulus until it
+    cycles, and the first accepted state, in the order of the
+    representatives and then of the power k of the unit, rebuilt exactly
+    by powering the unit.  Returns that match (or None) and, for each
+    representative, the verdicts of problem.accepts along its orbit."""
+    dabs, n, m = -problem.d, problem.n, problem.modulus
+    t, u = cert.fundamental
+    tm, um, dm = t % m, u % m, dabs % m
+    orbits, match = [], None
+    for x0, y0 in cert.representatives:
+        start = sx, sy = x0 % m, y0 % m
+        verdicts = []
+        while True:
+            branch = problem.accepts(sx, sy)
+            if branch is not None and match is None:
+                tk, uk = unit_pow(t, u, dabs, len(verdicts))
+                x, y = tk * x0 + dabs * uk * y0, uk * x0 + tk * y0
+                assert x * x - dabs * y * y == n
+                match = (x, y, branch)
+            verdicts.append(branch)
+            sx, sy = (tm * sx + dm * um * sy) % m, (um * sx + tm * sy) % m
+            if (sx, sy) == start:
+                break
+            assert len(verdicts) <= m * m, "the automorph is a bijection mod m"
+        orbits.append(verdicts)
+    return match, orbits
+
+
+def freeness_problems(lo, hi):
+    """The FormProblem of each sign of the target that decide_freeness poses
+    for every valid field (a, b) with lo <= a, b <= hi."""
+    for a in range(lo, hi + 1):
+        for b in range(lo, hi + 1):
+            try:
+                k = validate(a, b)
+            except ValidationError:
+                continue
+            major = classify(k).major
+            base = _RHS_FACTOR[major] * a * k.g
+            for n in (base, -base):
+                yield FormProblem(
+                    d=3 * k.delta, n=n, modulus=6 * abs(a), ycoef=9 * b, require_y_not_div3=major == CASE1
+                )
+
+
+class TestConditionConstantOnOrbits:
+    def test_orbit_walk_referee_on_freeness_problems(self):
+        # every indefinite problem of [-20,20]^2, both signs: the walk of
+        # each orbit modulo 6|a| finds the solver's match, and acceptance,
+        # with its branch, is the same at every state of every orbit
+        seen = {"match": 0, "none": 0, "y3": 0, "orbit > 1": 0}
+        for p in freeness_problems(-20, 20):
+            if p.d > 0 or isqrt(-p.d) ** 2 == -p.d:
+                continue
+            match, cert = solve_with_conditions(p)
+            want, orbits = referee_orbit_walk(p, cert)
+            assert match == want, p
+            for rep, verdicts in zip(cert.representatives, orbits):
+                assert set(verdicts) == {p.accepts(*rep)}, (p, rep)
+                seen["orbit > 1"] += len(verdicts) > 1
+            seen["match" if match else "none"] += 1
+            seen["y3"] += p.require_y_not_div3 and match is not None
+        assert min(seen.values()) >= 100, seen
+
+    def test_linear_form_identity_on_seeded_points(self):
+        # l_s(A v) = (t + s*c*u) l_s(v) + s*u*(|D| - c^2)*y exactly, for
+        # l_s(x, y) = c*y + s*x, c = 9b, |D| = 81b^2 - 12a^3 and the unit
+        # (t, u) of |D|; 6|a| divides the last term, and the multiplier is a
+        # unit modulo 6|a|
+        rng = random.Random(14)
+        done = 0
+        while done < 200:
+            a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+            dabs = 81 * b * b - 12 * a**3
+            if a == 0 or dabs <= 0 or isqrt(dabs) ** 2 == dabs:
+                continue
+            t, u = pell_fundamental(dabs)
+            m, c = 6 * abs(a), 9 * b
+            for _ in range(5):
+                x, y = rng.randint(-(10**9), 10**9), rng.randint(-(10**9), 10**9)
+                ax, ay = t * x + dabs * u * y, u * x + t * y
+                for s in (1, -1):
+                    mult = t + s * c * u
+                    rest = (c * ay + s * ax) - mult * (c * y + s * x)
+                    assert rest == s * u * (dabs - c * c) * y, (a, b, x, y, s)
+                    assert rest % m == 0, (a, b, x, y, s)
+                    assert mult * (t - s * c * u) % m == 1, (a, b, s)
+            done += 1
+
+    def test_problem_outside_the_hypotheses_rejected(self):
+        # each of these breaks one hypothesis of the lemma and meets the rest
+        for kwargs in (
+            dict(d=-69, n=12, modulus=18, ycoef=9),  # 18 does not divide -69 + 81
+            dict(d=-7, n=3, modulus=6, ycoef=1, require_y_not_div3=True),  # 3 does not divide d
+            dict(d=-69, n=4, modulus=6, ycoef=9, require_y_not_div3=True),  # 3 does not divide n
+        ):
+            with pytest.raises(AssertionError, match="FormProblem"):
+                FormProblem(**kwargs)
+            if kwargs.get("require_y_not_div3"):
+                FormProblem(**{**kwargs, "require_y_not_div3": False})
+        FormProblem(d=-69, n=12, modulus=6, ycoef=9, require_y_not_div3=True)
+
+
 class TestSolveWithConditions:
     def test_worked_instance_1_1(self):
         p = FormProblem(d=-69, n=12, modulus=6, ycoef=9, require_y_not_div3=True)
@@ -609,16 +738,18 @@ class TestSolveWithConditions:
         assert match is not None and match[1] % 3 != 0
 
     def test_none_reverified_by_exhaustion(self):
-        # small indefinite problems reported NONE: check against the box oracle
+        # small indefinite problems reported NONE: check against the box
+        # oracle; the problems meet FormProblem's hypotheses, so |d| is
+        # drawn congruent to ycoef^2 modulo the modulus
         rng = random.Random(5)
-        done = 0
-        while done < 25:
-            d = rng.randint(2, 200)
-            if isqrt(d) ** 2 == d:
-                continue
-            n = rng.choice([12, -12, 24, -24, 36, -36])
+        found = {"match": 0, "none": 0}
+        while min(found.values()) < 10:
             modulus = rng.choice([6, 12, 18])
             ycoef = rng.choice([9, 18, 27])
+            d = rng.randint(2, 200)
+            if isqrt(d) ** 2 == d or (d - ycoef * ycoef) % modulus:
+                continue
+            n = rng.choice([12, -12, 24, -24, 36, -36])
             p = FormProblem(d=-d, n=n, modulus=modulus, ycoef=ycoef)
             match, cert = solve_with_conditions(p)
             if match is not None:
@@ -629,7 +760,7 @@ class TestSolveWithConditions:
                 for x, y in brute_box(d, n, 3000):
                     assert (ycoef * y + x) % modulus != 0
                     assert (ycoef * y - x) % modulus != 0
-            done += 1
+            found["match" if match else "none"] += 1
 
     def test_degenerate_route(self):
         # 3*delta = -2916 = -(54^2) for (a, b) = (-6, 2); targets are -+1296
