@@ -7,8 +7,9 @@
 All numeric output is exact: integers stay integers and rationals are
 rendered as "num/den" strings.  Exit codes: 0 decided verdict (or every
 verify suite passed), 1 a verify suite failed, 2 validation rejection,
-3 undecided (a factorization limit was hit), 64 usage error, 74 unwritable
-output.
+3 undecided (a factorization limit was hit), 64 usage error (including a
+negative --trial-division-limit or CHA_TRIAL_DIVISION_LIMIT), 74
+unwritable output.
 """
 
 from __future__ import annotations
@@ -287,12 +288,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"cubicha {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    env_limit = os.environ.get(ENV_TRIAL_LIMIT)
-    try:
-        default_limit = int(env_limit) if env_limit else DEFAULT_TRIAL_DIVISION_LIMIT
-    except ValueError:
-        parser.exit(EX_USAGE, f"cubicha: error: {ENV_TRIAL_LIMIT} must be an integer, got {env_limit!r}\n")
-
     def common(p):
         p.add_argument(
             "--reduced-convention",
@@ -303,7 +298,6 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--trial-division-limit",
             type=int,
-            default=default_limit,
             help=(
                 f"factorization budget L: trial division to min(L, {TRIAL_DIVISION_BOUND}), "
                 f"then up to (L - {TRIAL_DIVISION_BOUND})/{RHO_ITERATION_COST} rho iterations "
@@ -342,10 +336,40 @@ def _lift_int_str_cap() -> None:
         sys.set_int_max_str_digits(0)
 
 
+# built once, at import: building it takes most of a millisecond, about
+# as long as analyzing a typical field, and in-process callers run main
+# once per field
+PARSER = build_parser()
+
+
+def _env_trial_limit() -> int:
+    """The default budget: CHA_TRIAL_DIVISION_LIMIT when set, read anew on
+    every call so in-process callers may change it between calls."""
+    env_limit = os.environ.get(ENV_TRIAL_LIMIT)
+    if not env_limit:
+        return DEFAULT_TRIAL_DIVISION_LIMIT
+    try:
+        limit = int(env_limit)
+    except ValueError:
+        PARSER.exit(EX_USAGE, f"cubicha: error: {ENV_TRIAL_LIMIT} must be an integer, got {env_limit!r}\n")
+    if limit < 0:
+        PARSER.exit(EX_USAGE, f"cubicha: error: {ENV_TRIAL_LIMIT} must be at least 0, got {env_limit!r}\n")
+    return limit
+
+
 def main(argv=None) -> int:
     _lift_int_str_cap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    default_limit = _env_trial_limit()
+    args = PARSER.parse_args(argv)
+    if "trial_division_limit" in args:
+        if args.trial_division_limit is None:
+            args.trial_division_limit = default_limit
+        elif args.trial_division_limit < 0:
+            print(
+                f"{args.command}: --trial-division-limit must be at least 0, got {args.trial_division_limit}",
+                file=sys.stderr,
+            )
+            return EX_USAGE
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from cubicha.arith import DEFAULT_TRIAL_DIVISION_LIMIT
 from cubicha.cli import CSV_HEADER, analyze_document, build_parser, main
 from cubicha.cubicfield import OrderElement, validate
 from cubicha.freeness import d_beta
@@ -427,3 +428,105 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
+
+    def test_main_builds_no_parser(self, capsys, monkeypatch, tmp_path):
+        from cubicha import cli
+
+        def no_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        assert main(["analyze", "--a", "1", "--b", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["freeness"]["verdict"] == "FREE"
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--a-range=1:3", "--b-range=1:3", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == CSV_HEADER
+        assert main(["scan", "--a-range=1:3", "--b-range=1:3", "--jobs", "0"]) == 64
+        assert "--jobs must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_env_limit_read_on_every_call(self, capsys, monkeypatch):
+        argv = ["analyze", "--a", "-210", "--b", "-186"]
+        monkeypatch.setenv("CHA_TRIAL_DIVISION_LIMIT", "4")
+        assert main(argv) == 3
+        assert json.loads(capsys.readouterr().out)["conventions"]["trial_division_limit"] == 4
+        monkeypatch.delenv("CHA_TRIAL_DIVISION_LIMIT")
+        assert main(argv) == 0
+        limit = json.loads(capsys.readouterr().out)["conventions"]["trial_division_limit"]
+        assert limit == DEFAULT_TRIAL_DIVISION_LIMIT
+
+    def test_flag_beats_env_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHA_TRIAL_DIVISION_LIMIT", "4")
+        assert main(["analyze", "--a", "-210", "--b", "-186", "--trial-division-limit", "10000000"]) == 0
+        assert json.loads(capsys.readouterr().out)["conventions"]["trial_division_limit"] == 10**7
+
+    @pytest.mark.parametrize(
+        "argv", [["analyze", "--a", "1", "--b", "1"], ["verify"], ["--version"]]
+    )
+    def test_malformed_env_limit_raises_in_process(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("CHA_TRIAL_DIVISION_LIMIT", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cubicha: error: CHA_TRIAL_DIVISION_LIMIT must be an integer, got 'abc'\n"
+
+    def test_no_state_carried_between_calls(self, capsys, monkeypatch):
+        monkeypatch.delenv("CHA_TRIAL_DIVISION_LIMIT", raising=False)
+        flags = ["--format", "text", "--reduced-convention", "loose", "--trial-division-limit", "4"]
+        main(["analyze", "--a", "4", "--b", "8", *flags])
+        assert "a=4 b=8" in capsys.readouterr().out
+        assert main(["analyze", "--a", "4", "--b", "8"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["validation"]["code"] == "NOT_REDUCED"
+        assert doc["conventions"] == {
+            "reduced_convention": "strict",
+            "trial_division_limit": DEFAULT_TRIAL_DIVISION_LIMIT,
+        }
+
+
+class TestNegativeBudget:
+    COMMANDS = {
+        "analyze": ["analyze", "--a", "-210", "--b", "-186"],
+        "scan": ["scan", "--a-range=1:3", "--b-range=1:3"],
+    }
+
+    @pytest.mark.parametrize("command", ["analyze", "scan"])
+    def test_negative_flag_exit_64(self, capsys, monkeypatch, command):
+        monkeypatch.delenv("CHA_TRIAL_DIVISION_LIMIT", raising=False)
+        assert main([*self.COMMANDS[command], "--trial-division-limit", "-5"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{command}: --trial-division-limit must be at least 0, got -5\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "scan"])
+    def test_negative_env_exit_64(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("CHA_TRIAL_DIVISION_LIMIT", "-3")
+        with pytest.raises(SystemExit) as exc:
+            main(self.COMMANDS[command])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cubicha: error: CHA_TRIAL_DIVISION_LIMIT must be at least 0, got '-3'\n"
+
+    def test_zero_budget_accepted(self, capsys, monkeypatch):
+        monkeypatch.delenv("CHA_TRIAL_DIVISION_LIMIT", raising=False)
+        assert main(["analyze", "--a", "1", "--b", "1", "--trial-division-limit", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["conventions"]["trial_division_limit"] == 0
+        monkeypatch.setenv("CHA_TRIAL_DIVISION_LIMIT", "0")
+        assert main(self.COMMANDS["scan"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == CSV_HEADER
+
+
+def test_library_import_loads_no_cli():
+    # the parser is built when cubicha.cli is imported; library users must
+    # not pay for it, nor for argparse
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, cubicha\n"
+            "print([m for m in ('cubicha.cli', 'argparse') if m in sys.modules])",
+        ],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "[]\n"
