@@ -1,16 +1,18 @@
 """Exact integer arithmetic utilities.
 
-p-adic valuations, BPSW primality (Miller-Rabin plus a strong Lucas test),
-factorization within an explicit work budget (trial division to a small
-bound, then Brent's rho) that hands back what it could not split instead of
-a silent wrong answer, and square roots modulo n from the factorization of
-n.  The one continued-fraction engine is the principal-cycle walk in
-``quadrep``.
+p-adic valuations, primality (Miller-Rabin to as many prime bases as make it
+a proof below psi_12 ~ 3.2 * 10^23, and the BPSW test, Miller-Rabin plus a
+strong Lucas test, above), factorization within an explicit work budget
+(trial division by a table of primes up to a small bound, then Brent's rho)
+that hands back what it could not split instead of a silent wrong answer, and
+square roots modulo n from the factorization of n.  The one
+continued-fraction engine is the principal-cycle walk in ``quadrep``.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain, compress
 from math import gcd, isqrt
 
 INFINITY = math.inf
@@ -19,22 +21,63 @@ DEFAULT_TRIAL_DIVISION_LIMIT = 10**7
 
 # factorize divides by primes up to this bound and leaves larger ones to rho
 TRIAL_DIVISION_BOUND = 2**12
-# One Brent iteration costs about ten trial divisions (both measured on a
-# 40-digit p*q), so a limit L buys (L - TRIAL_DIVISION_BOUND) // 10 of them.
+# One Brent iteration was measured at about ten divisions of the old 6k +- 1
+# trial-division wheel (both on a 40-digit p*q), so a limit L buys
+# (L - TRIAL_DIVISION_BOUND) // 10 of them.  Trial division now runs over
+# blocks of primes and costs less per prime, but the budget formula is kept
+# as it was, so a given limit ends the same factorizations UNDECIDED.
 RHO_ITERATION_COST = 10
 # iterations whose |x - y| are multiplied together before one gcd
 _RHO_BATCH = 128
 
-# Miller-Rabin to these twelve bases is a proof of primality below
-# 318665857834031151167461 (~3.2 * 10^23), the least strong pseudoprime to
-# all of them; the strong Lucas test after it makes is_prime the BPSW test,
-# for which no composite that passes is known.
+
+def _sieve(bound: int) -> list[int]:
+    """The primes up to ``bound``, ascending, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * (bound + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return list(compress(range(bound + 1), flags))
+
+
+_PRIMES = _sieve(TRIAL_DIVISION_BOUND)  # 564 primes, the last 4093
+# the primes from 5 up in blocks of 16, each with its product: one gcd
+# skips a block that holds no factor
+_TRIAL_BLOCKS = tuple(
+    (block, math.prod(block)) for block in (_PRIMES[i : i + 16] for i in range(2, len(_PRIMES), 16))
+)
+
+# Miller-Rabin to the first k prime bases is a proof of primality below
+# psi_k, the least strong pseudoprime to all of them (OEIS A014233; Jaeschke
+# 1993, and Jiang & Deng 2014 for psi_12).  Rows (psi_k, bases), ascending;
+# psi_8 = psi_7 and psi_10 = psi_11 = psi_9 add nothing.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PROOF_BOUNDS = tuple(
+    (psi, _MR_BASES[:k])
+    for psi, k in (
+        (2047, 1),
+        (1373653, 2),
+        (25326001, 3),
+        (3215031751, 4),
+        (2152302898747, 5),
+        (3474749660383, 6),
+        (341550071728321, 7),
+        (3825123056546413051, 9),
+        (318665857834031151167461, 12),
+    )
+)
+# at and above psi_12 all twelve bases and then the strong Lucas test run:
+# that is the BPSW test, for which no composite that passes is known
+_PSI_12 = _MR_PROOF_BOUNDS[-1][0]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
+    """Whether ``n`` is prime: a proof below psi_12 (~3.2 * 10^23), where
+    Miller-Rabin runs to the fewest prime bases that make it one; at and
+    above psi_12, the BPSW test."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -45,7 +88,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    bases = next((b for psi, b in _MR_PROOF_BOUNDS if n < psi), _MR_BASES)
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -55,7 +99,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return _strong_lucas(n)
+    return n < _PSI_12 or _strong_lucas(n)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -129,15 +173,16 @@ def valuation(n: int, p: int) -> int | float:
 def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> tuple[dict[int, int], int]:
     """Factor |n| within the work budget ``limit``; returns (factors, cofactor).
 
-    Trial division by 2, 3 and the 6k +- 1 wheel up to
-    min(limit, TRIAL_DIVISION_BOUND); then Brent's rho on what is left, with
-    (limit - TRIAL_DIVISION_BOUND) // RHO_ITERATION_COST iterations in all,
-    shared by every split.  Each part is tested with is_prime and
-    _perfect_power and split again while composite.  ``factors`` comes in
-    ascending order.  The cofactor is 1 when the factorization is complete;
-    otherwise it is the product of the composites the budget could not split,
-    and callers decide whether that is acceptable or must raise
-    FactorizationLimitError.
+    Trial division by 2, 3 and then the primes of the table up to
+    min(limit, TRIAL_DIVISION_BOUND), in blocks of 16: one gcd with a
+    block's product skips a block that holds no factor.  Then Brent's rho on
+    what is left, with (limit - TRIAL_DIVISION_BOUND) // RHO_ITERATION_COST
+    iterations in all, shared by every split.  Each part is tested with
+    is_prime and _perfect_power and split again while composite.
+    ``factors`` comes in ascending order.  The cofactor is 1 when the
+    factorization is complete; otherwise it is the product of the composites
+    the budget could not split, and callers decide whether that is
+    acceptable or must raise FactorizationLimitError.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -148,15 +193,23 @@ def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> tuple[dict[i
             factors[p] = factors.get(p, 0) + 1
             n //= p
     bound = min(limit, TRIAL_DIVISION_BOUND)
-    p = 5
-    step = 2
-    while p * p <= n and p <= bound:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += step
-        step = 6 - step  # 5, 7, 11, 13, ... wheel
-    if p * p > n:
+    # no prime below q divides what is left of n, so n < q^2 makes it 1 or prime
+    q = TRIAL_DIVISION_BOUND + 1
+    for block, product in _TRIAL_BLOCKS:
+        if block[0] > bound or block[0] ** 2 > n:
+            q = block[0]
+            break
+        if gcd(n, product) > 1:
+            for p in block:
+                if p > bound:
+                    break
+                while n % p == 0:
+                    factors[p] = factors.get(p, 0) + 1
+                    n //= p
+            if p > bound:  # the block's primes above the bound are not tried
+                q = p
+                break
+    if q * q > n:
         if n > 1:
             factors[n] = factors.get(n, 0) + 1
         return factors, 1
@@ -231,11 +284,22 @@ def _iroot(n: int, e: int) -> int:
 
 
 def _perfect_power(n: int) -> tuple[int, int]:
-    """(r, e) with n = r^e and e maximal; (n, 1) when n is not a power."""
-    for e in range(n.bit_length(), 1, -1):
+    """(r, e) with n = r^e and e maximal; (n, 1) when n is not a power.
+
+    Only prime exponents are tried: n = r^e makes every prime p | e an
+    exponent too, and the maximal exponent of n is p times that of its
+    p-th root, on which this recurses."""
+    top = n.bit_length() - 1  # 2^e <= n exactly when e <= top
+    exponents = _PRIMES
+    if top > TRIAL_DIVISION_BOUND:  # past the table every e is tried
+        exponents = chain(_PRIMES, range(TRIAL_DIVISION_BOUND + 1, top + 1))
+    for e in exponents:
+        if e > top:
+            break
         r = _iroot(n, e)
-        if r > 1 and r**e == n:
-            return r, e
+        if r**e == n:
+            root, f = _perfect_power(r)
+            return root, e * f
     return n, 1
 
 

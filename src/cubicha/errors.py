@@ -31,9 +31,10 @@ class LatticeMismatchError(RuntimeError):
 
 
 class FactorizationLimitError(RuntimeError):
-    """The work budget ``limit`` of ``arith.factorize`` (trial division to a
-    small bound, then a share of ``limit`` in Brent rho iterations) left a
-    composite cofactor unsplit."""
+    """The work budget ``limit`` of ``arith.factorize`` (trial division by
+    the primes up to min(limit, TRIAL_DIVISION_BOUND), then
+    (limit - TRIAL_DIVISION_BOUND) // RHO_ITERATION_COST Brent rho
+    iterations) left a composite cofactor unsplit."""
 
     def __init__(self, n: int, limit: int, cofactor: int):
         super().__init__(

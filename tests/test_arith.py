@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubicha.arith import (
+    DEFAULT_TRIAL_DIVISION_LIMIT,
     INFINITY,
+    RHO_ITERATION_COST,
     TRIAL_DIVISION_BOUND,
+    _brent,
+    _iroot,
+    _perfect_power,
     _strong_lucas,
     divisors,
     factorize,
@@ -235,3 +240,196 @@ class TestRho:
         elapsed = time.perf_counter() - start
         assert facs == {2: 2} and cof == p * q
         assert elapsed < 2.0, elapsed
+
+
+# The referees below are the implementations that the prime-table trial
+# division, the fewer Miller-Rabin bases below psi_12 and the prime-exponent
+# power test replaced, kept verbatim apart from names.  They share _brent,
+# _iroot and _strong_lucas with the package, which did not change with them.
+
+REFEREE_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+REFEREE_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def referee_is_prime(n):
+    # Miller-Rabin to all twelve bases, then the strong Lucas test, always
+    if n < 2:
+        return False
+    for p in REFEREE_SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in REFEREE_MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return _strong_lucas(n)
+
+
+def referee_perfect_power(n):
+    # every exponent from the bit length down, so the first hit is maximal
+    for e in range(n.bit_length(), 1, -1):
+        r = _iroot(n, e)
+        if r > 1 and r**e == n:
+            return r, e
+    return n, 1
+
+
+def referee_factorize(n, limit=DEFAULT_TRIAL_DIVISION_LIMIT):
+    # trial division by 2, 3 and the 6k +- 1 wheel, then the same rho phase
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    n = abs(n)
+    factors = {}
+    for p in (2, 3):
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    bound = min(limit, TRIAL_DIVISION_BOUND)
+    p = 5
+    step = 2
+    while p * p <= n and p <= bound:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += step
+        step = 6 - step
+    if p * p > n:
+        if n > 1:
+            factors[n] = factors.get(n, 0) + 1
+        return factors, 1
+    budget = max(0, limit - TRIAL_DIVISION_BOUND) // RHO_ITERATION_COST
+    cofactor = 1
+    parts = [(n, 1)]
+    while parts:
+        m, e = parts.pop()
+        if referee_is_prime(m):
+            factors[m] = factors.get(m, 0) + e
+            continue
+        root, exp = referee_perfect_power(m)
+        if exp > 1:
+            parts.append((root, e * exp))
+            continue
+        d, budget = _brent(m, budget)
+        if d is None:
+            cofactor *= m**e
+        else:
+            parts += [(d, e), (m // d, e)]
+    return dict(sorted(factors.items())), cofactor
+
+
+# every budget where the trial bound or the first rho iteration changes hands
+REFEREE_LIMITS = (0, 1, 2, 4, 5, 6, 7, *range(4092, 4098), 10**5, DEFAULT_TRIAL_DIVISION_LIMIT)
+
+
+def same_factorization(n, limit):
+    facs, cof = factorize(n, limit)
+    want, want_cof = referee_factorize(n, limit)
+    # items, not the dicts: the order of the factors is compared too
+    return list(facs.items()) == list(want.items()) and cof == want_cof
+
+
+class TestReferees:
+    @pytest.mark.slow
+    def test_factorize_every_small_n(self):
+        for n in range(1, 2 * 10**5 + 1):
+            assert same_factorization(n, DEFAULT_TRIAL_DIVISION_LIMIT), n
+            assert is_prime(n) == referee_is_prime(n), n
+            assert _perfect_power(n) == referee_perfect_power(n), n
+
+    def test_factorize_small_n_at_every_limit(self):
+        # every 37th n keeps the cross product quick
+        for n in range(1, 2 * 10**5 + 1, 37):
+            for limit in REFEREE_LIMITS:
+                assert same_factorization(n, limit), (n, limit)
+
+    def test_factorize_seeded_large_n(self):
+        rng = random.Random(16)
+        exhausted = 0
+        for _ in range(200):
+            n = rng.randrange(1, 10 ** rng.randint(2, 40))
+            # plant factors at and around the trial bound and the block edges
+            n *= rng.choice((1, 4, 9, 25 * 49, 4091, 4093, 4099, 4091 * 4093, 4093 * 4099, 101 * 103))
+            for limit in REFEREE_LIMITS[:-1]:  # the default budget runs below
+                assert same_factorization(n, limit), (n, limit)
+            exhausted += factorize(n, 10**5)[1] != 1
+        assert exhausted > 20, exhausted  # the runs where the budget runs out
+
+    @pytest.mark.slow
+    def test_factorize_seeded_large_n_default_budget(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randrange(1, 10 ** rng.randint(2, 40))
+            assert same_factorization(n, DEFAULT_TRIAL_DIVISION_LIMIT), n
+
+    def test_is_prime_seeded_large_n(self):
+        rng = random.Random(18)
+        for _ in range(3000):
+            n = rng.randrange(2, 10 ** rng.randint(3, 40))
+            assert is_prime(n) == referee_is_prime(n), n
+        # primes and prime products on both sides of each psi
+        for n in (*PSI_TABLE, *sieve(10**4)[-50:]):
+            for m in (n, n - 2, n + 2, n * 1000003):
+                assert is_prime(m) == referee_is_prime(m), m
+
+    @pytest.mark.slow
+    def test_perfect_power_seeded_powers(self):
+        rng = random.Random(19)
+        for _ in range(500):
+            r = rng.randrange(2, 10 ** rng.randint(1, 6))
+            e = rng.randint(1, 40)
+            for n in (r**e, r**e + 1, r**e - 1):
+                assert _perfect_power(n) == referee_perfect_power(n), (r, e)
+        # exponents past the prime table: 4099 and 4111 are prime, and
+        # 4105 = 5 * 821 is found through the fifth root
+        for e in (4099, 4105, 4111):
+            assert _perfect_power(2**e) == referee_perfect_power(2**e) == (2, e)
+
+
+# psi_1 .. psi_13 (OEIS A014233): the least odd n that is a strong
+# pseudoprime to each of the first k prime bases
+PSI_TABLE = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+class TestPsiTable:
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_psi_is_composite(self, k):
+        assert not is_prime(PSI_TABLE[k - 1])
+
+    def test_window_around_each_psi_agrees_with_sympy(self):
+        # a "<=" where "<" is meant passes psi_k itself with k bases
+        isprime = pytest.importorskip("sympy").isprime
+        for psi in sorted(set(PSI_TABLE)):
+            for n in range(psi - 10**4, psi + 10**4 + 1):
+                assert is_prime(n) == isprime(n), n
+
+    def test_psi_is_composite_under_optimize(self, run_optimized):
+        out = run_optimized(
+            "from cubicha.arith import is_prime\n"
+            f"print([is_prime(n) for n in {list(PSI_TABLE)}])\n"
+        )
+        assert out == f"{[False] * len(PSI_TABLE)}\n"

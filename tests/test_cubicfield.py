@@ -10,6 +10,7 @@ from cubicha.cubicfield import (
     HopfElement,
     OrderElement,
     REDUCED_LOOSE,
+    REDUCED_STRICT,
     _integer_roots,
     action_matrix,
     apply_hopf,
@@ -100,6 +101,24 @@ class TestValidate:
         with pytest.raises(ValidationError) as exc:
             validate(g**3, g**3)
         assert exc.value.code == "NOT_REDUCED"
+
+    @pytest.mark.parametrize("convention", [REDUCED_STRICT, REDUCED_LOOSE])
+    @pytest.mark.parametrize("e", [2, 3, 4, 6, 9])
+    def test_unsplit_gcd_power_decided_by_maximal_exponent(self, e, convention):
+        # gcd = r^e with r = p*q unsplit, so v_p(a) = v_p(b) = e for each p | r;
+        # only the maximal exponent of the cofactor decides this.  r^4 as
+        # (r^2)^2, r^6 as (r^2)^3 or (r^3)^2 and r^9 as (r^3)^3 each fall
+        # below bmin under one convention
+        r = 1000000000039 * 1000000000061
+        amin, bmin = (2, 3) if convention == REDUCED_STRICT else (3, 4)
+        with pytest.raises(ValidationError) as exc:
+            validate(r**e, 5 * r**e, convention)
+        if e >= bmin:
+            assert exc.value.code == "NOT_REDUCED"
+            assert str(exc.value) == f"every prime p of {r} has v_p(a) >= {amin} and v_p(b) >= {bmin}"
+        else:
+            assert exc.value.code == "GCD_UNFACTORED"
+            assert f"keeps the cofactor {r**e}," in str(exc.value)
 
     def test_integer_roots_match_divisor_search(self):
         def referee(a, b):

@@ -276,6 +276,7 @@ class TestPrincipalCycle:
             d = s * s + 1
             assert rebuilt_period(d) == full_period_walk(d) == (s, [s], [1], [2 * s]), s
 
+    @pytest.mark.slow
     def test_seeded_large_d(self):
         rng = random.Random(1108)
         done = 0
@@ -330,6 +331,7 @@ class TestLocatedRoots:
                 self.check(d, (1, 12, 108, 900, (s + 1) ** 2 - d, 4 * (d - s * s)), seen)
         assert min(seen.values()) > 5000, seen
 
+    @pytest.mark.slow
     def test_seeded_large_d(self):
         rng = random.Random(1300)
         seen = {"first half": 0, "second half": 0}
