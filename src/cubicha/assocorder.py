@@ -16,15 +16,15 @@ action matrix: M * adj(R) = 0 mod det R puts the lattice of R inside A_H,
 and the gcd of the 3x3 minors of M, which is [A_H : Z^3] (Cohen, GTM 138,
 section 2.4), must then equal det R.  Every matrix is a tuple of integer
 rows and every certificate a congruence on them in straight-line integers;
-rationals appear only in the ``basis`` view, made when read.  The Fraction
-routes that referee these integers (membership, the basis matrix, the gcd
-closed form) live in ``selfcheck``.
+rationals appear only in the ``basis`` view, made when read, and
+``fractions`` is imported there too, so a caller that never reads the view
+never loads it.  The Fraction routes that referee these integers
+(membership, the basis matrix, the gcd closed form) live in ``selfcheck``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import valuation
 from .cubicfield import HopfElement, TrinomialCubic, hopf_mul_coords
@@ -73,6 +73,8 @@ class AssociatedOrder:
 
     @property
     def basis(self) -> tuple[HopfElement, HopfElement, HopfElement]:
+        from fractions import Fraction
+
         d = self.index_iw
         cols = zip(*self.adj)
         return tuple(HopfElement(*(Fraction(x, d) for x in col)) for col in cols)

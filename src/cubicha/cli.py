@@ -8,20 +8,17 @@ All numeric output is exact: integers stay integers and rationals are
 rendered as "num/den" strings.  Exit codes: 0 decided verdict (or every
 verify suite passed), 1 a verify suite failed, 2 validation rejection,
 3 undecided (a factorization limit was hit), 64 usage error (including a
-negative --trial-division-limit or CHA_TRIAL_DIVISION_LIMIT), 74
-unwritable output.
+negative --trial-division-limit or CHA_TRIAL_DIVISION_LIMIT, and a scan
+range with lo > hi), 74 unwritable output.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, RHO_ITERATION_COST, TRIAL_DIVISION_BOUND
@@ -149,6 +146,10 @@ def _render_text(doc: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
+    # each command imports the standard-library modules only it uses, so a
+    # one-shot process pays for no other command's
+    import json
+
     doc, code = analyze_document(args.a, args.b, args.reduced_convention, args.trial_division_limit)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
@@ -212,12 +213,18 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_scan(args) -> int:
+    import csv
+
     try:
         a_range = _parse_range(args.a_range)
         b_range = _parse_range(args.b_range)
     except ValueError:
         print("scan: ranges must look like lo:hi with integers", file=sys.stderr)
         return EX_USAGE
+    for flag, text, values in (("--a-range", args.a_range, a_range), ("--b-range", args.b_range, b_range)):
+        if not values:
+            print(f"scan: {flag} {text} is empty (lo > hi)", file=sys.stderr)
+            return EX_USAGE
     if args.jobs < 1:
         print(f"scan: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EX_USAGE
@@ -228,6 +235,9 @@ def cmd_scan(args) -> int:
     # a forked pool starts all its workers at once: no more than tasks or CPUs
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # the pool's modules (multiprocessing among them) load only here
+        from concurrent.futures import ProcessPoolExecutor
+
         # workers need the cap lifted too when they do not fork from main
         with ProcessPoolExecutor(max_workers=workers, initializer=_lift_int_str_cap) as pool:
             groups = list(pool.map(_scan_group, tasks, chunksize=8))

@@ -25,11 +25,14 @@ maximality) consumes only these rational data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
+from typing import TYPE_CHECKING
 
 from .arith import _perfect_power, factorize, valuation
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 REDUCED_STRICT = "strict"
 REDUCED_LOOSE = "loose"
@@ -72,6 +75,8 @@ class HopfElement:
 
     @staticmethod
     def of(h1, h2, h3) -> "HopfElement":
+        from fractions import Fraction
+
         return HopfElement(Fraction(h1), Fraction(h2), Fraction(h3))
 
 
@@ -231,6 +236,8 @@ def _w_action(k: TrinomialCubic):
 def apply_hopf(k: TrinomialCubic, h: HopfElement, u) -> tuple[Fraction, Fraction, Fraction]:
     """Act by h = h1*w1 + h2*w2 + h3*w3 on a field element u given in B
     coordinates (OrderElement or a 3-tuple of rationals)."""
+    from fractions import Fraction
+
     uc = _coords(u)
     acts = _w_action(k)
     out = [Fraction(0)] * 3

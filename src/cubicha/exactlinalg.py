@@ -22,11 +22,14 @@ integers against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .errors import RankError, SingularMatrixError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def rat_matmul(a, b) -> tuple[tuple, ...]:
@@ -63,6 +66,8 @@ def divides_product(n: int, rows, cols) -> bool:
 
 def inverse3(rows) -> tuple[tuple[Fraction, ...], ...]:
     """The inverse of a 3x3 matrix as Fraction rows."""
+    from fractions import Fraction
+
     det = det3(rows)
     if det == 0:
         raise SingularMatrixError("matrix is singular")

@@ -223,11 +223,18 @@ class TestScan:
         assert captured.out.strip() == CSV_HEADER
         assert "scan: 0 rows, skipped 1 (GCD_UNFACTORED=1)" in captured.err
 
-    def test_empty_range(self, capsys):
-        code = main(["scan", "--a-range", "2:1", "--b-range", "1:3"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.strip() == CSV_HEADER
+    def test_reversed_range_exit_64(self, capsys):
+        for ranges, flag, text in [
+            (["--a-range=5:1", "--b-range=1:2"], "--a-range", "5:1"),
+            (["--a-range=1:2", "--b-range=-1:-3"], "--b-range", "-1:-3"),
+        ]:
+            assert main(["scan", *ranges]) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"scan: {flag} {text} is empty (lo > hi)\n"
+        # a one-value range is not reversed
+        assert main(["scan", "--a-range=3:3", "--b-range=1:1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [CSV_HEADER, "3,1,81,1,CASE3/V2GE,54,true,FREE,1,-1,0"]
 
     def test_jobs_determinism(self, tmp_path):
         one = tmp_path / "one.csv"
@@ -264,6 +271,19 @@ class TestScan:
     def test_bad_range_exit_64(self, capsys):
         assert main(["scan", "--a-range", "1-3", "--b-range", "1:3"]) == 64
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 starts no pool on one CPU")
+    def test_pool_from_cold_process_matches_serial(self):
+        # in a fresh interpreter nothing has imported concurrent.futures
+        # before the scan starts its pool
+        base = ["scan", "--a-range=-6:6", "--b-range=-6:6"]
+        serial = run_cli(*base, "--jobs", "1")
+        pooled = run_cli(*base, "--jobs", "2")
+        assert serial.returncode == 0, serial.stderr
+        assert serial.stdout.count("\n") > 50
+        assert (pooled.returncode, pooled.stdout, pooled.stderr) == (
+            serial.returncode, serial.stdout, serial.stderr,
+        )
+
     @pytest.fixture
     def recording_pool(self, monkeypatch):
         """A stand-in for the pool on a 4-CPU machine that records its
@@ -287,7 +307,8 @@ class TestScan:
                 record["tasks"] += tasks
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # cli imports the pool class from concurrent.futures when it starts one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         return record
 
@@ -334,9 +355,7 @@ class TestScan:
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_64(self, capsys, monkeypatch, jobs):
-        from cubicha import cli
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
         assert main(["scan", "--a-range=1:3", "--b-range=1:3", f"--jobs={jobs}"]) == 64
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -518,15 +537,49 @@ class TestNegativeBudget:
         assert capsys.readouterr().out.splitlines()[0] == CSV_HEADER
 
 
-def test_library_import_loads_no_cli():
-    # the parser is built when cubicha.cli is imported; library users must
-    # not pay for it, nor for argparse
+def loaded_after(code: str, modules: tuple) -> list:
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``,
+    whose own output is discarded."""
     proc = subprocess.run(
         [
             sys.executable, "-c",
-            "import sys, cubicha\n"
-            "print([m for m in ('cubicha.cli', 'argparse') if m in sys.modules])",
+            "import contextlib, io, sys\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            + "".join(f"    {line}\n" for line in code.splitlines())
+            + f"print(*[m for m in {modules!r} if m in sys.modules])\n",
         ],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, timeout=60,
     )
-    assert proc.stdout == "[]\n"
+    return proc.stdout.split()
+
+
+POOL_AND_WRITERS = ("concurrent.futures", "multiprocessing", "json", "csv", "fractions")
+
+
+def test_library_import_loads_no_cli():
+    # the parser is built when cubicha.cli is imported; library users must
+    # not pay for it, nor for argparse or any command's modules
+    assert loaded_after("import cubicha", ("cubicha.cli", "argparse", *POOL_AND_WRITERS)) == []
+
+
+@pytest.mark.parametrize(
+    "code, absent, present",
+    [
+        ("import cubicha.cli", POOL_AND_WRITERS, ()),
+        (
+            "from cubicha import cli\ncli.main(['scan', '--a-range=-3:3', '--b-range=-3:3', '--jobs', '1'])",
+            ("concurrent.futures", "multiprocessing", "json", "fractions"),
+            ("csv",),
+        ),
+        (
+            "from cubicha import cli\ncli.main(['analyze', '--a', '-7', '--b', '5'])",
+            ("concurrent.futures", "csv"),
+            ("json",),
+        ),
+    ],
+    ids=["import", "scan", "analyze"],
+)
+def test_each_command_loads_only_its_modules(code, absent, present):
+    # each command imports the standard-library modules only it uses; the
+    # modules it does use show that the check sees the command's imports
+    assert loaded_after(code, absent + present) == list(present)
