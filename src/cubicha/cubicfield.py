@@ -165,12 +165,6 @@ def validate(a: int, b: int, reduced_convention: str = REDUCED_STRICT) -> Trinom
     return TrinomialCubic(a, b, delta, g)
 
 
-def _coords(u) -> tuple:
-    if isinstance(u, OrderElement):
-        return u.coords
-    return tuple(u)
-
-
 def gram_matrix(k: TrinomialCubic) -> tuple[tuple[OrderElement, ...], ...]:
     """The 3x3 array of values w_i . gamma_j, each an element of Z[alpha]."""
     a, b = k.a, k.b
@@ -224,27 +218,17 @@ def hopf_mul(k: TrinomialCubic, u: HopfElement, v: HopfElement) -> HopfElement:
     return HopfElement.of(*hopf_mul_coords(k.delta, u.coords, v.coords))
 
 
-def _w_action(k: TrinomialCubic):
-    # 3x3 integer matrices: column j of the i-th matrix is w_i . gamma_j in B
-    gm = gram_matrix(k)
-    return tuple(
-        tuple(tuple(gm[i][j].coords[r] for j in range(3)) for r in range(3))
-        for i in range(3)
-    )
-
-
 def apply_hopf(k: TrinomialCubic, h: HopfElement, u) -> tuple[Fraction, Fraction, Fraction]:
     """Act by h = h1*w1 + h2*w2 + h3*w3 on a field element u given in B
-    coordinates (OrderElement or a 3-tuple of rationals)."""
+    coordinates (OrderElement or a 3-tuple of rationals), reading the action
+    off action_matrix."""
     from fractions import Fraction
 
-    uc = _coords(u)
-    acts = _w_action(k)
-    out = [Fraction(0)] * 3
-    for hi, mat in zip(h.coords, acts):
-        if hi == 0:
-            continue
-        for r in range(3):
-            row = mat[r]
-            out[r] += hi * (row[0] * uc[0] + row[1] * uc[1] + row[2] * uc[2])
+    uc = u.coords if isinstance(u, OrderElement) else tuple(u)
+    am = action_matrix(k)
+    out = []
+    for r in range(3):
+        # coordinate r of w_i . u, for each i
+        wu = [sum(uc[j] * am[3 * j + r][i] for j in range(3)) for i in range(3)]
+        out.append(sum((hi * x for hi, x in zip(h.coords, wu)), Fraction(0)))
     return tuple(out)

@@ -22,38 +22,24 @@ Three regimes:
     the factorization of m (Hensel lifting and the CRT), not from a scan of
     all m residues.
 
-    The principal cycle of sqrt(|D|) and the fundamental unit are found
-    once per |D| and cached.  The period is a palindrome, so only its first
-    half is walked, and only its Q values and partial quotients are kept, in
-    plain lists: the walk steps Q by the recurrence
-    Q_(k+1) = Q_(k-1) + a_k (P_k - P_(k+1)), the second half is read back
-    through the palindrome, and any P comes from P_k^2 + Q_(k-1) Q_k = |D|.
-    The unit comes from a product tree over the first half.  The roots z,
-    and where each meets the cycle, depend only on |N| and are found once
-    for both signs of N.  For each z only (P, Q) is walked, to the first
-    reduced state, and the states are found on the cycle by one filter over
-    its stored Q for the wanted values, with P recovered for the few
-    positions that pass.  A state with Q = +-1 is +-(P + sqrt(|D|)),
-    whose expansion runs into the complete quotients of sqrt(|D|) within a
-    few steps; the periodic tail of the whole expansion, which is the cycle
-    of its first reduced state, is then the principal cycle.  So a z whose
-    first reduced state is off the principal cycle has no |Q| = 1 state at
-    all, pre-period included, and is dropped.  Otherwise its hit is the
-    convergent at the cycle's one Q = 1 state (s, 1), which multiplies the
-    partial quotients from the root's position c0 up to (s, 1).  As
-    a_1 ... a_(L-1) is a palindrome, that stretch is the reverse of the
-    prefix a_1 ... a_(L-1-c0), so its product is that prefix product
-    transposed; and when c0 is the shorter of the two, the prefix product up
-    to c0, inverted, gives a point of the same orbit.  So each hit needs one
-    prefix product of the first half of the period, whose product tree the
-    unit already built: one left-to-right sweep over the sorted cut points
-    of a |N| reads them all off the tree's nodes, for both signs of N, and
-    each hit costs O(1) 2x2 products more.  A point whose value is N is
-    kept; one whose value is -N is multiplied by the unit of norm -1 when
-    the period is odd, and dropped otherwise.  For the forms here the
-    period is always even: 3 divides |D|, and -1 is not a square mod 3, so
-    t^2 - |D|*u^2 = -1 has no solution.  Representatives are normalized to
-    the orbit's (|y|, |x|)-minimal point and closed under both sign flips.
+    The principal cycle of sqrt(|D|) and the unit are found once per |D|
+    and cached, from the first half of the palindromic period
+    (_principal_cycle).  The roots z, and where each meets the cycle, depend
+    only on |N| and are found once for both signs of N (_located_roots).  A
+    state with Q = +-1 is +-(P + sqrt(|D|)), whose expansion runs into the
+    complete quotients of sqrt(|D|) within a few steps; the periodic tail of
+    the whole expansion, which is the cycle of its first reduced state, is
+    then the principal cycle.  So a z whose first reduced state is off the
+    principal cycle has no |Q| = 1 state at all, pre-period included, and
+    is dropped.  The hit of any other z needs one prefix product of the
+    first half of the period (_cycle_points).  Representatives are
+    normalized to the orbit's (|y|, |x|)-minimal point and closed under both
+    sign flips.
+
+    The period of sqrt(|D|) is always even here.  It is odd exactly when
+    t^2 - |D|*u^2 = -1 has a solution, and 3 divides |D| while -1 is not a
+    square mod 3.  So only even periods are solved, and _principal_cycle
+    refuses an odd one with ValueError.
 
     The certificate (unit and sorted representatives) is built once per
     (|D|, N).  b -> -b maps x^3 - ax + b to x^3 - ax - b (alpha -> -alpha)
@@ -260,38 +246,37 @@ class _Cycle(NamedTuple):
     quots: list
     unit: tuple[int, int]
     tree: list
-    minus: tuple[int, int] | None
     period: int
 
 
 @lru_cache(maxsize=2)
 def _principal_cycle(dabs: int) -> _Cycle:
-    """The first half of the period of sqrt(dabs), its length, its unit, the
-    product tree of the unit's half and, when the period is odd, the unit of
-    norm -1 (else None).
+    """The first half of the period of sqrt(dabs), its length, its unit and
+    the product tree of the unit's half.  Raises ValueError when the period
+    is odd, which 3 | dabs rules out (see the module docstring).
 
     s = isqrt(dabs); qs[i] and quots[i] are Q and the partial quotient of
     the complete quotient (P + sqrt(dabs))/Q at step i + 1, for the first
-    h = len(qs) steps of the period L, h = floor(L/2).  Index 0 holds Q_1 =
-    dabs - s^2.  P is not stored: P_k^2 + Q_(k-1) Q_k = dabs with Q_0 = 1,
-    and the walk itself steps Q by Q_(k+1) = Q_(k-1) + a_k (P_k - P_(k+1))
-    rather than by a division.
+    h = len(qs) steps of the period L = 2h.  Index 0 holds Q_1 = dabs - s^2.
+    P is not stored: P_k^2 + Q_(k-1) Q_k = dabs with Q_0 = 1, and the walk
+    itself steps Q by Q_(k+1) = Q_(k-1) + a_k (P_k - P_(k+1)) rather than
+    by a division.
 
     The period is a palindrome, Q_k = Q_(L-k), P_k = P_(L+1-k) and
     a_k = a_(L-k), so (P, Q) is walked to its middle only: the first k with
-    P_(k+1) = P_k (L = 2k) or Q_(k+1) = Q_k (L = 2k + 1, k = 0 for
-    dabs = s^2 + 1).  Position i of the whole cycle holds step i + 1: for
-    i < h, Q and the quotient are qs[i] and quots[i]; for h <= i < L - 1
-    they are qs[j] and quots[j], j = L - 2 - i; position L - 1 is the only
-    state with Q = 1, (s, 1), whose quotient is 2s.
+    P_(k+1) = P_k (L = 2k).  A k with Q_(k+1) = Q_k would be the middle of
+    an odd period (L = 2k + 1), and is refused.  Position i of the whole
+    cycle holds step i + 1: for i < h, Q and the quotient are qs[i] and
+    quots[i]; for h <= i < L - 1 they are qs[j] and quots[j], j = L - 2 - i;
+    position L - 1 is the only state with Q = 1, (s, 1), whose quotient
+    is 2s.
 
     The unit is the first column of M(s) M(a_1) ... M(a_(L-1)),
-    M(a) = [[a, 1], [1, 0]], squared when L is odd; as M(a) is symmetric,
-    that product is K M(a_h) K^T (L = 2h) or K K^T (L = 2h + 1) for
-    K = M(a_1) ... M(a_r), r = L - 1 - h, the root of ``tree``.
+    M(a) = [[a, 1], [1, 0]]; as M(a) is symmetric, that product is
+    K M(a_h) K^T for K = M(a_1) ... M(a_(h-1)), the root of ``tree``.
 
     By the same symmetry a hit needs only a prefix P(c) = M(a_1) ... M(a_c)
-    with c <= r (see _cycle_points): a_(c+1) ... a_(L-1) is the reverse of
+    with c < h (see _cycle_points): a_(c+1) ... a_(L-1) is the reverse of
     a_1 ... a_(L-1-c), so its product is P(L-1-c)^T.  The tree's nodes are
     kept for _prefix_rows, which reads all the prefixes a target needs off
     them in one sweep.
@@ -299,8 +284,9 @@ def _principal_cycle(dabs: int) -> _Cycle:
     s = isqrt(dabs)
     qs, quots = [], []
     q0, p, q = 1, s, dabs - s * s  # Q_0, P_1, Q_1
-    odd = q == q0
-    while not odd:
+    while True:
+        if q == q0:
+            raise ValueError(f"sqrt({dabs}) has an odd period, which no |D| = 3*|delta| has")
         a = (p + s) // q
         qs.append(q)
         quots.append(a)
@@ -309,25 +295,18 @@ def _principal_cycle(dabs: int) -> _Cycle:
             break
         q0, q = q, q0 + a * (p - p1)
         p = p1
-        odd = q == q0
     h = len(quots)
-    r = h if odd else h - 1
-    tree = _cf_tree(quots[:r])
+    tree = _cf_tree(quots[:h - 1])
     k0, k1, k2, k3 = tree[-1][0]
-    x, y = (k0, k1) if odd else (quots[-1] * k0 + k1, k0)
+    x, y = quots[-1] * k0 + k1, k0
     n0 = k0 * x + k1 * y
-    t, u = s * n0 + k2 * x + k3 * y, n0
-    minus = None
-    if odd:
-        minus = t, u
-        t, u = t * t + dabs * u * u, 2 * t * u
-    return _Cycle(s, qs, quots, (t, u), tree, minus, 2 * h + odd)
+    return _Cycle(s, qs, quots, (s * n0 + k2 * x + k3 * y, n0), tree, 2 * h)
 
 
 def pell_fundamental(dabs: int) -> tuple[int, int]:
     """Least (t, u), t, u > 0, with t^2 - dabs*u^2 = 1: the convergent of
-    sqrt(dabs) at the end of its period, squared when the period is odd
-    (that convergent then has norm -1).  Built once per dabs, with its cycle."""
+    sqrt(dabs) at the end of its period.  Built once per dabs, with its
+    cycle; raises ValueError when the period is odd (see _principal_cycle)."""
     if isqrt(dabs) ** 2 == dabs:
         raise DegenerateFormError(f"{dabs} is a perfect square")
     return _principal_cycle(dabs).unit
@@ -387,7 +366,7 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
         # it lies past the stored half, holds (P_(k+2), Q_(k+1))
         sides = [(k, qs[k - 1] if k else 1)]
         if last - 1 - k >= h:
-            sides.append((last - 1 - k, qs[min(k + 1, h - 1)]))
+            sides.append((last - 1 - k, qs[k + 1]))
         for i, q_prev in sides:
             p2 = dabs - q_prev * q
             p = isqrt(p2) if p2 > 0 else 0
@@ -414,15 +393,12 @@ def _cycle_points(dabs: int, nabs: int) -> tuple:
     whose first column is (G, B).  When c0 < L-1-c0, the second column of
     H P(L-1)^-1 = M(pre) P(c0)^-1 (det P(c0) = +-1, so the inverse is a
     signed adjugate) gives instead -+ the hit times the conjugate of the
-    period's convergent, a unit of norm (-1)^L.  Either way a root needs
-    only the top row of P(min(c0, L-1-c0)), and min(c0, L-1-c0) <= r, so
-    one sweep of _prefix_rows over the unit's tree serves every root, and
-    both signs of the target.  The hits one period on differ by that unit
-    as well, so for odd L a point of either sign stands for the orbits of
-    both (see _indefinite_certificate).  A state before j with |Q| = 1 adds
-    no orbit: it is +-(P + sqrt(dabs)), whose expansion meets (s, 1) at the
-    same parity within the period, and the two solutions differ by a unit
-    of norm 1.
+    unit, a point of the same orbit.  Either way a root needs only the top
+    row of P(min(c0, L-1-c0)), and min(c0, L-1-c0) < L/2, so one sweep of
+    _prefix_rows over the unit's tree serves every root, and both signs of
+    the target.  A state before j with |Q| = 1 adds no orbit: it is
+    +-(P + sqrt(dabs)), whose expansion meets (s, 1) at the same parity
+    within the period, and the two solutions differ by a unit of norm 1.
     """
     cycle = _principal_cycle(dabs)
     roots = _located_roots(dabs, nabs)
@@ -461,18 +437,13 @@ def _indefinite_certificate(dabs: int, n: int) -> PellCertificate:
     which poses the same (dabs, n) (see the module docstring).
 
     A point of _cycle_points with value +m = n/f^2 is a hit; one with value
-    -m is the other sign's hit, which the unit of norm -1 turns into one of
-    this sign when the period is odd, and is dropped otherwise."""
+    -m is the other sign's hit, and is skipped."""
     t, u = pell_fundamental(dabs)
-    minus = _principal_cycle(dabs).minus
     reps = set()
     for f, x, y, v in _cycle_points(dabs, abs(n)):
         m = n // (f * f)
         if v == -m:
-            if minus is None:
-                continue
-            x, y = minus[0] * x + dabs * minus[1] * y, minus[1] * x + minus[0] * y
-            v = x * x - dabs * y * y
+            continue
         if v != m:
             raise AssertionError(f"({f * x}, {f * y}) does not solve x^2 - {dabs}*y^2 = {n}")
         nx, ny = _normalize_rep(dabs, t, u, f * x, f * y)

@@ -182,23 +182,34 @@ def random_valid_field(rng: random.Random, coeff_bound: int) -> cubicfield.Trino
             continue
 
 
+def refuses_odd_period(call, *args) -> bool:
+    """Whether call(*args) raises the ValueError with which quadrep refuses
+    a d whose square root has an odd period."""
+    try:
+        call(*args)
+    except ValueError as exc:
+        return "odd period" in str(exc)
+    return False
+
+
 def suite_sqrt_cf(rng: random.Random, grid: int) -> int:
     """pell_fundamental (a product tree over the principal cycle) vs the
-    period-end convergent of sqrt(d), squared when the period is odd (that
-    convergent then has norm -1)."""
+    period-end convergent of sqrt(d); a d with an odd period must be
+    refused."""
     checks = 0
     for _ in range(max(20, 5 * grid)):
         d = rng.randint(2, 10**6)
         if isqrt(d) ** 2 == d:
             continue
         a0, period = periodic_sqrt_cf(d)
-        h0, h1, k0, k1 = 1, a0, 0, 1
-        for a in period[:-1]:
-            h0, h1 = h1, a * h1 + h0
-            k0, k1 = k1, a * k1 + k0
         if len(period) % 2:
-            h1, k1 = h1 * h1 + d * k1 * k1, 2 * h1 * k1
-        check(h1 * h1 - d * k1 * k1 == 1 and quadrep.pell_fundamental(d) == (h1, k1), d)
+            check(refuses_odd_period(quadrep.pell_fundamental, d), d)
+        else:
+            h0, h1, k0, k1 = 1, a0, 0, 1
+            for a in period[:-1]:
+                h0, h1 = h1, a * h1 + h0
+                k0, k1 = k1, a * k1 + k0
+            check(h1 * h1 - d * k1 * k1 == 1 and quadrep.pell_fundamental(d) == (h1, k1), d)
         checks += 1
     return checks
 
@@ -273,7 +284,8 @@ def suite_order_certificates(rng: random.Random, grid: int) -> int:
 
 
 def suite_pell_oracle(rng: random.Random, grid: int) -> int:
-    """solve_indefinite / solve_definite vs exhaustive search at small scale."""
+    """solve_indefinite / solve_definite vs exhaustive search at small scale;
+    solve_indefinite must refuse a d whose square root has an odd period."""
     checks = 0
     box = 2000
     for _ in range(max(10, grid)):
@@ -282,6 +294,10 @@ def suite_pell_oracle(rng: random.Random, grid: int) -> int:
             continue
         n = rng.randint(-(10**4), 10**4)
         if n == 0:
+            continue
+        if len(periodic_sqrt_cf(d)[1]) % 2:
+            check(refuses_odd_period(quadrep.solve_indefinite, -d, n), d, n)
+            checks += 1
             continue
         cert = quadrep.solve_indefinite(-d, n)
         got = _orbit_closure_in_box(d, n, cert, box)

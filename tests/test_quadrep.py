@@ -138,19 +138,39 @@ class TestSolveDefinite:
             assert got == want, (d, n)
 
 
+def odd_period(d):
+    # the parity of the period of sqrt(d), from the referee
+    return len(periodic_sqrt_cf(d)[1]) % 2 == 1
+
+
+def assert_refused(call, d):
+    # an odd period of sqrt(d) is refused, by an explicit raise naming d
+    with pytest.raises(ValueError, match=rf"^sqrt\({d}\) has an odd period"):
+        call()
+
+
 class TestPellFundamental:
     def test_frozen_values(self):
         assert pell_fundamental(69) == (7775, 936)
         assert pell_fundamental(405) == (161, 8)
-        assert pell_fundamental(2) == (3, 2)
+        assert pell_fundamental(3) == (2, 1)
+        assert_refused(lambda: pell_fundamental(2), 2)
 
     def test_verifies(self):
+        # 2, 61 and 109 have odd periods
         for d in (69, 405, 2, 61, 109):
+            if odd_period(d):
+                assert_refused(lambda: pell_fundamental(d), d)
+                continue
             t, u = pell_fundamental(d)
             assert t * t - d * u * u == 1
 
     def test_minimality_small(self):
+        # 2, 5, 10 and 13 have odd periods
         for d in (2, 3, 5, 6, 7, 10, 13):
+            if odd_period(d):
+                assert_refused(lambda: pell_fundamental(d), d)
+                continue
             t, u = pell_fundamental(d)
             uu = 1
             while True:
@@ -177,20 +197,21 @@ class TestPellFundamental:
 
     def test_matches_period_end_convergent(self):
         # referee: the convergent of sqrt(d) at the end of its first period
-        # solves t^2 - d*u^2 = (-1)^L for period length L; its square is the
-        # least norm +1 solution when L is odd
+        # solves t^2 - d*u^2 = (-1)^L for period length L, and is the least
+        # norm +1 solution when L is even; an odd L is refused
         odd = 0
         for d in range(2, 2000):
             if isqrt(d) ** 2 == d:
                 continue
             a0, period = periodic_sqrt_cf(d)
+            if len(period) % 2:
+                assert_refused(lambda: pell_fundamental(d), d)
+                odd += 1
+                continue
             h0, h1, k0, k1 = 1, a0, 0, 1
             for a in period[:-1]:
                 h0, h1 = h1, a * h1 + h0
                 k0, k1 = k1, a * k1 + k0
-            if len(period) % 2:
-                h1, k1 = h1 * h1 + d * k1 * k1, 2 * h1 * k1
-                odd += 1
             assert pell_fundamental(d) == (h1, k1), d
         assert odd > 100
 
@@ -246,8 +267,12 @@ def rebuilt_period(d):
     """(s, ps, qs, quots) of the whole period, rebuilt from the half that
     _principal_cycle stores: Q and the quotients of position i >= h read
     from position L - 2 - i, the state (s, 1) last, and every P from
-    P_k^2 + Q_(k-1) Q_k = d, which must be an exact square."""
-    c = _principal_cycle(d)
+    P_k^2 + Q_(k-1) Q_k = d, which must be an exact square.  An odd period
+    gives the message of its refusal instead."""
+    try:
+        c = _principal_cycle(d)
+    except ValueError as exc:
+        return str(exc)
     h, period = len(c.qs), c.period
     stored = list(range(h)) + [period - 2 - i for i in range(h, period - 1)]
     qs = [c.qs[j] for j in stored] + [1]
@@ -260,21 +285,44 @@ def rebuilt_period(d):
     return c.s, ps, qs, quots
 
 
+def walked_period(d):
+    """full_period_walk(d) when the period is even, else the refusal that
+    _principal_cycle must give."""
+    walk = full_period_walk(d)
+    if len(walk[3]) % 2:
+        return f"sqrt({d}) has an odd period, which no |D| = 3*|delta| has"
+    return walk
+
+
 class TestPrincipalCycle:
     def test_small_d_both_parities(self):
+        # even periods are rebuilt, odd ones refused
         parities = set()
         for d in range(2, 20000):
             if isqrt(d) ** 2 != d:
-                want = full_period_walk(d)
-                assert rebuilt_period(d) == want, d
-                parities.add(len(want[3]) % 2)
+                assert rebuilt_period(d) == walked_period(d), d
+                parities.add(len(full_period_walk(d)[3]) % 2)
         assert parities == {0, 1}
 
     def test_period_one(self):
-        # sqrt(s^2 + 1) = [s; 2s]: nothing stored but s and the period
+        # sqrt(s^2 + 1) = [s; 2s]: the period 1 is odd, and refused
         for s in (1, 2, 3, 10, 999, 2**31, 2**70):
             d = s * s + 1
-            assert rebuilt_period(d) == full_period_walk(d) == (s, [s], [1], [2 * s]), s
+            assert full_period_walk(d) == (s, [s], [1], [2 * s]), s
+            assert rebuilt_period(d) == walked_period(d), s
+
+    def test_multiples_of_3_have_even_periods(self):
+        # the fact the solver rests on: -1 is not a square mod 3, so no
+        # d = 3m has t^2 - d*u^2 = -1, and every period is even
+        walks = 0
+        for m in range(1, 20000):
+            d = 3 * m
+            if isqrt(d) ** 2 != d:
+                period = len(full_period_walk(d)[3])
+                assert period % 2 == 0, d
+                assert _principal_cycle(d).period == period, d
+                walks += 1
+        assert walks == 19918
 
     @pytest.mark.slow
     def test_seeded_large_d(self):
@@ -283,7 +331,7 @@ class TestPrincipalCycle:
         while done < 300:
             d = rng.randint(10**8, 10**11)
             if isqrt(d) ** 2 != d:
-                assert rebuilt_period(d) == full_period_walk(d), d
+                assert rebuilt_period(d) == walked_period(d), d
                 done += 1
 
     def test_list_storage(self):
@@ -294,24 +342,34 @@ class TestPrincipalCycle:
         assert rebuilt_period(d) == full_period_walk(d)
 
     def test_stores_half_the_period_and_no_p(self):
-        # the entry's fields are named, none holds P, and the walk keeps at
-        # most ceil(L/2) values of Q and of the quotients
+        # the entry's fields are named, none holds P, and the walk keeps
+        # L/2 values of Q and of the quotients; an odd L is refused
         sizes = set()
         for d in [*range(2, 3000), 2**140 - 1, 2**140 + 1, 10**10 + 19]:
             if isqrt(d) ** 2 == d:
                 continue
-            c = _principal_cycle(d)
-            assert c._fields == ("s", "qs", "quots", "unit", "tree", "minus", "period")
             period = len(full_period_walk(d)[3])
+            if period % 2:
+                assert_refused(lambda: _principal_cycle(d), d)
+                sizes.add((1, "refused"))
+                continue
+            c = _principal_cycle(d)
+            assert c._fields == ("s", "qs", "quots", "unit", "tree", "period")
             assert c.period == period, d
-            assert len(c.qs) == len(c.quots) <= -(-period // 2), d
-            sizes.add((period % 2, len(c.qs) == -(-period // 2)))
-        assert sizes == {(0, True), (1, False)}
+            assert len(c.qs) == len(c.quots) == period // 2, d
+            sizes.add((0, True))
+        assert sizes == {(0, True), (1, "refused")}
 
 
 class TestLocatedRoots:
     @staticmethod
     def check(d, targets, seen):
+        # an odd period, by the referee, is refused for every target
+        if len(full_period_walk(d)[3]) % 2:
+            for nabs in targets:
+                assert_refused(lambda: quadrep._located_roots(d, nabs), d)
+            seen["refused"] += 1
+            return
         want = referee_located_roots(d, targets)
         h = len(_principal_cycle(d).qs)
         for nabs in targets:
@@ -324,35 +382,37 @@ class TestLocatedRoots:
         # every nonsquare d < 3000, with targets that have roots: 1 (the
         # state (s, d - s^2)), (s + 1)^2 - d, 4(d - s^2), and products of
         # small primes with square factors
-        seen = {"first half": 0, "second half": 0}
+        seen = {"first half": 0, "second half": 0, "refused": 0}
         for d in range(2, 3000):
             s = isqrt(d)
             if s * s != d:
                 self.check(d, (1, 12, 108, 900, (s + 1) ** 2 - d, 4 * (d - s * s)), seen)
-        assert min(seen.values()) > 5000, seen
+        assert min(seen["first half"], seen["second half"]) > 5000 and seen["refused"] > 100, seen
 
     @pytest.mark.slow
     def test_seeded_large_d(self):
         rng = random.Random(1300)
-        seen = {"first half": 0, "second half": 0}
+        seen = {"first half": 0, "second half": 0, "refused": 0}
         done = 0
         while done < 300:
             d = rng.randint(10**5, 10**10)
             if isqrt(d) ** 2 != d:
                 self.check(d, (1, 12, 108, rng.randint(2, 5000)), seen)
                 done += 1
-        assert min(seen.values()) > 50, seen
+        assert min(seen["first half"], seen["second half"]) > 50 and seen["refused"] > 10, seen
 
     def test_period_shapes(self):
-        # period 1 (d = s^2 + 1), odd and even periods, and 2s past 64 bits
+        # period 1 (d = s^2 + 1) and other odd periods, refused; even
+        # periods, and 2s past 64 bits
         parities = set()
         for d in (2, 5, 13, 61, 3, 7, 69, 405, 10**6 + 1, 2**140 + 1, 2**140 - 1, 2**140 - 2**71):
-            self.check(d, range(1, 60), {"first half": 0, "second half": 0})
-            parities.add(_principal_cycle(d).period % 2)
+            self.check(d, range(1, 60), {"first half": 0, "second half": 0, "refused": 0})
+            parities.add(len(full_period_walk(d)[3]) % 2)
         assert parities == {0, 1}
 
 
 def test_solution_certificates_raise_under_optimize(run_optimized):
+    # two d whose square root has an odd period, which the solver refuses;
     # a zero target, to the solver and to FormProblem; problems outside the
     # hypotheses under which the side condition is constant on an orbit (6
     # does not divide -7 + 81; 3 does not divide d; 3 does not divide n);
@@ -363,6 +423,11 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
     # root (1, 0) of 9 from position 3 of the cycle to position 2
     out = run_optimized(
         "from cubicha import quadrep\n"
+        "for call in (lambda: quadrep.pell_fundamental(2), lambda: quadrep.solve_indefinite(-13, 4)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('raised:', exc)\n"
         "for call in (lambda: quadrep.solve_indefinite(-69, 0),\n"
         "             lambda: quadrep.FormProblem(d=-69, n=0, modulus=6, ycoef=9),\n"
         "             lambda: quadrep.FormProblem(d=-7, n=9, modulus=6, ycoef=9),\n"
@@ -392,6 +457,8 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "    print('raised:', exc)\n"
     )
     assert out.splitlines() == [
+        "raised: sqrt(2) has an odd period, which no |D| = 3*|delta| has",
+        "raised: sqrt(13) has an odd period, which no |D| = 3*|delta| has",
         "raised: solve_indefinite needs d < 0, n != 0, got d = -69, n = 0",
         "raised: FormProblem needs d, n != 0, got d = -69, n = 0",
         "raised: FormProblem modulus 6 does not divide d + ycoef^2 = 74",
@@ -441,15 +508,19 @@ class TestSolveIndefinite:
                 continue
             problems.append((d, n))
         # sqrt(d) has an odd period for these d, so t^2 - d*u^2 = -1 is
-        # solvable and a PQa hit can carry the wrong sign of n
+        # solvable; such a d is refused, as no |D| = 3*|delta| has one
         problems += [(d, n) for d in (2, 5, 10, 13, 29, 61) for n in range(-50, 51) if n]
         for d, n in problems:
+            if odd_period(d):
+                assert_refused(lambda: solve_indefinite(-d, n), d)
+                continue
             cert = solve_indefinite(-d, n)
             assert orbit_closure(cert, d, n, box) == brute_box(d, n, box), (d, n)
 
     def test_matches_full_walk_referee(self):
         # every nonsquare d < 100 with 1 <= |n| <= 60 (d = 2, 5, 10, 13, 29,
-        # 61 among them have odd periods), then seeded larger problems
+        # 61 among them have odd periods, and are refused), then seeded
+        # larger problems
         problems = [(d, n) for d in range(2, 100) for n in range(-60, 61) if n and isqrt(d) ** 2 != d]
         rng = random.Random(2024)
         while len(problems) < 10800 + 120:
@@ -457,19 +528,19 @@ class TestSolveIndefinite:
             if n and isqrt(d) ** 2 != d:
                 problems.append((d, n))
         # each way a point is read off the cycle (see quadrep._cycle_points):
-        # the hit from the transposed prefix P(L-1-c0)^T, its orbit point from
-        # the inverted prefix P(c0)^-1, and the shift of a hit of -m by the
-        # unit of norm -1
-        built = {"transposed": 0, "inverted": 0, "odd shift": 0}
+        # the hit from the transposed prefix P(L-1-c0)^T and its orbit point
+        # from the inverted prefix P(c0)^-1; and the refusal of an odd period
+        built = {"transposed": 0, "inverted": 0, "refused": 0}
         for d, n in problems:
+            if odd_period(d):
+                assert_refused(lambda: solve_indefinite(-d, n), d)
+                built["refused"] += 1
+                continue
             cert = solve_indefinite(-d, n)
             assert (cert.fundamental, set(cert.representatives)) == referee_representatives(d, n), (d, n)
             last = _principal_cycle(d).period - 1
             for *_, c0 in quadrep._located_roots(d, abs(n)):
                 built["transposed" if c0 >= last - c0 else "inverted"] += 1
-            if last % 2 == 0:
-                for f, x, y, _ in quadrep._cycle_points(d, abs(n)):
-                    built["odd shift"] += x * x - d * y * y == -(n // (f * f))
         assert min(built.values()) >= 100, built
 
     def test_both_signs_share_one_cycle_unit_and_root_location(self, monkeypatch):
