@@ -12,6 +12,7 @@ continued-fraction engine is the principal-cycle walk in ``quadrep``.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, isqrt
 
@@ -29,6 +30,9 @@ TRIAL_DIVISION_BOUND = 2**12
 RHO_ITERATION_COST = 10
 # iterations whose |x - y| are multiplied together before one gcd
 _RHO_BATCH = 128
+# root sets of a mod p^e kept by _sqrt_mod_prime_power: a scan of [-20, 20]^2
+# asks for 80 distinct ones
+ROOT_CACHE_SIZE = 1024
 
 
 def _sieve(bound: int) -> list[int]:
@@ -328,8 +332,12 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     return r
 
 
-def _sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
-    """All z in [0, p^e) with z^2 = a (mod p^e), ascending.
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _sqrt_mod_prime_power(a: int, p: int, e: int) -> tuple[int, ...]:
+    """All z in [0, p^e) with z^2 = a (mod p^e), ascending, for
+    0 <= a < p^e, as a tuple.  Kept in a bounded cache: the targets of a
+    scan share most of their prime powers, and the residues of |D| modulo
+    them recur.
 
     With a = p^v * a1 (p not dividing a1, v < e), z = p^(v/2) * w where
     w^2 = a1 (mod p^(e-v)), and each such w mod p^(e-v) gives p^(v/2)
@@ -337,15 +345,14 @@ def _sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
     lifting for odd p, and one binary digit at a time for p = 2.
     """
     q = p**e
-    a %= q
     if a == 0:
-        return list(range(0, q, p ** ((e + 1) // 2)))
+        return tuple(range(0, q, p ** ((e + 1) // 2)))
     v = 0
     while a % p == 0:
         a //= p
         v += 1
     if v % 2:
-        return []
+        return ()
     k = e - v
     pk = p**k
     if p == 2:
@@ -356,25 +363,28 @@ def _sqrt_mod_prime_power(a: int, p: int, e: int) -> list[int]:
     else:
         w = _sqrt_mod_prime(a % p, p)
         if w is None:
-            return []
+            return ()
         mod = p
         while mod < pk:
             mod *= p
             w = (w - (w * w - a) * pow(2 * w, -1, mod)) % mod
         ws = [w, pk - w]
     h = p ** (v // 2)
-    return sorted({h * (w + j * pk) for w in ws for j in range(h)})
+    return tuple(sorted({h * (w + j * pk) for w in ws for j in range(h)}))
 
 
 def sqrt_mod(a: int, factors: dict[int, int]) -> list[int]:
-    """All z in [0, n) with z^2 = a (mod n), ascending, where n is the
-    product of p^e over ``factors`` (primes): the roots modulo each prime
-    power, joined by the Chinese remainder theorem."""
+    """All z in [0, n) with z^2 = a (mod n), ascending, in a new list, where
+    n is the product of p^e over ``factors`` (primes): the roots modulo each
+    prime power, from the cache of _sqrt_mod_prime_power (at most
+    ROOT_CACHE_SIZE residues, keyed by (a mod p^e, p, e)), joined by the
+    Chinese remainder theorem."""
     roots, n = [0], 1
     for p, e in factors.items():
         q = p**e
         inv = pow(n, -1, q)
-        roots = [r + n * ((w - r) * inv % q) for r in roots for w in _sqrt_mod_prime_power(a, p, e)]
+        local = _sqrt_mod_prime_power(a % q, p, e)
+        roots = [r + n * ((w - r) * inv % q) for r in roots for w in local]
         n *= q
     return sorted(roots)
 

@@ -166,13 +166,6 @@ def _rep_order(p: tuple[int, int]):
     return (abs(y), 0 if y >= 0 else 1, abs(x), 0 if x >= 0 else 1)
 
 
-def _floor_surd(p: int, q: int, s: int) -> int:
-    # floor((p + sqrt(d)) / q) with s = isqrt(d), sqrt(d) irrational
-    if q > 0:
-        return (p + s) // q
-    return (-p - s - 1) // (-q)
-
-
 def _mat_mul(x: tuple, y: tuple) -> tuple:
     # 2x2 matrices as (top-left, top-right, bottom-left, bottom-right)
     return (
@@ -189,11 +182,19 @@ def _row_mul(r: tuple, y: tuple) -> tuple:
 _LEAF = 32
 
 
+def _row_steps(row: tuple, quots) -> tuple:
+    # row times the product of [[a, 1], [1, 0]] over quots, one quotient at
+    # a time: (r0, r1) M(a) = (a*r0 + r1, r0)
+    r0, r1 = row
+    for a in quots:
+        r0, r1 = a * r0 + r1, r0
+    return r0, r1
+
+
 def _cf_matrix(quots) -> tuple:
     """The product of [[a, 1], [1, 0]] over the partial quotients a_0..a_i,
     which is [[A_i, A_(i-1)], [B_i, B_(i-1)]] for the convergents A/B,
-    multiplied in turn: the leaf loop, for short runs only (the runs of
-    _LEAF in _cf_tree, a pre-period, the rest of a run up to a cut)."""
+    multiplied in turn: the leaf loop of _cf_tree, over runs of _LEAF."""
     a1, a0, b1, b0 = 1, 0, 0, 1
     for a in quots:
         a1, a0, b1, b0 = a * a1 + a0, a1, a * b1 + b0, b1
@@ -220,21 +221,26 @@ def _prefix_rows(quots, tree, cuts) -> list:
     cuts, which lie within the quotients of ``tree`` (_cf_tree).
 
     One left-to-right sweep: the top row of the product of the first whole
-    runs is carried from cut to cut, times the product of the tree nodes
-    that cover the runs between (O(log) of them per gap), and each cut adds
-    its last partial run."""
+    runs is carried from run to run, times the product of the tree nodes
+    that cover the runs between (O(log) of them per gap).  A cut steps the
+    row one quotient at a time (_row_steps) from the previous cut when that
+    lies in its run, else from the start of its run."""
     row, pos = (1, 0), 0  # the top row of the product of the first pos runs
+    cut_row, at = row, 0  # the top row of P(at)
     rows = []
     for c in cuts:
         b = c // _LEAF
-        gap = (1, 0, 0, 1)
-        while pos < b:
-            # the highest node that starts at run pos and ends by run b
-            i = min(len(tree), (b - pos).bit_length(), (pos & -pos).bit_length() or len(tree)) - 1
-            gap = _mat_mul(gap, tree[i][pos >> i])
-            pos += 1 << i
-        row = _row_mul(row, gap)
-        rows.append(_row_mul(row, _cf_matrix(quots[b * _LEAF:c])))
+        if b > pos:
+            gap = (1, 0, 0, 1)
+            while pos < b:
+                # the highest node that starts at run pos and ends by run b
+                i = min(len(tree), (b - pos).bit_length(), (pos & -pos).bit_length() or len(tree)) - 1
+                gap = _mat_mul(gap, tree[i][pos >> i])
+                pos += 1 << i
+            row = _row_mul(row, gap)
+            cut_row, at = row, b * _LEAF
+        cut_row, at = _row_steps(cut_row, quots[at:c]), c
+        rows.append(cut_row)
     return rows
 
 
@@ -312,22 +318,39 @@ def pell_fundamental(dabs: int) -> tuple[int, int]:
     return _principal_cycle(dabs).unit
 
 
+def _pre_period(dabs: int, s: int, z: int, m: int) -> tuple:
+    """The partial quotients of (z + sqrt(dabs))/m, s = isqrt(dabs), before
+    its first reduced state: the PQa walk of _located_roots, recorded."""
+    p, q, pre = z, m, []
+    while True:
+        a = (p + s) // q if q > 0 else (-p - s - 1) // -q
+        pre.append(a)
+        p = a * q - p
+        q = (dabs - p * p) // q
+        if 0 < p <= s and s - p < q <= s + p:
+            return tuple(pre)
+
+
 def _located_roots(dabs: int, nabs: int) -> tuple:
     """(f, z, pre, c) for every f^2 | nabs and every square root z <= m/2 of
     dabs modulo m = nabs/f^2 whose expansion of (z + sqrt(dabs))/m reaches
     the principal cycle: pre holds its partial quotients before its first
     reduced state, which is at position c of the cycle.
 
-    Only (P, Q) is walked, to that state; a root whose first reduced state
-    is off the principal cycle has no hit (see _cycle_points and the module
-    docstring) and is dropped.  The states are looked up by one filter over
-    the stored Q of the cycle's first half for the Q values wanted: each
-    stored Q_k stands for two positions of the cycle (see _principal_cycle),
-    and each position's P comes from P^2 = dabs - Q_prev*Q, which must be a
-    square.  Nothing here depends on the sign of the target, so
-    x^2 - dabs*y^2 = +-nabs share one call, through the cache of its one
-    caller, _cycle_points.  Raises FactorizationLimitError when the default
-    budget cannot factor nabs.
+    Each root is walked by the PQa step to its first reduced state, keeping
+    only that state: no quotient is recorded.  sqrt_mod gives the roots in
+    ascending order, so the walk over a modulus stops at its first root
+    above m/2.  A root whose first reduced state is off the principal cycle
+    has no hit (see _cycle_points and the module docstring) and is dropped;
+    only the roots that remain are walked again, by _pre_period, to record
+    pre.  The states are looked up by one filter over the stored Q of the
+    cycle's first half for the Q values wanted: each stored Q_k stands for
+    two positions of the cycle (see _principal_cycle), and each position's
+    P comes from P^2 = dabs - Q_prev*Q, which must be a square.  Nothing
+    here depends on the sign of the target, so x^2 - dabs*y^2 = +-nabs
+    share one call, through the cache of its one caller, _cycle_points.
+    Raises FactorizationLimitError when the default budget cannot factor
+    nabs.
     """
     factors, cofactor = factorize(nabs)
     if cofactor != 1:
@@ -341,23 +364,25 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
         ]
     cycle = _principal_cycle(dabs)
     s, qs = cycle.s, cycle.qs
-    roots = []  # (f, z, pre, first reduced state)
+    roots = []  # (f, z, m, first reduced state)
+    wanted_q = set()
     for f, mf in splits:
         m = nabs // (f * f)
+        half = m // 2
         # the hits of -z are the conjugates (x, -y) of those of z, up to the
         # automorph, and the representatives are closed under that sign flip
         for z in sqrt_mod(dabs, mf):
-            if z <= m // 2:
-                p, q, pre = z, m, []
-                while True:
-                    a = _floor_surd(p, q, s)
-                    pre.append(a)
-                    p = a * q - p
-                    q = (dabs - p * p) // q
-                    if 0 < p <= s and s - p < q <= s + p:
-                        break
-                roots.append((f, z, tuple(pre), (p, q)))
-    wanted_q = {q for *_, (_, q) in roots}
+            if z > half:
+                break
+            p, q = z, m
+            while True:
+                a = (p + s) // q if q > 0 else (-p - s - 1) // -q
+                p = a * q - p
+                q = (dabs - p * p) // q
+                if 0 < p <= s and s - p < q <= s + p:
+                    break
+            roots.append((f, z, m, (p, q)))
+            wanted_q.add(q)
     h, last = len(qs), cycle.period - 1
     where = {(s, 1): last}
     for k in compress(range(h), map(wanted_q.__contains__, qs)):
@@ -373,7 +398,7 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
             if p == 0 or p * p != p2:
                 raise AssertionError(f"Q = {q} at position {i} of the cycle of sqrt({dabs}) has no P")
             where[p, q] = i
-    return tuple((f, z, pre, where[st]) for f, z, pre, st in roots if st in where)
+    return tuple((f, z, _pre_period(dabs, s, z, m), where[st]) for f, z, m, st in roots if st in where)
 
 
 @lru_cache(maxsize=2)
@@ -409,8 +434,8 @@ def _cycle_points(dabs: int, nabs: int) -> tuple:
     for f, z, pre, c0 in roots:
         p0, p1 = rows[min(c0, last - c0)]
         v0, v1 = (p0, p1) if c0 >= last - c0 else (-p1, p0)
-        m0, m1, m2, m3 = _cf_matrix(pre)
-        g, b = m0 * v0 + m1 * v1, m2 * v0 + m3 * v1
+        # M(pre) (v0, v1), which is (v0, v1) M(reversed pre) transposed
+        g, b = _row_steps((v0, v1), pre[::-1])
         x = nabs // (f * f) * g - z * b
         out.append((f, x, b, x * x - dabs * b * b))
     return tuple(out)

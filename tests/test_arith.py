@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from cubicha import arith
 from cubicha.arith import (
     DEFAULT_TRIAL_DIVISION_LIMIT,
     INFINITY,
@@ -164,6 +165,40 @@ class TestSqrtMod:
             a = rng.choice([1, 2, 3, 4, 9, 16, 25, 27, 81]) * rng.randint(0, 10**6)
             want = [z for z in range(m) if (z * z - a) % m == 0]
             assert sqrt_mod(a, factorize(m)[0]) == want, (a, m)
+
+    @pytest.mark.slow
+    def test_every_residue_below_600_cold_and_warm(self):
+        # the cache of prime-power roots changes no answer: every a mod n,
+        # n <= 600, once from an empty cache at every call, and once more in
+        # a shuffled order that interleaves the moduli, with the cache kept
+        # and a shifted by multiples of n
+        want, factors = {}, {}
+        for n in range(1, 601):
+            roots = {}
+            for z in range(n):
+                roots.setdefault(z * z % n, []).append(z)
+            want[n], factors[n] = roots, factorize(n)[0]
+        pairs = [(a, n) for n in range(1, 601) for a in range(n)]
+        for a, n in pairs:
+            arith._sqrt_mod_prime_power.cache_clear()
+            assert sqrt_mod(a, factors[n]) == want[n].get(a, []), (a, n)
+        rng = random.Random(600)
+        rng.shuffle(pairs)
+        hits = arith._sqrt_mod_prime_power.cache_info().hits
+        for a, n in pairs:
+            shifted = a + n * rng.randint(-3, 3)
+            assert sqrt_mod(shifted, factors[n]) == want[n].get(a, []), (shifted, n)
+        assert arith._sqrt_mod_prime_power.cache_info().hits - hits > len(pairs)
+
+    def test_returned_list_is_fresh(self):
+        # the cache holds tuples: a caller's edit of its list reaches no
+        # other caller
+        for factors, roots in (({5: 2}, [2, 23]), ({3: 1, 5: 1}, [2, 7, 8, 13])):
+            got = sqrt_mod(4, factors)
+            assert got == roots
+            got[0] = -1
+            got.append(99)
+            assert sqrt_mod(4, factors) == roots
 
 
 def sieve(bound):

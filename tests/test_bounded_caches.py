@@ -8,6 +8,7 @@ import inspect
 import pkgutil
 
 import cubicha
+from cubicha import arith
 
 
 def functools_caches():
@@ -32,5 +33,19 @@ def test_every_functools_cache_is_bounded():
     assert "cubicha.quadrep._principal_cycle" in caches
     assert "cubicha.quadrep._cycle_points" in caches
     assert "cubicha.quadrep._indefinite_certificate" in caches
+    assert "cubicha.arith._sqrt_mod_prime_power" in caches
     unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+def test_cache_clear_sweep_empties_the_root_cache():
+    # the sweep with which the benchmark starts each pass from cold caches:
+    # cache_clear on every global of the module that has one
+    arith.sqrt_mod(2, {7: 3, 17: 1})
+    info = arith._sqrt_mod_prime_power.cache_info()
+    assert info.currsize > 0 and info.maxsize == arith.ROOT_CACHE_SIZE
+    for obj in vars(arith).values():
+        clear = getattr(obj, "cache_clear", None)
+        if callable(clear):
+            clear()
+    assert arith._sqrt_mod_prime_power.cache_info().currsize == 0

@@ -367,6 +367,12 @@ class TestScan:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "5696de433fa7644418550d8e41cb53b0a16c9279d881af124f70e11df83f8a55"
 
+    def test_benchmark_square_digest(self, capsys):
+        # sha256 of the CSV of the square that the grid benchmark scans
+        assert main(["scan", "--a-range=-20:20", "--b-range=-20:20"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "bb82beb3ce151588698354b7c4facb402d59d65142af3f7bb5ef23ca2349fe03"
+
 
 class TestVerify:
     @pytest.mark.parametrize("grid", ["0", "-3"])
@@ -388,7 +394,7 @@ class TestVerify:
         # the number of checks per suite, so that no check goes missing
         assert main(["verify", "--grid", "20", "--seed", "0"]) == 0
         assert capsys.readouterr().out == (
-            "ok   sqrt-cf-pell (100 checks)\n"
+            "ok   sqrt-cf-pell (101 checks)\n"
             "ok   hopf-identities (100 checks)\n"
             "ok   index-table (1424 checks)\n"
             "ok   order-certificates (2460 checks)\n"

@@ -233,11 +233,42 @@ def full_period_walk(d):
         q = (d - p * p) // q
 
 
-def referee_located_roots(d, targets):
+def scanned_roots(d, m):
+    """The z <= m/2 with z^2 = d mod m, by a scan of the residues."""
+    return [z for z in range(m // 2 + 1) if (z * z - d) % m == 0]
+
+
+@lru_cache(maxsize=4096)
+def scanned_prime_power_roots(d, q):
+    """The w in [0, q) with w^2 = d mod q, by a scan of the residues."""
+    return [w for w in range(q) if (w * w - d) % q == 0]
+
+
+def joined_roots(d, m):
+    """The z <= m/2 with z^2 = d mod m: the roots modulo each prime power of
+    m, by a scan of its residues, joined by the CRT; for moduli too large
+    to scan whole."""
+    roots, n, rest, p = [0], 1, m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        if q > 1:
+            local = scanned_prime_power_roots(d % q, q)
+            roots = [r + n * ((w - r) * pow(n, -1, q) % q) for r in roots for w in local]
+            n *= q
+        p += 1
+    return sorted(z for z in roots if z <= m // 2)
+
+
+def referee_located_roots(d, targets, roots=scanned_roots):
     """Referee for _located_roots, for each |N| of targets: every f^2 | |N|
-    and every z <= m/2 with z^2 = d mod m = |N|/f^2, found by a scan of the
-    residues, walked by the PQa step to its first reduced state, which is
-    looked up in a dict of the states of full_period_walk."""
+    and every z <= m/2 with z^2 = d mod m = |N|/f^2, from ``roots``, walked
+    by the PQa step to its first reduced state, which is looked up in a dict
+    of the states of full_period_walk."""
     s, ps, qs, _ = full_period_walk(d)
     where = {state: i for i, state in enumerate(zip(ps, qs))}
     out = {}
@@ -246,18 +277,17 @@ def referee_located_roots(d, targets):
         f = 1
         while f * f <= nabs:
             m = nabs // (f * f)
-            for z in range(m // 2 + 1) if nabs % (f * f) == 0 else ():
-                if (z * z - d) % m == 0:
-                    p, q, pre = z, m, []
-                    while True:
-                        a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
-                        pre.append(a)
-                        p = a * q - p
-                        q = (d - p * p) // q
-                        if 0 < p <= s and s - p < q <= s + p:
-                            break
-                    if (p, q) in where:
-                        found.append((f, z, tuple(pre), where[p, q]))
+            for z in roots(d, m) if nabs % (f * f) == 0 else ():
+                p, q, pre = z, m, []
+                while True:
+                    a = (p + s) // q if q > 0 else (-p - s - 1) // (-q)
+                    pre.append(a)
+                    p = a * q - p
+                    q = (d - p * p) // q
+                    if 0 < p <= s and s - p < q <= s + p:
+                        break
+                if (p, q) in where:
+                    found.append((f, z, tuple(pre), where[p, q]))
             f += 1
         out[nabs] = sorted(found)
     return out
@@ -363,14 +393,14 @@ class TestPrincipalCycle:
 
 class TestLocatedRoots:
     @staticmethod
-    def check(d, targets, seen):
+    def check(d, targets, seen, roots=scanned_roots):
         # an odd period, by the referee, is refused for every target
         if len(full_period_walk(d)[3]) % 2:
             for nabs in targets:
                 assert_refused(lambda: quadrep._located_roots(d, nabs), d)
             seen["refused"] += 1
             return
-        want = referee_located_roots(d, targets)
+        want = referee_located_roots(d, targets, roots)
         h = len(_principal_cycle(d).qs)
         for nabs in targets:
             got = quadrep._located_roots(d, nabs)
@@ -400,6 +430,42 @@ class TestLocatedRoots:
                 self.check(d, (1, 12, 108, rng.randint(2, 5000)), seen)
                 done += 1
         assert min(seen["first half"], seen["second half"]) > 50 and seen["refused"] > 10, seen
+
+    def test_freeness_problems_of_the_benchmark_square(self):
+        # real traffic: every indefinite problem that decide_freeness poses
+        # on [-20,20]^2, |N| = 12|a|g, 36|a|g or 108|a|g: a scan of that
+        # square locates roots 507 times, for 503 distinct (|D|, |N|)
+        targets = {}
+        for prob in freeness_problems(-20, 20):
+            dabs = -prob.d
+            if dabs > 0 and isqrt(dabs) ** 2 != dabs:
+                targets.setdefault(dabs, set()).add(abs(prob.n))
+        assert sum(map(len, targets.values())) == 503
+        seen = {"first half": 0, "second half": 0, "refused": 0}
+        for d, nabs in targets.items():
+            self.check(d, sorted(nabs), seen)
+        assert min(seen["first half"], seen["second half"]) > 600 and seen["refused"] == 0, seen
+
+    @pytest.mark.slow
+    def test_seeded_targets_sharing_factors_with_d(self):
+        # |N| = 2^i * 3^j * k, i, j <= 10, with k a multiple of a divisor of
+        # d = 3m, so that many roots meet a prime power of |N| that also
+        # divides d; the referee scans each prime power, not all of m
+        rng = random.Random(2020)
+        seen = {"first half": 0, "second half": 0, "refused": 0}
+        done = 0
+        while done < 40:
+            d = 3 * rng.choice((1, 2, 3, 4, 8, 9, 27)) * rng.randint(1, 3000)
+            if isqrt(d) ** 2 == d:
+                continue
+            shared = [e for e in range(1, 1000) if d % e == 0]
+            targets = [
+                2 ** rng.randint(0, 10) * 3 ** rng.randint(0, 10) * rng.choice(shared) * rng.randint(1, 20)
+                for _ in range(3)
+            ]
+            self.check(d, targets, seen, joined_roots)
+            done += 1
+        assert min(seen["first half"], seen["second half"]) > 50 and seen["refused"] == 0, seen
 
     def test_period_shapes(self):
         # period 1 (d = s^2 + 1) and other odd periods, refused; even
@@ -579,15 +645,20 @@ class TestSolveIndefinite:
 
     def test_hits_need_no_product_past_the_half_period(self, monkeypatch):
         # from empty caches, the quotients multiplied one at a time (the leaf
-        # loop) are those of the unit's half period, each root's pre-period
-        # and at most one partial run of _LEAF per root: a hit's prefix comes
-        # from the unit's tree, not from a product over its own stretch
+        # loop and the row steps) are those of the unit's half period, each
+        # root's pre-period and at most one partial run of _LEAF per root: a
+        # hit's prefix comes from the unit's tree, not from a product over
+        # its own stretch
         fed, roots, located = [0], [], []
-        leaf, locate = quadrep._cf_matrix, quadrep._located_roots
+        leaf, steps, locate = quadrep._cf_matrix, quadrep._row_steps, quadrep._located_roots
 
         def counting_leaf(quots):
             fed[0] += len(quots)
             return leaf(quots)
+
+        def counting_steps(row, quots):
+            fed[0] += len(quots)
+            return steps(row, quots)
 
         def recording(d, nabs):
             found = locate(d, nabs)
@@ -596,6 +667,7 @@ class TestSolveIndefinite:
             return found
 
         monkeypatch.setattr(quadrep, "_cf_matrix", counting_leaf)
+        monkeypatch.setattr(quadrep, "_row_steps", counting_steps)
         monkeypatch.setattr(quadrep, "_located_roots", recording)
         for a, b in ((-315, 471), (-672, -830)):
             for fn in list(vars(quadrep).values()):
