@@ -161,8 +161,10 @@ def _strong_lucas(n: int) -> bool:
 
 
 def valuation(n: int, p: int) -> int | float:
-    """Largest e with p^e | n; INFINITY iff n == 0.  Negative n uses |n|."""
-    if p < 2 or not is_prime(p):
+    """Largest e with p^e | n; INFINITY iff n == 0.  Negative n uses |n|.
+    ValueError unless p is prime, which 2 and 3, the primes most callers
+    pass, need no test to be."""
+    if p != 2 and p != 3 and not is_prime(p):
         raise ValueError(f"valuation requires a prime, got {p}")
     if n == 0:
         return INFINITY

@@ -12,9 +12,22 @@ For each of the six (major, minor) combinations a literal 3x3 reduced matrix
 R is known in closed form; it is integral with det R = I_W > 0, and the basis
 is read off the columns of R^-1 = adj(R) / det R.  ``build`` proves per input
 that R cuts out the associated order A_H = {h : M h integral}, M the 9x3
-action matrix: M * adj(R) = 0 mod det R puts the lattice of R inside A_H,
-and the gcd of the 3x3 minors of M, which is [A_H : Z^3] (Cohen, GTM 138,
-section 2.4), must then equal det R.  Every matrix is a tuple of integer
+action matrix: M * adj(R) = 0 mod det R puts the lattice of R inside A_H.
+The gcd of all the 3x3 minors of M is [A_H : Z^3] (Cohen, GTM 138, section
+2.4), so with that containment every minor is a multiple of det R, and any
+set of minors whose gcd is det R proves A_H equal to the lattice of R.
+Three minors of M always suffice: rows (0, 4, 8) give -54b, rows (0, 3, 6)
+give -8a^3 and rows (0, 4, 5) give 18a, and for all a, b != 0
+
+    gcd(54b, 8a^3, 18a) = I_W = 2g, 18g or 54g, by the case above.
+
+Prime by prime, with v_p(g) = min(v_p(a), v_p(b)): at p >= 5 its valuation
+is min(v_p(b), 3v_p(a), v_p(a)) = v_p(g); at 2 it is
+1 + min(v2(b), 2 + 3v2(a), v2(a)) = 1 + v2(g); at 3 it is
+min(3 + v3(b), 3v3(a), 2 + v3(a)), which is 0 = v3(2g) in CASE1, where
+v3(a) = 0, then 3 = v3(18g) when v3(a) = 1 <= v3(b), and
+2 + v3(a) = v3(18g) when 2 <= v3(a) <= v3(b), and 3 + v3(b) = v3(54g)
+in CASE3, where v3(a) >= v3(b) + 1.  Every matrix is a tuple of integer
 rows and every certificate a congruence on them in straight-line integers;
 rationals appear only in the ``basis`` view, made when read, and
 ``fractions`` is imported there too, so a caller that never reads the view
@@ -25,11 +38,12 @@ never loads it.  The Fraction routes that referee these integers
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .arith import valuation
 from .cubicfield import HopfElement, TrinomialCubic, hopf_mul_coords
 from .errors import LatticeMismatchError
-from .exactlinalg import adjugate_rows, det3, divides_product, minors_gcd
+from .exactlinalg import adjugate_rows, det3, divides_product
 from . import cubicfield
 
 CASE1 = "CASE1"
@@ -96,6 +110,16 @@ def index_of_case(case: CaseLabel, g: int) -> int:
     return _INDEX_FACTOR[case.major] * g
 
 
+# the rows of the action matrix whose minors are -54b, -8a^3 and 18a
+_INDEX_MINORS = ((0, 4, 8), (0, 3, 6), (0, 4, 5))
+
+
+def index_minors_gcd(rows) -> int:
+    """The gcd of the three minors of the action matrix ``rows`` that make
+    its index for every a, b != 0 (see the module docstring)."""
+    return gcd(*(det3([rows[i] for i in trio]) for trio in _INDEX_MINORS))
+
+
 def closed_form_reduced(k: TrinomialCubic, case: CaseLabel) -> tuple[tuple[int, int, int], ...]:
     """The rows of the literal reduced matrix R for the case."""
     top, (r10, r11, r12), bottom = _REDUCED[case.major, case.minor]
@@ -131,8 +155,8 @@ def _verify_certificates(k: TrinomialCubic, order: AssociatedOrder) -> None:
     if not divides_product(d, rows, cols):
         raise AssertionError(f"a basis vector moves B out of Z[alpha] for {k}")
     # equality: with containment every 3x3 minor of M is a multiple of d, so
-    # their gcd, the index of the associated order, is d or never reaches it
-    if minors_gcd(rows, d) != d:
+    # three of them whose gcd is d prove the index of A_H to be d
+    if index_minors_gcd(rows) != d:
         raise LatticeMismatchError(
             f"closed-form and generic reduced matrices disagree for (a, b) = "
             f"({k.a}, {k.b})"

@@ -5,9 +5,7 @@ every square matrix is 3x3.  Everything is exact; no floating point appears
 anywhere.
 
 The associated order's certificates run in straight-line integers on rows:
-``det3``, ``adjugate_rows``, ``divides_product`` and ``minors_gcd``, the
-gcd of the 3x3 minors of a tall matrix, which is the index in Z^3 of the
-lattice its rows span.
+``det3``, ``adjugate_rows`` and ``divides_product``.
 
 ``reduce_tall`` brings an m x n integer matrix (m >= n, full column rank) to
 an upper-triangular n x n block D stacked on zeros, using only the three
@@ -22,8 +20,6 @@ integers against.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import RankError, SingularMatrixError
@@ -61,7 +57,11 @@ def adjugate_rows(rows) -> tuple[tuple, ...]:
 def divides_product(n: int, rows, cols) -> bool:
     """Whether n divides every entry of rows * C, C the matrix with columns
     ``cols``; rows and columns have length 3."""
-    return not any((r0 * c0 + r1 * c1 + r2 * c2) % n for r0, r1, r2 in rows for c0, c1, c2 in cols)
+    for r0, r1, r2 in rows:
+        for c0, c1, c2 in cols:
+            if (r0 * c0 + r1 * c1 + r2 * c2) % n:
+                return False
+    return True
 
 
 def inverse3(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -72,19 +72,6 @@ def inverse3(rows) -> tuple[tuple[Fraction, ...], ...]:
     if det == 0:
         raise SingularMatrixError("matrix is singular")
     return tuple(tuple(Fraction(x, det) for x in row) for row in adjugate_rows(rows))
-
-
-def minors_gcd(rows, stop: int = 1) -> int:
-    """gcd of the 3x3 minors of integer rows of length 3: the index in Z^3 of
-    the lattice they span, 0 below rank 3.  The scan ends once the gcd equals
-    ``stop``, below which it cannot fall when every minor is a multiple of
-    ``stop`` (always so for the default 1)."""
-    g = 0
-    for trio in combinations([r for r in rows if any(r)], 3):
-        g = gcd(g, det3(trio))
-        if g == stop:
-            break
-    return g
 
 
 def reduce_tall(m) -> tuple[tuple[int, ...], ...]:

@@ -36,6 +36,30 @@ Three regimes:
     normalized to the orbit's (|y|, |x|)-minimal point and closed under both
     sign flips.
 
+    Most points read off the cycle are that minimal point already, and
+    Nagell's bound on fundamental solutions (T. Nagell, Introduction to
+    Number Theory, 1951, section 58, Theorems 108 and 108a) proves it
+    without a step of the automorph.  Write eps = t + u*sqrt(|D|) = e^l and
+    x + y*sqrt(|D|) = +-sqrt(|N|)*e^s for a solution of x^2 - |D|*y^2 = N;
+    the automorph moves s by l.  When N > 0,
+    |y| = sqrt(N)*|sinh s|/sqrt(|D|) and u/sqrt(2(t + 1)) =
+    sinh(l/2)/sqrt(|D|); when N < 0, |y| = sqrt(|N|)*cosh(s)/sqrt(|D|) and
+    u/sqrt(2(t - 1)) = cosh(l/2)/sqrt(|D|).  Both |sinh| and cosh grow
+    strictly with |s|, so in either case the strict inequality
+
+        2(t +- 1)*y^2 < u^2*|N|     (+ for N > 0, - for N < 0)
+
+    holds exactly when |s| < l/2.  Then s + l and s - l are both farther
+    from 0 than s, and every other point of the orbit has a strictly larger
+    |y|: the point is the one the descent (_normalize_rep) returns, which
+    moves only to a strictly smaller (|y|, |x|).  The test runs on bit
+    lengths, with no products: y^2 < 2^(2 bits(y)), 2(t +- 1) <
+    2^bits(2(t +- 1)), u^2 >= 2^(2 bits(u) - 2) and |N| >= 2^(bits(|N|) - 1),
+    so 2 bits(y) + bits(2(t +- 1)) <= 2 bits(u) + bits(|N|) - 3 implies the
+    inequality (_nagell_room).  A point that fails the bit test, which
+    includes every point at the bound, where two points of the orbit tie,
+    takes the exact descent.
+
     The period of sqrt(|D|) is always even here.  It is odd exactly when
     t^2 - |D|*u^2 = -1 has a solution, and 3 divides |D| while -1 is not a
     square mod 3.  So only even periods are solved, and _principal_cycle
@@ -441,6 +465,13 @@ def _cycle_points(dabs: int, nabs: int) -> tuple:
     return tuple(out)
 
 
+def _nagell_room(t: int, u: int, n: int) -> int:
+    """The largest 2*bits(y) with which a solution (x, y) of
+    x^2 - |D|*y^2 = n is certified minimal in its orbit by Nagell's bound,
+    (t, u) the unit (see the module docstring)."""
+    return 2 * u.bit_length() + abs(n).bit_length() - 3 - (2 * (t + 1 if n > 0 else t - 1)).bit_length()
+
+
 def _normalize_rep(dabs: int, t: int, u: int, x: int, y: int) -> tuple[int, int]:
     # descend to the orbit's (|y|, |x|)-minimal point under A and A^-1,
     # which share the four products
@@ -462,8 +493,11 @@ def _indefinite_certificate(dabs: int, n: int) -> PellCertificate:
     which poses the same (dabs, n) (see the module docstring).
 
     A point of _cycle_points with value +m = n/f^2 is a hit; one with value
-    -m is the other sign's hit, and is skipped."""
+    -m is the other sign's hit, and is skipped.  A hit that Nagell's bound
+    proves minimal in its orbit is kept as it is; any other is descended to
+    the minimum (see the module docstring)."""
     t, u = pell_fundamental(dabs)
+    room = _nagell_room(t, u, n)
     reps = set()
     for f, x, y, v in _cycle_points(dabs, abs(n)):
         m = n // (f * f)
@@ -471,7 +505,9 @@ def _indefinite_certificate(dabs: int, n: int) -> PellCertificate:
             continue
         if v != m:
             raise AssertionError(f"({f * x}, {f * y}) does not solve x^2 - {dabs}*y^2 = {n}")
-        nx, ny = _normalize_rep(dabs, t, u, f * x, f * y)
+        nx, ny = f * x, f * y
+        if 2 * ny.bit_length() > room:
+            nx, ny = _normalize_rep(dabs, t, u, nx, ny)
         reps.update({(nx, ny), (-nx, ny), (nx, -ny), (-nx, -ny)})
     return PellCertificate(INDEFINITE, (t, u), tuple(sorted(reps, key=_rep_order)))
 

@@ -9,8 +9,8 @@ raises AssertionError with a pinpointed message on the first violation, via
 The referee routines that no production path calls live here too: the
 continued fraction of sqrt(d), multiplication and trace in Z[alpha] with
 the square-root identity behind the Gram matrix, the gcd closed form of the
-case table, Fraction membership in an associated order, and the box search
-for a generator.  ``cli`` loads this module only for ``verify``.
+case table, the gcd of all the 3x3 minors of a tall matrix, Fraction
+membership in an associated order, and the box search for a generator.  ``cli`` loads this module only for ``verify``.
 """
 
 from __future__ import annotations
@@ -113,6 +113,19 @@ def h_closed_form(k: cubicfield.TrinomialCubic) -> int:
     if h != direct:
         raise AssertionError(f"closed-form gcd {h} != direct gcd {direct} for {k}")
     return h
+
+
+def minors_gcd(rows) -> int:
+    """gcd of the 3x3 minors of integer rows of length 3: the index in Z^3 of
+    the lattice they span, 0 below rank 3 (Cohen, GTM 138, section 2.4).
+    The referee of the three minors that ``assocorder.build`` certifies the
+    index with.  The scan ends once the gcd is 1."""
+    g = 0
+    for trio in itertools.combinations([r for r in rows if any(r)], 3):
+        g = gcd(g, exactlinalg.det3(trio))
+        if g == 1:
+            break
+    return g
 
 
 def in_order(reduced, h: cubicfield.HopfElement) -> bool:
@@ -246,7 +259,8 @@ def suite_hopf(rng: random.Random, grid: int) -> int:
 
 def suite_index_table(rng: random.Random, grid: int) -> int:
     """Generic reduction vs closed form on the grid: |det|, lattice, gcd, and
-    vs the gcd of the 3x3 minors that build certifies the index with."""
+    vs the gcd of all the 3x3 minors, which the three minors that build
+    certifies the index with must match."""
     checks = 0
     for k in validated_pairs(grid):
         case = assocorder.classify(k)
@@ -255,7 +269,8 @@ def suite_index_table(rng: random.Random, grid: int) -> int:
         generic = exactlinalg.reduce_tall(action)
         want = assocorder.index_of_case(case, k.g)
         check(abs(exactlinalg.det3(generic)) == want, k, case)
-        check(exactlinalg.minors_gcd(action) == abs(exactlinalg.det3(generic)), k)
+        check(minors_gcd(action) == abs(exactlinalg.det3(generic)), k)
+        check(assocorder.index_minors_gcd(action) == minors_gcd(action), k)
         check(exactlinalg.lattice_equal3(closed, generic), k)
         h_closed_form(k)  # raises on closed form vs gcd mismatch
         checks += 1

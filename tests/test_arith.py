@@ -54,6 +54,24 @@ class TestValuation:
         with pytest.raises(ValueError):
             valuation(10, 1)
 
+    def test_non_primes_near_2_and_3_rejected(self):
+        # 2 and 3 skip the primality test; their neighbours, squares and
+        # negatives must not
+        for p in (0, 1, 4, 9, 15, -3, -2, 6):
+            for n in (0, 1, 12, -54):
+                with pytest.raises(ValueError):
+                    valuation(n, p)
+
+    def test_2_and_3_match_naive_on_seeded_n(self):
+        rng = random.Random(321)
+        ns = [0, 1, -1, 2, -3, 2**64, -(3**40), 6**30 * 7]
+        for _ in range(500):
+            sign = rng.choice((-1, 1))
+            ns.append(sign * 2 ** rng.randint(0, 70) * 3 ** rng.randint(0, 40) * rng.randint(1, 10**6))
+        for n in ns:
+            for p in (2, 3):
+                assert valuation(n, p) == naive_valuation(n, p), (n, p)
+
     @given(st.integers(-(10**6), 10**6), st.sampled_from([2, 3, 5, 7, 11]))
     def test_matches_naive(self, n, p):
         assert valuation(n, p) == naive_valuation(n, p)

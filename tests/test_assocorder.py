@@ -12,13 +12,14 @@ from cubicha.assocorder import (
     build,
     classify,
     closed_form_reduced,
+    index_minors_gcd,
     index_of_case,
 )
-from cubicha.cubicfield import HopfElement, gram_matrix, apply_hopf, hopf_mul, validate
+from cubicha.cubicfield import REDUCED_LOOSE, REDUCED_STRICT, HopfElement, gram_matrix, apply_hopf, hopf_mul, validate
 from cubicha.errors import ValidationError
 from cubicha.exactlinalg import det3, inverse3, lattice_equal3, reduce_tall
-from cubicha.selfcheck import basis_matrix, h_closed_form, in_order
-from cubicha import cubicfield
+from cubicha.selfcheck import basis_matrix, h_closed_form, in_order, minors_gcd
+from cubicha import assocorder, cubicfield
 
 
 def pairs_in_grid(bound):
@@ -209,6 +210,71 @@ class TestBuild:
                     assert in_order(order.reduced, hopf_mul(k, v, w))
 
 
+class TestIndexMinors:
+    """index_minors_gcd, the equality certificate of build, against the gcd
+    of all the minors and the index table."""
+
+    @staticmethod
+    def check(k, seen):
+        rows = cubicfield.action_matrix(k)
+        case = classify(k)
+        assert index_minors_gcd(rows) == minors_gcd(rows) == index_of_case(case, k.g), (k.a, k.b)
+        seen.add((str(case), k.g > 1))
+
+    # every label with g > 1, and with g = 1 all but CASE2, where 3 | g
+    LABELS = {
+        (f"{major}/{minor}", big)
+        for major in (CASE1, CASE2, CASE3)
+        for minor in (V2GE, V2LT)
+        for big in (True, False)
+        if big or major != CASE2
+    }
+
+    def test_every_field_of_the_square_60(self):
+        seen = set()
+        for k in pairs_in_grid(60):
+            self.check(k, seen)
+        assert seen == self.LABELS, seen
+
+    def test_seeded_fields_up_to_a_million(self):
+        # plain draws, then draws whose a and b carry powers of 2 and 3 and a
+        # shared factor, so that every (case, minor) label meets g > 1; the
+        # identity holds for all a, b != 0, so loosely reduced fields count too
+        rng = random.Random(2121)
+        seen, done = set(), 0
+        while done < 4000:
+            if done % 2:
+                a, b = rng.randint(-(10**6), 10**6), rng.randint(-(10**6), 10**6)
+            else:
+                shared = rng.randint(1, 50)
+                a = rng.choice((-1, 1)) * 2 ** rng.randint(0, 4) * 3 ** rng.randint(0, 5) * shared * rng.randint(1, 200)
+                b = rng.choice((-1, 1)) * 2 ** rng.randint(0, 5) * 3 ** rng.randint(0, 6) * shared * rng.randint(1, 200)
+            if not (0 < abs(a) <= 10**6 and 0 < abs(b) <= 10**6):
+                continue
+            try:
+                k = validate(a, b, REDUCED_LOOSE if done % 5 == 0 else REDUCED_STRICT)
+            except ValidationError:
+                continue
+            self.check(k, seen)
+            done += 1
+        assert seen == self.LABELS, seen
+
+    def test_equality_evaluates_three_minors(self, monkeypatch):
+        # each field of [-20,20]^2: the equality check of _verify_certificates
+        # is the only caller of det3 there, and it takes three minors
+        calls = [0]
+
+        def counting(rows):
+            calls[0] += 1
+            return det3(rows)
+
+        orders = [(k, build(k)) for k in pairs_in_grid(20)]
+        monkeypatch.setattr(assocorder, "det3", counting)
+        for k, order in orders:
+            assocorder._verify_certificates(k, order)
+        assert calls[0] == 3 * len(orders) and len(orders) > 1000, (calls[0], len(orders))
+
+
 def test_certificates_raise_under_optimize(run_optimized):
     # reversed adj columns span the same B-stable ring, but the identity is
     # no longer the first basis vector
@@ -231,7 +297,8 @@ def test_certificates_raise_under_optimize(run_optimized):
 def test_planted_suborder_caught_by_the_equality_check(run_optimized):
     # (1, 2) is CASE1/V2LT with R = diag(1, 2g, 1); diag(1, g, 1) cuts out a
     # proper suborder of index 2 that is B-stable, a ring and holds the
-    # identity, so only the gcd of the action matrix's minors tells them apart
+    # identity, so only the gcd of the action matrix's minors tells them
+    # apart; the planted check answers the planted index, 1
     out = run_optimized(
         "from cubicha import assocorder\n"
         "from cubicha.cubicfield import validate\n"
@@ -245,7 +312,7 @@ def test_planted_suborder_caught_by_the_equality_check(run_optimized):
         "    assocorder.build(k)\n"
         "except LatticeMismatchError as exc:\n"
         "    print('raised:', exc)\n"
-        "assocorder.minors_gcd = lambda rows, stop: stop\n"
+        "assocorder.index_minors_gcd = lambda rows: 1\n"
         "print('without the equality check:', assocorder.build(k).index_iw)\n"
     )
     assert out.splitlines() == [

@@ -156,6 +156,28 @@ def test_long_period_field_within_time_bound(capsys):
     assert elapsed <= 3.0, elapsed
 
 
+@pytest.mark.parametrize(
+    "a, b, digest",
+    [
+        # NOT_FREE and FREE, each with Pell units of over 8,000 digits
+        (-569, 1, "5f707610f93334e798c41f0f9ace87e9bc13225815e7013f69de89ceafe4b0aa"),
+        (-641, -995, "d6446a51f125e9c765f5a1d7ca3dbd7e6b417d2422e4bbb71ee62fc0dfec1556"),
+        # fields with a hit that Nagell's bound leaves to the descent, in
+        # CASE1, CASE2 (NOT_FREE) and CASE3
+        (-625, -889, "a9938f1d2ccd5f026df0522504767f652d767462ddada92d6dd63b485dfb9162"),
+        (-12, -375, "37141f8b48444ac0d013663acd40b71dea42dcb1486518cba2c27beb06d0f3c0"),
+        (-27, 926, "cfc7c7231384a219001392a8f211fcd7ee602d244ac9610e971982c4ae17ca17"),
+    ],
+)
+def test_pell_pool_analyze_digest(capsys, a, b, digest):
+    # sha256 of the JSON without elapsed_us, as the solver that descended
+    # every hit to its orbit's minimum wrote it
+    assert main(["analyze", f"--a={a}", f"--b={b}"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["elapsed_us"]
+    assert hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest() == digest
+
+
 def test_one_build_per_valid_field(capsys, build_calls):
     assert main(["scan", "--a-range", "3:3", "--b-range=-9:9"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")[1:]

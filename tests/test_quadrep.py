@@ -1,6 +1,8 @@
+import json
 import random
 from functools import lru_cache
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from cubicha.quadrep import (
     solve_degenerate,
     solve_indefinite,
     solve_with_conditions,
+    _nagell_room,
     _normalize_rep,
     _principal_cycle,
 )
@@ -769,21 +772,25 @@ def referee_orbit_walk(problem, cert):
     return match, orbits
 
 
-def freeness_problems(lo, hi):
+def field_problems(fields):
     """The FormProblem of each sign of the target that decide_freeness poses
-    for every valid field (a, b) with lo <= a, b <= hi."""
-    for a in range(lo, hi + 1):
-        for b in range(lo, hi + 1):
-            try:
-                k = validate(a, b)
-            except ValidationError:
-                continue
-            major = classify(k).major
-            base = _RHS_FACTOR[major] * a * k.g
-            for n in (base, -base):
-                yield FormProblem(
-                    d=3 * k.delta, n=n, modulus=6 * abs(a), ycoef=9 * b, require_y_not_div3=major == CASE1
-                )
+    for every valid field (a, b) of ``fields``."""
+    for a, b in fields:
+        try:
+            k = validate(a, b)
+        except ValidationError:
+            continue
+        major = classify(k).major
+        base = _RHS_FACTOR[major] * a * k.g
+        for n in (base, -base):
+            yield FormProblem(
+                d=3 * k.delta, n=n, modulus=6 * abs(a), ycoef=9 * b, require_y_not_div3=major == CASE1
+            )
+
+
+def freeness_problems(lo, hi):
+    """field_problems of every (a, b) with lo <= a, b <= hi."""
+    return field_problems((a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1))
 
 
 class TestConditionConstantOnOrbits:
@@ -842,6 +849,164 @@ class TestConditionConstantOnOrbits:
             if kwargs.get("require_y_not_div3"):
                 FormProblem(**{**kwargs, "require_y_not_div3": False})
         FormProblem(d=-69, n=12, modulus=6, ycoef=9, require_y_not_div3=True)
+
+
+def sign_closure(points):
+    return {(sx * x, sy * y) for x, y in points for sx in (1, -1) for sy in (1, -1)}
+
+
+def indefinite_problems(problems):
+    """The distinct (|D|, N) of the indefinite problems among ``problems``."""
+    return sorted({(-p.d, p.n) for p in problems if p.d < 0 and isqrt(-p.d) ** 2 != -p.d})
+
+
+class TestNagellBound:
+    """The hits that Nagell's bound certifies minimal skip _normalize_rep;
+    the descent stays the exact referee of every one of them."""
+
+    @staticmethod
+    def check(dabs, n, seen):
+        # every hit read off the cycle: one that passes the bit test must be
+        # its own descent, and the certificate must be the sign closure of
+        # the descents of all of them
+        t, u = pell_fundamental(dabs)
+        room = _nagell_room(t, u, n)
+        want = set()
+        for f, x, y, v in quadrep._cycle_points(dabs, abs(n)):
+            if v != n // (f * f):
+                continue
+            point = (f * x, f * y)
+            rep = _normalize_rep(dabs, t, u, *point)
+            if 2 * point[1].bit_length() <= room:
+                assert rep == point, (dabs, n, point, rep)
+                seen["fast"] += 1
+            else:
+                seen["moved" if rep != point else "exact"] += 1
+            want |= sign_closure([rep])
+        assert set(solve_indefinite(-dabs, n).representatives) == want, (dabs, n)
+
+    @staticmethod
+    def planted(monkeypatch, dabs, n, points):
+        """The representatives _indefinite_certificate gives when the cycle
+        yields ``points`` (solutions of x^2 - dabs*y^2 = n), and the points
+        that took the exact descent."""
+        descended = []
+
+        def recording(d, t, u, x, y):
+            descended.append((x, y))
+            return _normalize_rep(d, t, u, x, y)
+
+        monkeypatch.setattr(quadrep, "_normalize_rep", recording)
+        monkeypatch.setattr(
+            quadrep, "_cycle_points", lambda d, nabs: tuple((1, x, y, x * x - d * y * y) for x, y in points)
+        )
+        reps = quadrep._indefinite_certificate.__wrapped__(dabs, n).representatives
+        monkeypatch.undo()
+        return set(reps), descended
+
+    def test_every_problem_of_the_square_40(self):
+        seen = {"fast": 0, "exact": 0, "moved": 0}
+        problems = indefinite_problems(freeness_problems(-40, 40))
+        for dabs, n in problems:
+            self.check(dabs, n, seen)
+        assert len(problems) == 3902 and seen["fast"] > 5000 and seen["moved"] > 20, seen
+
+    def test_every_problem_of_the_pell_pool(self):
+        pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pell.json").read_text())
+        fields = [tuple(row[:2]) for row in pool["rows"]] + [tuple(f) for f in pool["over_cap"]]
+        seen = {"fast": 0, "exact": 0, "moved": 0}
+        for dabs, n in indefinite_problems(field_problems(fields)):
+            self.check(dabs, n, seen)
+        assert seen["fast"] > 300 and seen["exact"] > 0, seen
+
+    def test_seeded_large_d(self):
+        # targets that have solutions: the value at a point near y*sqrt(dabs),
+        # times a square
+        rng = random.Random(2121)
+        seen = {"fast": 0, "exact": 0, "moved": 0}
+        done = 0
+        while done < 200:
+            dabs = 3 * rng.randint(10**4, 10**6)
+            if isqrt(dabs) ** 2 == dabs:
+                continue
+            y = rng.randint(1, 40)
+            x = isqrt(dabs * y * y) + rng.randint(-3, 3)
+            n = (x * x - dabs * y * y) * rng.choice((1, 4, 9))
+            if n:
+                self.check(dabs, n, seen)
+                done += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_points_off_the_minimum_descend(self, monkeypatch):
+        # the minimal point of an orbit and the points one and two automorph
+        # steps from it, both ways, with their sign flips: only the minimal
+        # ones may skip the descent, and the certificate is the same
+        fast = 0
+        for dabs, n in [(3, 13), (6, 10), (69, 12), (738072, -4212)] + indefinite_problems(freeness_problems(-12, 12)):
+            t, u = pell_fundamental(dabs)
+            hits = [(f * x, f * y) for f, x, y, v in quadrep._cycle_points(dabs, abs(n)) if v == n // (f * f)]
+            for x, y in {_normalize_rep(dabs, t, u, *p) for p in hits}:
+                off = []
+                for sign in (1, -1):
+                    px, py = x, y
+                    for _ in range(2):
+                        px, py = t * px + sign * dabs * u * py, sign * u * px + t * py
+                        off.append((px, py))
+                points = [(x, y)] + sorted(sign_closure(off))
+                reps, descended = self.planted(monkeypatch, dabs, n, points)
+                assert reps == sign_closure([(x, y)]), (dabs, n, x, y)
+                assert set(descended) >= sign_closure(off), (dabs, n, x, y)
+                fast += (x, y) not in descended
+        assert fast > 50, fast
+
+    def test_points_at_and_next_to_the_bound(self, monkeypatch):
+        # (t + 1, u) solves x^2 - dabs*y^2 = 2(t + 1) and (t - 1, u) solves
+        # it for -2(t - 1); each is at the bound, 2(t +- 1)*u^2 = u^2*|N|,
+        # where its orbit holds a second point of the same |y|.  Points next
+        # to them, and their multiples, lie on either side of the bound and
+        # of the bit test, which passes at 2*bits(y) = room and fails at
+        # room + 1
+        seen = {"fast": 0, "exact": 0, "at the bound": 0, "at the bit test's edge": 0}
+        for dabs in (3, 6, 21, 69, 105, 3 * 4999, 3 * 99991):
+            t, u = pell_fundamental(dabs)
+            for c in (1, -1):
+                for k in (1, 2, 3):
+                    for dx in range(-3, 4):
+                        for dy in (-1, 0, 1):
+                            x, y = k * (t + c) + dx, k * u + dy
+                            n = x * x - dabs * y * y
+                            if n == 0:
+                                continue
+                            reps, descended = self.planted(monkeypatch, dabs, n, [(x, y)])
+                            assert reps == sign_closure([_normalize_rep(dabs, t, u, x, y)]), (dabs, x, y)
+                            seen["exact" if descended else "fast"] += 1
+                            if 2 * y.bit_length() - _nagell_room(t, u, n) in (0, 1):
+                                seen["at the bit test's edge"] += 1
+                            if 2 * (t + 1 if n > 0 else t - 1) * y * y == u * u * abs(n):
+                                assert descended, (dabs, x, y)
+                                seen["at the bound"] += 1
+        assert min(seen.values()) >= 20, seen
+
+
+def test_forced_fast_path_caught_under_optimize(run_optimized):
+    # (5, 2) is the hit of x^2 - 3y^2 = 13 that the cycle gives; its orbit's
+    # minimal point is (4, -1).  Nagell's bound sends (5, 2) to the descent,
+    # under -O too; a bound forced open keeps it, and the descent referee
+    # sees the wrong representative
+    out = run_optimized(
+        "from cubicha import quadrep\n"
+        "t, u = quadrep.pell_fundamental(3)\n"
+        "want = {(sx * x, sy * y) for f, x0, y0, v in quadrep._cycle_points(3, 13) if v == 13\n"
+        "        for x, y in [quadrep._normalize_rep(3, t, u, f * x0, f * y0)] for sx in (1, -1) for sy in (1, -1)}\n"
+        "for label in ('bound', 'forced'):\n"
+        "    got = set(quadrep._indefinite_certificate.__wrapped__(3, 13).representatives)\n"
+        "    print(label, sorted(got), 'matches the descent' if got == want else 'differs from the descent')\n"
+        "    quadrep._nagell_room = lambda t, u, n: 10**6\n"
+    )
+    assert out.splitlines() == [
+        "bound [(-4, -1), (-4, 1), (4, -1), (4, 1)] matches the descent",
+        "forced [(-5, -2), (-5, 2), (5, -2), (5, 2)] differs from the descent",
+    ], out
 
 
 class TestSolveWithConditions:

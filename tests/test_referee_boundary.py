@@ -15,6 +15,7 @@ FRACTION_MODULES = {"cubicfield.py", "assocorder.py", "exactlinalg.py", "selfche
 REFEREE_ONLY = {
     "periodic_sqrt_cf", "trace", "verify_sqrt_identity", "_mul_coords",
     "h_closed_form", "in_order", "basis_matrix", "brute_force_generator",
+    "minors_gcd",
 }
 
 
