@@ -10,6 +10,12 @@ verify suite passed), 1 a verify suite failed, 2 validation rejection,
 3 undecided (a factorization limit was hit), 64 usage error (including a
 negative --trial-division-limit or CHA_TRIAL_DIVISION_LIMIT, and a scan
 range with lo > hi), 74 unwritable output.
+
+`analyze` writes its JSON with its own writer, ``_write_json``, whose bytes
+are those of ``json.dumps(doc, indent=2)``.  It converts each distinct
+integer to decimal once, up to sign, where the stdlib's pure-Python
+indenting encoder converts every occurrence; it still loads ``json``, for
+the C string escaper.
 """
 
 from __future__ import annotations
@@ -145,14 +151,74 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _write_json(obj, emit, digits: dict, quote, newline: str) -> None:
+    """Pass the text of ``json.dumps(obj, indent=2)`` to ``emit`` in chunks.
+
+    ``quote`` escapes a string (``json.encoder.encode_basestring_ascii``)
+    and ``newline`` is a line break followed by the indent of ``obj``'s
+    level.  The digits of each int are kept in ``digits`` under its
+    absolute value, so a number that recurs with either sign, as the Pell
+    unit does in both certificates and a representative in its four sign
+    variants, is converted once.  A module-level function, not a closure
+    that calls itself, so that no reference cycle keeps the chunks alive
+    after the call.
+    """
+    if isinstance(obj, str):
+        emit(quote(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        n = abs(obj)
+        text = digits.get(n)
+        if text is None:
+            text = digits[n] = str(n)
+        if obj < 0:
+            emit("-")
+        emit(text)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for item in obj:
+            emit(sep)
+            _write_json(item, emit, digits, quote, inner)
+            sep = comma
+        emit(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            emit(sep + quote(key) + ": ")
+            _write_json(value, emit, digits, quote, inner)
+            sep = comma
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def cmd_analyze(args) -> int:
     # each command imports the standard-library modules only it uses, so a
     # one-shot process pays for no other command's
-    import json
+    from json.encoder import encode_basestring_ascii
 
     doc, code = analyze_document(args.a, args.b, args.reduced_convention, args.trial_division_limit)
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        chunks: list[str] = []
+        _write_json(doc, chunks.append, {}, encode_basestring_ascii, "\n")
+        print("".join(chunks))
     else:
         print(_render_text(doc))
     return code

@@ -154,6 +154,7 @@ def test_criterion_6_index_table_sweep():
         assert count > 5000
 
 
+@pytest.mark.slow
 def test_criterion_7_identity_suite():
     with _Timer("7 identity suite, 1000 random pairs", 30.0):
         rng = random.Random(2024)

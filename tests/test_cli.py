@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -6,11 +7,13 @@ import stat
 import subprocess
 import sys
 import time
+from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 import pytest
 
 from cubicha.arith import DEFAULT_TRIAL_DIVISION_LIMIT
-from cubicha.cli import CSV_HEADER, analyze_document, build_parser, main
+from cubicha.cli import CSV_HEADER, _write_json, analyze_document, build_parser, main
 from cubicha.cubicfield import OrderElement, validate
 from cubicha.freeness import d_beta
 from cubicha import selfcheck
@@ -75,10 +78,48 @@ class TestAnalyze:
         assert "FREE" in out and "I_W = 2" in out
 
     def test_json_roundtrip_byte_identical(self, capsys):
-        main(["analyze", "--a", "3", "--b", "3"])
-        out = capsys.readouterr().out
-        doc = json.loads(out)
-        assert json.dumps(doc, indent=2) + "\n" == out
+        # referee for the program's own writer: its raw stdout must be the
+        # bytes json.dumps(indent=2) gives for the same document, on every
+        # pell pool field (big units of both signs), a rejection (with its
+        # validation message) and an UNDECIDED document
+        pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pell.json").read_text())
+        runs = [["--a=3", "--b=3"], ["--a=3", "--b=2"], ["--a=-210", "--b=-186", "--trial-division-limit=4"]]
+        runs += [[f"--a={a}", f"--b={b}"] for a, b in [row[:2] for row in pool["rows"]] + pool["over_cap"]]
+        codes = set()
+        for flags in runs:
+            codes.add(main(["analyze", *flags]))
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", flags
+        assert codes == {0, 2, 3} and len(runs) == 203
+
+    def test_writer_matches_json_dumps(self):
+        big = 7**400
+        doc = {
+            "empty": [[], {}, [[]], {"x": {}}],
+            "tuple": (1, -1, 0, (big, -big)),
+            "ints": [big, -big, [-big, big], {"u": big}],
+            "text": ["caf\u00e9 \u2603 \U0001f600", 'say "hi"', "back\\slash", "\x00\x1f\t\n\r\x7f", ""],
+            "\u00fc\"key\\": [True, False, None],
+            "": "",
+        }
+        chunks = []
+        _write_json(doc, chunks.append, {}, encode_basestring_ascii, "\n")
+        assert "".join(chunks) == json.dumps(doc, indent=2)
+        for bad in ({"x": 1.5}, [{1, 2}], {"x": {3: "three"}}):
+            with pytest.raises(TypeError):
+                _write_json(bad, [].append, {}, encode_basestring_ascii, "\n")
+
+    def test_analyze_leaves_no_cyclic_garbage(self, capsys):
+        # cycles would keep each document's chunks and digits alive until
+        # the cyclic collector runs, and show in the benchmark's peak RSS
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["analyze", "--a=-641", "--b=-995"]) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
 
     def test_no_floats_anywhere(self):
         doc, _ = analyze_document(3, 3, "strict", 10**7)

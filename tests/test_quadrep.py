@@ -586,6 +586,7 @@ class TestSolveIndefinite:
             cert = solve_indefinite(-d, n)
             assert orbit_closure(cert, d, n, box) == brute_box(d, n, box), (d, n)
 
+    @pytest.mark.slow
     def test_matches_full_walk_referee(self):
         # every nonsquare d < 100 with 1 <= |n| <= 60 (d = 2, 5, 10, 13, 29,
         # 61 among them have odd periods, and are refused), then seeded
