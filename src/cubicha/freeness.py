@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT
-from .assocorder import AssociatedOrder, CASE1, CaseLabel, build
+from .assocorder import AssociatedOrder, CASE1, build
 from .cubicfield import OrderElement, TrinomialCubic
 from .errors import FactorizationLimitError, NoIntegralCandidateError
 from .exactlinalg import det3, divides_product
@@ -43,8 +43,6 @@ _RHS_FACTOR = {"CASE1": 12, "CASE2": 36, "CASE3": 108}
 
 @dataclass(frozen=True)
 class FreenessReport:
-    k: TrinomialCubic
-    case: CaseLabel
     index_iw: int
     verdict: str
     generator: OrderElement | None
@@ -139,42 +137,34 @@ def decide_freeness(
     limit: int = DEFAULT_TRIAL_DIVISION_LIMIT,
     order: AssociatedOrder | None = None,
 ) -> FreenessReport:
-    """Run the case's representability problems and emit a verified verdict."""
+    """Run the case's representability problems and emit a verified verdict.
+
+    The targets +-N share |N| and the regime, and factorize is
+    deterministic, so a budget that cannot factor what one target needs
+    fails the other too: a hit limit makes the whole report UNDECIDED.
+    """
     if order is None:
         order = build(k)
-    case = order.case
-    base = _RHS_FACTOR[case.major] * k.a * k.g
-    d = 3 * k.delta
+    major = order.case.major
+    base = _RHS_FACTOR[major] * k.a * k.g
     certs: list[tuple[int, PellCertificate]] = []
-    checked: list[int] = []
-    limit_hit = None
-    for rhs in (base, -base):
-        problem = FormProblem(
-            d=d,
-            n=rhs,
-            modulus=6 * abs(k.a),
-            ycoef=9 * k.b,
-            require_y_not_div3=(case.major == CASE1),
-        )
-        try:
-            match, cert = solve_with_conditions(problem, limit)
-        except FactorizationLimitError as exc:
-            limit_hit = exc.limit
-            checked.append(rhs)
-            continue
-        checked.append(rhs)
-        certs.append((rhs, cert))
-        if match is not None:
-            return FreenessReport(
-                k, case, order.index_iw, FREE, generator_from_solution(k, *match, order),
-                tuple(certs), tuple(checked), matched=match,
+    try:
+        for rhs in (base, -base):
+            problem = FormProblem(
+                d=3 * k.delta,
+                n=rhs,
+                modulus=6 * abs(k.a),
+                ycoef=9 * k.b,
+                require_y_not_div3=(major == CASE1),
             )
-    if limit_hit is not None:
-        return FreenessReport(
-            k, case, order.index_iw, UNDECIDED, None,
-            tuple(certs), tuple(checked), limit_hit=limit_hit,
-        )
-    return FreenessReport(
-        k, case, order.index_iw, NOT_FREE, None, tuple(certs), tuple(checked)
-    )
-
+            match, cert = solve_with_conditions(problem, limit)
+            certs.append((rhs, cert))
+            if match is not None:
+                break
+    except FactorizationLimitError as exc:
+        return FreenessReport(order.index_iw, UNDECIDED, None, (), (base, -base), limit_hit=exc.limit)
+    checked = tuple(rhs for rhs, _ in certs)
+    if match is not None:
+        generator = generator_from_solution(k, *match, order)
+        return FreenessReport(order.index_iw, FREE, generator, tuple(certs), checked, matched=match)
+    return FreenessReport(order.index_iw, NOT_FREE, None, tuple(certs), checked)

@@ -158,8 +158,9 @@ class PellCertificate:
     or a sign-closed complete set of orbit representatives (INDEFINITE).
     ``fundamental`` is present exactly in the INDEFINITE case.
     ``orbit_period_mod`` is always None: the side condition is decided on
-    the representatives alone, and no orbit is walked.  The field stays for
-    the readers of the analyze JSON, which keeps its key.
+    the representatives alone, and no orbit is walked.  The field stays
+    because the benchmark's tracer reads it (``_cert_info`` in
+    ``perfbench/spans.py``); the analyze JSON keeps its key as well.
     """
 
     kind: str
@@ -215,23 +216,18 @@ def _row_steps(row: tuple, quots) -> tuple:
     return r0, r1
 
 
-def _cf_matrix(quots) -> tuple:
-    """The product of [[a, 1], [1, 0]] over the partial quotients a_0..a_i,
-    which is [[A_i, A_(i-1)], [B_i, B_(i-1)]] for the convergents A/B,
-    multiplied in turn: the leaf loop of _cf_tree, over runs of _LEAF."""
-    a1, a0, b1, b0 = 1, 0, 0, 1
-    for a in quots:
-        a1, a0, b1, b0 = a * a1 + a0, a1, a * b1 + b0, b1
-    return a1, a0, b1, b0
-
-
 def _cf_tree(quots) -> list:
-    """The product tree of _cf_matrix over quots, level by level: level 0
-    holds the runs of _LEAF quotients, and each level above the products of
-    neighbouring pairs below it, an odd last node carried up unchanged.  So
-    node j of level i covers runs j*2^i .. (j+1)*2^i - 1 (the last node up
-    to the last run), and the last level holds the whole product alone."""
-    level = [_cf_matrix(quots[i:i + _LEAF]) for i in range(0, len(quots), _LEAF)] or [(1, 0, 0, 1)]
+    """The product tree of M(a) = [[a, 1], [1, 0]] over quots, level by
+    level.  Level 0 holds the products over the runs of _LEAF quotients,
+    each [[A_i, A_(i-1)], [B_i, B_(i-1)]] for the convergents A/B of its run,
+    built as its top row, (1, 0) stepped through the run by _row_steps, and
+    its bottom row, (0, 1) stepped likewise.  Each level above holds the
+    products of neighbouring pairs below it, an odd last node carried up
+    unchanged.  So node j of level i covers runs j*2^i .. (j+1)*2^i - 1 (the
+    last node up to the last run), and the last level holds the whole
+    product alone."""
+    runs = (quots[i:i + _LEAF] for i in range(0, len(quots), _LEAF))
+    level = [_row_steps((1, 0), run) + _row_steps((0, 1), run) for run in runs] or [(1, 0, 0, 1)]
     tree = [level]
     while len(level) > 1:
         tail = level[-1:] if len(level) % 2 else []
@@ -241,13 +237,13 @@ def _cf_tree(quots) -> list:
 
 
 def _prefix_rows(quots, tree, cuts) -> list:
-    """The top row of P(c) = _cf_matrix(quots[:c]) for each of the sorted
-    cuts, which lie within the quotients of ``tree`` (_cf_tree).
+    """The top row of P(c), the product of M(a) over quots[:c], for each of
+    the sorted cuts, which lie within the quotients of ``tree`` (_cf_tree).
 
     One left-to-right sweep: the top row of the product of the first whole
-    runs is carried from run to run, times the product of the tree nodes
-    that cover the runs between (O(log) of them per gap).  A cut steps the
-    row one quotient at a time (_row_steps) from the previous cut when that
+    runs is carried from run to run, multiplied (_row_mul) by each tree node
+    that covers runs between, O(log) nodes per gap.  A cut steps the row
+    one quotient at a time (_row_steps) from the previous cut when that
     lies in its run, else from the start of its run."""
     row, pos = (1, 0), 0  # the top row of the product of the first pos runs
     cut_row, at = row, 0  # the top row of P(at)
@@ -255,13 +251,11 @@ def _prefix_rows(quots, tree, cuts) -> list:
     for c in cuts:
         b = c // _LEAF
         if b > pos:
-            gap = (1, 0, 0, 1)
             while pos < b:
                 # the highest node that starts at run pos and ends by run b
                 i = min(len(tree), (b - pos).bit_length(), (pos & -pos).bit_length() or len(tree)) - 1
-                gap = _mat_mul(gap, tree[i][pos >> i])
+                row = _row_mul(row, tree[i][pos >> i])
                 pos += 1 << i
-            row = _row_mul(row, gap)
             cut_row, at = row, b * _LEAF
         cut_row, at = _row_steps(cut_row, quots[at:c]), c
         rows.append(cut_row)
@@ -342,43 +336,29 @@ def pell_fundamental(dabs: int) -> tuple[int, int]:
     return _principal_cycle(dabs).unit
 
 
-def _pre_period(dabs: int, s: int, z: int, m: int) -> tuple:
-    """The partial quotients of (z + sqrt(dabs))/m, s = isqrt(dabs), before
-    its first reduced state: the PQa walk of _located_roots, recorded."""
-    p, q, pre = z, m, []
-    while True:
-        a = (p + s) // q if q > 0 else (-p - s - 1) // -q
-        pre.append(a)
-        p = a * q - p
-        q = (dabs - p * p) // q
-        if 0 < p <= s and s - p < q <= s + p:
-            return tuple(pre)
-
-
-def _located_roots(dabs: int, nabs: int) -> tuple:
+def _located_roots(dabs: int, nabs: int, limit: int) -> tuple:
     """(f, z, pre, c) for every f^2 | nabs and every square root z <= m/2 of
     dabs modulo m = nabs/f^2 whose expansion of (z + sqrt(dabs))/m reaches
     the principal cycle: pre holds its partial quotients before its first
     reduced state, which is at position c of the cycle.
 
-    Each root is walked by the PQa step to its first reduced state, keeping
-    only that state: no quotient is recorded.  sqrt_mod gives the roots in
+    Each root is walked once, by the PQa step, to its first reduced state,
+    and its quotients are recorded on the way.  sqrt_mod gives the roots in
     ascending order, so the walk over a modulus stops at its first root
     above m/2.  A root whose first reduced state is off the principal cycle
-    has no hit (see _cycle_points and the module docstring) and is dropped;
-    only the roots that remain are walked again, by _pre_period, to record
-    pre.  The states are looked up by one filter over the stored Q of the
+    has no hit (see _cycle_points and the module docstring) and is dropped.
+    The states are looked up by one filter over the stored Q of the
     cycle's first half for the Q values wanted: each stored Q_k stands for
     two positions of the cycle (see _principal_cycle), and each position's
     P comes from P^2 = dabs - Q_prev*Q, which must be a square.  Nothing
     here depends on the sign of the target, so x^2 - dabs*y^2 = +-nabs
     share one call, through the cache of its one caller, _cycle_points.
-    Raises FactorizationLimitError when the default budget cannot factor
-    nabs.
+    Raises FactorizationLimitError when the factorization budget ``limit``
+    cannot factor nabs.
     """
-    factors, cofactor = factorize(nabs)
+    factors, cofactor = factorize(nabs, limit)
     if cofactor != 1:
-        raise FactorizationLimitError(nabs, DEFAULT_TRIAL_DIVISION_LIMIT, cofactor)
+        raise FactorizationLimitError(nabs, limit, cofactor)
     splits = [(1, {})]  # (f, factorization of nabs/f^2) for every f^2 | nabs
     for p, e in factors.items():
         splits = [
@@ -388,7 +368,7 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
         ]
     cycle = _principal_cycle(dabs)
     s, qs = cycle.s, cycle.qs
-    roots = []  # (f, z, m, first reduced state)
+    roots = []  # (f, z, pre, first reduced state)
     wanted_q = set()
     for f, mf in splits:
         m = nabs // (f * f)
@@ -398,14 +378,15 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
         for z in sqrt_mod(dabs, mf):
             if z > half:
                 break
-            p, q = z, m
+            p, q, pre = z, m, []
             while True:
                 a = (p + s) // q if q > 0 else (-p - s - 1) // -q
+                pre.append(a)
                 p = a * q - p
                 q = (dabs - p * p) // q
                 if 0 < p <= s and s - p < q <= s + p:
                     break
-            roots.append((f, z, m, (p, q)))
+            roots.append((f, z, tuple(pre), (p, q)))
             wanted_q.add(q)
     h, last = len(qs), cycle.period - 1
     where = {(s, 1): last}
@@ -422,11 +403,11 @@ def _located_roots(dabs: int, nabs: int) -> tuple:
             if p == 0 or p * p != p2:
                 raise AssertionError(f"Q = {q} at position {i} of the cycle of sqrt({dabs}) has no P")
             where[p, q] = i
-    return tuple((f, z, _pre_period(dabs, s, z, m), where[st]) for f, z, m, st in roots if st in where)
+    return tuple((f, z, pre, where[st]) for f, z, pre, st in roots if st in where)
 
 
 @lru_cache(maxsize=2)
-def _cycle_points(dabs: int, nabs: int) -> tuple:
+def _cycle_points(dabs: int, nabs: int, limit: int) -> tuple:
     """(f, x, y, v) for every located root (f, z, pre, c0) of nabs: a point
     in the orbit of the root's hits and its value v = x^2 - dabs*y^2, which
     is +-nabs/f^2.  The value is computed here once for both signs of the
@@ -450,7 +431,7 @@ def _cycle_points(dabs: int, nabs: int) -> tuple:
     within the period, and the two solutions differ by a unit of norm 1.
     """
     cycle = _principal_cycle(dabs)
-    roots = _located_roots(dabs, nabs)
+    roots = _located_roots(dabs, nabs, limit)
     last = cycle.period - 1
     cuts = sorted({min(c0, last - c0) for *_, c0 in roots})
     rows = dict(zip(cuts, _prefix_rows(cycle.quots, cycle.tree, cuts)))
@@ -488,7 +469,7 @@ def _normalize_rep(dabs: int, t: int, u: int, x: int, y: int) -> tuple[int, int]
 
 
 @lru_cache(maxsize=2)
-def _indefinite_certificate(dabs: int, n: int) -> PellCertificate:
+def _indefinite_certificate(dabs: int, n: int, limit: int) -> PellCertificate:
     """solve_indefinite's certificate, kept for the mirror field (a, -b),
     which poses the same (dabs, n) (see the module docstring).
 
@@ -499,7 +480,7 @@ def _indefinite_certificate(dabs: int, n: int) -> PellCertificate:
     t, u = pell_fundamental(dabs)
     room = _nagell_room(t, u, n)
     reps = set()
-    for f, x, y, v in _cycle_points(dabs, abs(n)):
+    for f, x, y, v in _cycle_points(dabs, abs(n), limit):
         m = n // (f * f)
         if v == -m:
             continue
@@ -512,11 +493,11 @@ def _indefinite_certificate(dabs: int, n: int) -> PellCertificate:
     return PellCertificate(INDEFINITE, (t, u), tuple(sorted(reps, key=_rep_order)))
 
 
-def solve_indefinite(d: int, n: int) -> PellCertificate:
+def solve_indefinite(d: int, n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> PellCertificate:
     """Complete orbit representatives of x^2 + d*y^2 = n for d < 0, |d| nonsquare.
 
     An empty representative set is a proof that no solutions exist.  Raises
-    FactorizationLimitError when the default factorization budget cannot
+    FactorizationLimitError when the factorization budget ``limit`` cannot
     factor |n|.
     """
     if d >= 0 or n == 0:
@@ -524,7 +505,7 @@ def solve_indefinite(d: int, n: int) -> PellCertificate:
     dabs = -d
     if isqrt(dabs) ** 2 == dabs:
         raise DegenerateFormError(f"|d| = {dabs} is a perfect square")
-    return _indefinite_certificate(dabs, n)
+    return _indefinite_certificate(dabs, n, limit)
 
 
 def solve_degenerate(d: int, n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> list[tuple[int, int]]:
@@ -571,7 +552,7 @@ def solve_with_conditions(
     elif isqrt(-d) ** 2 == -d:
         cert = PellCertificate(DEGENERATE, None, tuple(solve_degenerate(d, n, limit)))
     else:
-        cert = solve_indefinite(d, n)
+        cert = solve_indefinite(d, n, limit)
     for x, y in cert.representatives:
         branch = problem.accepts(x, y)
         if branch is not None:

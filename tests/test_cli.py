@@ -63,6 +63,29 @@ class TestAnalyze:
         assert doc["freeness"]["verdict"] == "UNDECIDED"
         assert doc["freeness"]["limit_hit"] == 4
 
+    def test_undecided_digest(self, capsys):
+        # sha256 of its JSON without elapsed_us, as the solver with one
+        # factorization-limit handler per target wrote it
+        assert main(["analyze", "--a=-210", "--b=-186", "--trial-division-limit", "4"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        del doc["elapsed_us"]
+        digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+        assert digest == "c0167f3766b7de53fffb787182aa717f91c25f78b223f7f9d527d6f122065379"
+
+    def test_budget_reaches_indefinite_forms(self, capsys):
+        # x^2 - 514581*y^2 = +-420 is indefinite, and 420 = 2^2*3*5*7: at
+        # budget 0 only 2 and 3 are divided out, so freeness is undecided,
+        # like maximality; the default budget decides it
+        assert main(["analyze", "--a=-35", "--b", "1", "--trial-division-limit", "0"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["maximality"]["status"] == "UNDECIDED_FACTORIZATION"
+        free = doc["freeness"]
+        assert (free["verdict"], free["limit_hit"], free["checked_rhs"], free["pell"]) == (
+            "UNDECIDED", 0, [-420, 420], []
+        )
+        assert main(["analyze", "--a=-35", "--b", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["freeness"]["verdict"] == "NOT_FREE"
+
     def test_malformed_int_exit_64(self):
         proc = run_cli("analyze", "--a", "x", "--b", "1")
         assert proc.returncode == 64
@@ -91,6 +114,19 @@ class TestAnalyze:
             out = capsys.readouterr().out
             assert out == json.dumps(json.loads(out), indent=2) + "\n", flags
         assert codes == {0, 2, 3} and len(runs) == 203
+
+    def test_pell_pool_digest(self, capsys):
+        # one sha256 over the JSON documents without elapsed_us, each with a
+        # trailing newline, of every pell pool field and both over_cap
+        # fields, as the solver that walked each root twice wrote them
+        pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pell.json").read_text())
+        digest = hashlib.sha256()
+        for a, b in [row[:2] for row in pool["rows"]] + pool["over_cap"]:
+            assert main(["analyze", f"--a={a}", f"--b={b}"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["elapsed_us"]
+            digest.update((json.dumps(doc, indent=2) + "\n").encode())
+        assert digest.hexdigest() == "bf7ee3d7043ed280ce3526c3f68ff2af5e81192f29a768e9c5f9651dd8c938cf"
 
     def test_writer_matches_json_dumps(self):
         big = 7**400
@@ -257,7 +293,7 @@ def test_one_unit_per_mirror_pair_problem(capsys, monkeypatch):
 
     problems, units = [], []
     solve, unit = quadrep.solve_indefinite, quadrep.pell_fundamental
-    monkeypatch.setattr(quadrep, "solve_indefinite", lambda d, n: problems.append((d, n)) or solve(d, n))
+    monkeypatch.setattr(quadrep, "solve_indefinite", lambda d, n, limit: problems.append((d, n)) or solve(d, n, limit))
     monkeypatch.setattr(quadrep, "pell_fundamental", lambda dabs: units.append(dabs) or unit(dabs))
     quadrep._indefinite_certificate.cache_clear()
     assert main(["scan", "--a-range=-7:-7", "--b-range=-9:9"]) == 0
@@ -435,6 +471,12 @@ class TestScan:
         assert main(["scan", "--a-range=-20:20", "--b-range=-20:20"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "bb82beb3ce151588698354b7c4facb402d59d65142af3f7bb5ef23ca2349fe03"
+
+    def test_square_40_digest(self, capsys):
+        # sha256 of this CSV as the solver that walked each root twice wrote it
+        assert main(["scan", "--a-range=-40:40", "--b-range=-40:40"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "02369cd5dda9a2e9d060f7190de9e90571f2a8d219e5de82c1681754c135fa66"
 
 
 class TestVerify:

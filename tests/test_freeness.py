@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cubicha.assocorder import build
+from cubicha.assocorder import CASE1, build
 from cubicha.cubicfield import OrderElement, apply_hopf, validate
 from cubicha.errors import FactorizationLimitError, NoIntegralCandidateError, ValidationError
 from cubicha.exactlinalg import det3
@@ -18,6 +18,7 @@ from cubicha.freeness import (
     is_generator,
     m_beta,
 )
+from cubicha.quadrep import FormProblem, solve_with_conditions
 from cubicha import cli, freeness, selfcheck
 from cubicha.selfcheck import brute_force_generator
 
@@ -190,24 +191,35 @@ class TestDecideFreeness:
         # with the default limit the same field is decided
         assert decide_freeness(k).verdict in (FREE, NOT_FREE)
 
-    def test_free_beats_undecided(self, monkeypatch):
-        # for (2, 2) only the second target -48 matches; making the first
-        # target hit a factorization limit must still end in FREE
-        k = validate(2, 2)
-        baseline = decide_freeness(k)
-        assert baseline.verdict == FREE and baseline.checked_rhs == (48, -48)
-        real = freeness.solve_with_conditions
-        calls = []
-
-        def flaky(problem, limit=10**7):
-            calls.append(problem.n)
-            if len(calls) == 1:
-                raise FactorizationLimitError(problem.n, limit, 99)
-            return real(problem, limit)
-
-        monkeypatch.setattr(freeness, "solve_with_conditions", flaky)
-        rep = decide_freeness(k)
-        assert rep.verdict == FREE and calls == [48, -48]
+    def test_budget_fails_both_targets_or_neither(self):
+        # the targets +-N of a field share |N| and the regime, and factorize
+        # is deterministic, so a budget that cannot factor what one target
+        # needs fails the other too: decide_freeness needs one UNDECIDED exit
+        seen = {"raised": 0, "solved": 0}
+        for a in range(-40, 41):
+            for b in range(-40, 41):
+                try:
+                    k = validate(a, b)
+                except ValidationError:
+                    continue
+                major = build(k).case.major
+                base = freeness._RHS_FACTOR[major] * a * k.g
+                d = 3 * k.delta
+                for limit in (0, 4):
+                    raised = []
+                    for rhs in (base, -base):
+                        problem = FormProblem(
+                            d=d, n=rhs, modulus=6 * abs(a), ycoef=9 * b, require_y_not_div3=major == CASE1
+                        )
+                        try:
+                            solve_with_conditions(problem, limit)
+                            raised.append(False)
+                        except FactorizationLimitError as exc:
+                            assert exc.limit == limit and exc.n == abs(rhs), (a, b, limit, rhs)
+                            raised.append(True)
+                    assert raised[0] == raised[1], (a, b, limit)
+                    seen["raised" if raised[0] else "solved"] += 1
+        assert min(seen.values()) > 0, seen
 
     def test_report_invariants_on_grid(self):
         for a in range(-6, 7):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cubicha import quadrep
+from cubicha.arith import DEFAULT_TRIAL_DIVISION_LIMIT as LIMIT
 from cubicha.assocorder import CASE1, classify
 from cubicha.cubicfield import validate
 from cubicha.errors import DegenerateFormError, FactorizationLimitError, ValidationError
@@ -400,13 +401,13 @@ class TestLocatedRoots:
         # an odd period, by the referee, is refused for every target
         if len(full_period_walk(d)[3]) % 2:
             for nabs in targets:
-                assert_refused(lambda: quadrep._located_roots(d, nabs), d)
+                assert_refused(lambda: quadrep._located_roots(d, nabs, LIMIT), d)
             seen["refused"] += 1
             return
         want = referee_located_roots(d, targets, roots)
         h = len(_principal_cycle(d).qs)
         for nabs in targets:
-            got = quadrep._located_roots(d, nabs)
+            got = quadrep._located_roots(d, nabs, LIMIT)
             assert sorted(got) == want[nabs], (d, nabs)
             for *_, c in got:
                 seen["first half" if c < h else "second half"] += 1
@@ -507,13 +508,13 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "    except AssertionError as exc:\n"
         "        print('raised:', exc)\n"
         "orig = quadrep._cycle_points\n"
-        "quadrep._cycle_points = lambda dabs, nabs: orig(dabs, nabs) + ((1, 1, 1, 1 - dabs),)\n"
+        "quadrep._cycle_points = lambda dabs, nabs, limit: orig(dabs, nabs, limit) + ((1, 1, 1, 1 - dabs),)\n"
         "try:\n"
         "    quadrep.solve_indefinite(-7, 9)\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
         "quadrep._cycle_points = orig\n"
-        "quadrep.solve_indefinite = lambda d, n: quadrep.PellCertificate(\n"
+        "quadrep.solve_indefinite = lambda d, n, limit: quadrep.PellCertificate(\n"
         "    quadrep.INDEFINITE, (7775, 936), ((3, 1),))\n"
         "try:\n"
         "    quadrep.solve_with_conditions(quadrep.FormProblem(d=-69, n=12, modulus=6, ycoef=9))\n"
@@ -521,7 +522,7 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "    print('raised:', exc)\n"
         "quadrep._principal_cycle(45).qs[2] -= 1\n"
         "try:\n"
-        "    quadrep._located_roots(45, 9)\n"
+        "    quadrep._located_roots(45, 9, quadrep.DEFAULT_TRIAL_DIVISION_LIMIT)\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
     )
@@ -609,7 +610,7 @@ class TestSolveIndefinite:
             cert = solve_indefinite(-d, n)
             assert (cert.fundamental, set(cert.representatives)) == referee_representatives(d, n), (d, n)
             last = _principal_cycle(d).period - 1
-            for *_, c0 in quadrep._located_roots(d, abs(n)):
+            for *_, c0 in quadrep._located_roots(d, abs(n), LIMIT):
                 built["transposed" if c0 >= last - c0 else "inverted"] += 1
         assert min(built.values()) >= 100, built
 
@@ -648,29 +649,34 @@ class TestSolveIndefinite:
         assert plus.fundamental[0] is minus.fundamental[0]
 
     def test_hits_need_no_product_past_the_half_period(self, monkeypatch):
-        # from empty caches, the quotients multiplied one at a time (the leaf
-        # loop and the row steps) are those of the unit's half period, each
-        # root's pre-period and at most one partial run of _LEAF per root: a
-        # hit's prefix comes from the unit's tree, not from a product over
-        # its own stretch
-        fed, roots, located = [0], [], []
-        leaf, steps, locate = quadrep._cf_matrix, quadrep._row_steps, quadrep._located_roots
+        # from empty caches, the quotients multiplied one at a time (the
+        # tree's leaves and the row steps) are those of the unit's half
+        # period, each root's pre-period and at most one partial run of
+        # _LEAF per root: a hit's prefix comes from the unit's tree, not from
+        # a product over its own stretch.  A leaf steps the rows (1, 0) and
+        # (0, 1) through the same run, and its quotients count once
+        fed, roots, located, in_tree = [0], [], [], [False]
+        tree, steps, locate = quadrep._cf_tree, quadrep._row_steps, quadrep._located_roots
 
-        def counting_leaf(quots):
-            fed[0] += len(quots)
-            return leaf(quots)
+        def marking_tree(quots):
+            in_tree[0] = True
+            try:
+                return tree(quots)
+            finally:
+                in_tree[0] = False
 
         def counting_steps(row, quots):
-            fed[0] += len(quots)
+            if not in_tree[0] or row == (1, 0):
+                fed[0] += len(quots)
             return steps(row, quots)
 
-        def recording(d, nabs):
-            found = locate(d, nabs)
+        def recording(d, nabs, limit):
+            found = locate(d, nabs, limit)
             located.append((d, nabs))
             roots.extend(found)
             return found
 
-        monkeypatch.setattr(quadrep, "_cf_matrix", counting_leaf)
+        monkeypatch.setattr(quadrep, "_cf_tree", marking_tree)
         monkeypatch.setattr(quadrep, "_row_steps", counting_steps)
         monkeypatch.setattr(quadrep, "_located_roots", recording)
         for a, b in ((-315, 471), (-672, -830)):
@@ -873,7 +879,7 @@ class TestNagellBound:
         t, u = pell_fundamental(dabs)
         room = _nagell_room(t, u, n)
         want = set()
-        for f, x, y, v in quadrep._cycle_points(dabs, abs(n)):
+        for f, x, y, v in quadrep._cycle_points(dabs, abs(n), LIMIT):
             if v != n // (f * f):
                 continue
             point = (f * x, f * y)
@@ -899,9 +905,9 @@ class TestNagellBound:
 
         monkeypatch.setattr(quadrep, "_normalize_rep", recording)
         monkeypatch.setattr(
-            quadrep, "_cycle_points", lambda d, nabs: tuple((1, x, y, x * x - d * y * y) for x, y in points)
+            quadrep, "_cycle_points", lambda d, nabs, limit: tuple((1, x, y, x * x - d * y * y) for x, y in points)
         )
-        reps = quadrep._indefinite_certificate.__wrapped__(dabs, n).representatives
+        reps = quadrep._indefinite_certificate.__wrapped__(dabs, n, LIMIT).representatives
         monkeypatch.undo()
         return set(reps), descended
 
@@ -945,7 +951,7 @@ class TestNagellBound:
         fast = 0
         for dabs, n in [(3, 13), (6, 10), (69, 12), (738072, -4212)] + indefinite_problems(freeness_problems(-12, 12)):
             t, u = pell_fundamental(dabs)
-            hits = [(f * x, f * y) for f, x, y, v in quadrep._cycle_points(dabs, abs(n)) if v == n // (f * f)]
+            hits = [(f * x, f * y) for f, x, y, v in quadrep._cycle_points(dabs, abs(n), LIMIT) if v == n // (f * f)]
             for x, y in {_normalize_rep(dabs, t, u, *p) for p in hits}:
                 off = []
                 for sign in (1, -1):
@@ -997,10 +1003,11 @@ def test_forced_fast_path_caught_under_optimize(run_optimized):
     out = run_optimized(
         "from cubicha import quadrep\n"
         "t, u = quadrep.pell_fundamental(3)\n"
-        "want = {(sx * x, sy * y) for f, x0, y0, v in quadrep._cycle_points(3, 13) if v == 13\n"
+        "limit = quadrep.DEFAULT_TRIAL_DIVISION_LIMIT\n"
+        "want = {(sx * x, sy * y) for f, x0, y0, v in quadrep._cycle_points(3, 13, limit) if v == 13\n"
         "        for x, y in [quadrep._normalize_rep(3, t, u, f * x0, f * y0)] for sx in (1, -1) for sy in (1, -1)}\n"
         "for label in ('bound', 'forced'):\n"
-        "    got = set(quadrep._indefinite_certificate.__wrapped__(3, 13).representatives)\n"
+        "    got = set(quadrep._indefinite_certificate.__wrapped__(3, 13, limit).representatives)\n"
         "    print(label, sorted(got), 'matches the descent' if got == want else 'differs from the descent')\n"
         "    quadrep._nagell_room = lambda t, u, n: 10**6\n"
     )
