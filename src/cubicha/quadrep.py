@@ -32,7 +32,9 @@ Three regimes:
     then the principal cycle.  So a z whose first reduced state is off the
     principal cycle has no |Q| = 1 state at all, pre-period included, and
     is dropped.  The hit of any other z needs one prefix product of the
-    first half of the period (_cycle_points).  Representatives are
+    first half of the period, and solves x^2 - |D|y^2 = +|N|/f^2 or
+    -|N|/f^2 by the parity of its step count, so each sign of N reads only
+    its own roots (_indefinite_certificate).  Representatives are
     normalized to the orbit's (|y|, |x|)-minimal point and closed under both
     sign flips.
 
@@ -300,10 +302,10 @@ def _principal_cycle(dabs: int) -> _Cycle:
     K M(a_h) K^T for K = M(a_1) ... M(a_(h-1)), the root of ``tree``.
 
     By the same symmetry a hit needs only a prefix P(c) = M(a_1) ... M(a_c)
-    with c < h (see _cycle_points): a_(c+1) ... a_(L-1) is the reverse of
-    a_1 ... a_(L-1-c), so its product is P(L-1-c)^T.  The tree's nodes are
-    kept for _prefix_rows, which reads all the prefixes a target needs off
-    them in one sweep.
+    with c < h (see _indefinite_certificate): a_(c+1) ... a_(L-1) is the
+    reverse of a_1 ... a_(L-1-c), so its product is P(L-1-c)^T.  The tree's
+    nodes are kept for _prefix_rows, which reads all the prefixes a target
+    needs off them in one sweep.
     """
     s = isqrt(dabs)
     qs, quots = [], []
@@ -336,6 +338,7 @@ def pell_fundamental(dabs: int) -> tuple[int, int]:
     return _principal_cycle(dabs).unit
 
 
+@lru_cache(maxsize=2)
 def _located_roots(dabs: int, nabs: int, limit: int) -> tuple:
     """(f, z, pre, c) for every f^2 | nabs and every square root z <= m/2 of
     dabs modulo m = nabs/f^2 whose expansion of (z + sqrt(dabs))/m reaches
@@ -346,13 +349,13 @@ def _located_roots(dabs: int, nabs: int, limit: int) -> tuple:
     and its quotients are recorded on the way.  sqrt_mod gives the roots in
     ascending order, so the walk over a modulus stops at its first root
     above m/2.  A root whose first reduced state is off the principal cycle
-    has no hit (see _cycle_points and the module docstring) and is dropped.
+    has no hit (see the module docstring) and is dropped.
     The states are looked up by one filter over the stored Q of the
     cycle's first half for the Q values wanted: each stored Q_k stands for
     two positions of the cycle (see _principal_cycle), and each position's
     P comes from P^2 = dabs - Q_prev*Q, which must be a square.  Nothing
     here depends on the sign of the target, so x^2 - dabs*y^2 = +-nabs
-    share one call, through the cache of its one caller, _cycle_points.
+    share one call through the cache, and each keeps its own roots.
     Raises FactorizationLimitError when the factorization budget ``limit``
     cannot factor nabs.
     """
@@ -406,46 +409,6 @@ def _located_roots(dabs: int, nabs: int, limit: int) -> tuple:
     return tuple((f, z, pre, where[st]) for f, z, pre, st in roots if st in where)
 
 
-@lru_cache(maxsize=2)
-def _cycle_points(dabs: int, nabs: int, limit: int) -> tuple:
-    """(f, x, y, v) for every located root (f, z, pre, c0) of nabs: a point
-    in the orbit of the root's hits and its value v = x^2 - dabs*y^2, which
-    is +-nabs/f^2.  The value is computed here once for both signs of the
-    target; _indefinite_certificate checks it before it uses the point.
-
-    The PQa expansion of (z + sqrt(dabs))/q0, q0 = nabs/f^2, has at its
-    state k the value G_(k-1)^2 - dabs*B_(k-1)^2 = (-1)^k * q0 * Q_k, and a
-    hit is a state with |Q_k| = 1, read off as (q0*G - z*B, B).  From its
-    first reduced state j = len(pre) on, at position c0 of the cycle, only
-    the states at the position of (s, 1) have Q = 1.  The first,
-    k = j + L - 1 - c0, has the convergent matrix
-    H = M(pre) P(c0)^-1 P(L-1) = M(pre) P(L-1-c0)^T (see _principal_cycle),
-    whose first column is (G, B).  When c0 < L-1-c0, the second column of
-    H P(L-1)^-1 = M(pre) P(c0)^-1 (det P(c0) = +-1, so the inverse is a
-    signed adjugate) gives instead -+ the hit times the conjugate of the
-    unit, a point of the same orbit.  Either way a root needs only the top
-    row of P(min(c0, L-1-c0)), and min(c0, L-1-c0) < L/2, so one sweep of
-    _prefix_rows over the unit's tree serves every root, and both signs of
-    the target.  A state before j with |Q| = 1 adds no orbit: it is
-    +-(P + sqrt(dabs)), whose expansion meets (s, 1) at the same parity
-    within the period, and the two solutions differ by a unit of norm 1.
-    """
-    cycle = _principal_cycle(dabs)
-    roots = _located_roots(dabs, nabs, limit)
-    last = cycle.period - 1
-    cuts = sorted({min(c0, last - c0) for *_, c0 in roots})
-    rows = dict(zip(cuts, _prefix_rows(cycle.quots, cycle.tree, cuts)))
-    out = []
-    for f, z, pre, c0 in roots:
-        p0, p1 = rows[min(c0, last - c0)]
-        v0, v1 = (p0, p1) if c0 >= last - c0 else (-p1, p0)
-        # M(pre) (v0, v1), which is (v0, v1) M(reversed pre) transposed
-        g, b = _row_steps((v0, v1), pre[::-1])
-        x = nabs // (f * f) * g - z * b
-        out.append((f, x, b, x * x - dabs * b * b))
-    return tuple(out)
-
-
 def _nagell_room(t: int, u: int, n: int) -> int:
     """The largest 2*bits(y) with which a solution (x, y) of
     x^2 - |D|*y^2 = n is certified minimal in its orbit by Nagell's bound,
@@ -473,23 +436,48 @@ def _indefinite_certificate(dabs: int, n: int, limit: int) -> PellCertificate:
     """solve_indefinite's certificate, kept for the mirror field (a, -b),
     which poses the same (dabs, n) (see the module docstring).
 
-    A point of _cycle_points with value +m = n/f^2 is a hit; one with value
-    -m is the other sign's hit, and is skipped.  A hit that Nagell's bound
-    proves minimal in its orbit is kept as it is; any other is descended to
-    the minimum (see the module docstring)."""
+    The PQa expansion of (z + sqrt(dabs))/q0 of a located root (f, z, pre,
+    c0), q0 = |n|/f^2, has at its state k the value
+    G_(k-1)^2 - dabs*B_(k-1)^2 = (-1)^k * q0 * Q_k, and a hit is a state with
+    |Q_k| = 1, read off as (q0*G - z*B, B).  From its first reduced state
+    j = len(pre) on, at position c0 of the cycle, only the states at the
+    position of (s, 1) have Q = 1.  The first, k = j + L - 1 - c0, has the
+    convergent matrix H = M(pre) P(c0)^-1 P(L-1) = M(pre) P(L-1-c0)^T (see
+    _principal_cycle), whose first column is (G, B), and as L is even its
+    value is +q0 exactly when len(pre) + c0 is odd: only the roots of n's
+    sign are read.  When c0 < L-1-c0, the second column of
+    H P(L-1)^-1 = M(pre) P(c0)^-1 (det P(c0) = +-1, so the inverse is a
+    signed adjugate) gives instead -+ the hit times the conjugate of the
+    unit, a point of the same orbit with the same value.  Either way a root
+    needs only the top row of P(min(c0, L-1-c0)), and min(c0, L-1-c0) <
+    L/2, so one sweep of _prefix_rows over the unit's tree serves every
+    root.  A state before j with |Q| = 1 adds no orbit: it is
+    +-(P + sqrt(dabs)), whose expansion meets (s, 1) at the same parity
+    within the period, and the two solutions differ by a unit of norm 1.
+
+    A hit that Nagell's bound proves minimal in its orbit is kept as it is;
+    any other is descended to the minimum (see the module docstring)."""
     t, u = pell_fundamental(dabs)
+    cycle = _principal_cycle(dabs)
+    last = cycle.period - 1
+    roots = [r for r in _located_roots(dabs, abs(n), limit) if (len(r[2]) + r[3]) % 2 == (n > 0)]
+    cuts = sorted({min(c0, last - c0) for *_, c0 in roots})
+    rows = dict(zip(cuts, _prefix_rows(cycle.quots, cycle.tree, cuts)))
     room = _nagell_room(t, u, n)
     reps = set()
-    for f, x, y, v in _cycle_points(dabs, abs(n), limit):
+    for f, z, pre, c0 in roots:
+        p0, p1 = rows[min(c0, last - c0)]
+        v0, v1 = (p0, p1) if c0 >= last - c0 else (-p1, p0)
+        # M(pre) (v0, v1), which is (v0, v1) M(reversed pre) transposed
+        g, y = _row_steps((v0, v1), pre[::-1])
         m = n // (f * f)
-        if v == -m:
-            continue
-        if v != m:
+        x = abs(m) * g - z * y
+        if x * x - dabs * y * y != m:
             raise AssertionError(f"({f * x}, {f * y}) does not solve x^2 - {dabs}*y^2 = {n}")
-        nx, ny = f * x, f * y
-        if 2 * ny.bit_length() > room:
-            nx, ny = _normalize_rep(dabs, t, u, nx, ny)
-        reps.update({(nx, ny), (-nx, ny), (nx, -ny), (-nx, -ny)})
+        x, y = f * x, f * y
+        if 2 * y.bit_length() > room:
+            x, y = _normalize_rep(dabs, t, u, x, y)
+        reps.update({(x, y), (-x, y), (x, -y), (-x, -y)})
     return PellCertificate(INDEFINITE, (t, u), tuple(sorted(reps, key=_rep_order)))
 
 

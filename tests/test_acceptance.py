@@ -141,6 +141,7 @@ def test_criterion_5_non_maximal_17_1():
             assert table_ok == dedekind_check(k, p)
 
 
+@pytest.mark.slow
 def test_criterion_6_index_table_sweep():
     with _Timer("6 index-table sweep |a|,|b| <= 50", 30.0):
         count = 0

@@ -31,7 +31,7 @@ def functools_caches():
 def test_every_functools_cache_is_bounded():
     caches = dict(functools_caches())
     assert "cubicha.quadrep._principal_cycle" in caches
-    assert "cubicha.quadrep._cycle_points" in caches
+    assert "cubicha.quadrep._located_roots" in caches
     assert "cubicha.quadrep._indefinite_certificate" in caches
     assert "cubicha.arith._sqrt_mod_prime_power" in caches
     unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]

@@ -495,6 +495,7 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("ok") == len(selfcheck.SUITES)
 
+    @pytest.mark.slow
     def test_default_grid_output_pinned(self, capsys):
         # the number of checks per suite, so that no check goes missing
         assert main(["verify", "--grid", "20", "--seed", "0"]) == 0

@@ -297,6 +297,28 @@ def referee_located_roots(d, targets, roots=scanned_roots):
     return out
 
 
+def referee_cycle_points(dabs, nabs):
+    """Referee for the sign rule of quadrep._indefinite_certificate: for
+    every located root (f, z, pre, c0) of nabs, in the order of
+    _located_roots, (f, x, y, v) with (x, y) a point in the orbit of the
+    root's hit, read off the cycle whatever its sign, and its value
+    v = x^2 - dabs*y^2, which is +-nabs/f^2 (see _indefinite_certificate
+    for the reading)."""
+    cycle = _principal_cycle(dabs)
+    roots = quadrep._located_roots(dabs, nabs, LIMIT)
+    last = cycle.period - 1
+    cuts = sorted({min(c0, last - c0) for *_, c0 in roots})
+    rows = dict(zip(cuts, quadrep._prefix_rows(cycle.quots, cycle.tree, cuts)))
+    out = []
+    for f, z, pre, c0 in roots:
+        p0, p1 = rows[min(c0, last - c0)]
+        v0, v1 = (p0, p1) if c0 >= last - c0 else (-p1, p0)
+        g, b = quadrep._row_steps((v0, v1), pre[::-1])
+        x = nabs // (f * f) * g - z * b
+        out.append((f, x, b, x * x - dabs * b * b))
+    return out
+
+
 def rebuilt_period(d):
     """(s, ps, qs, quots) of the whole period, rebuilt from the half that
     _principal_cycle stores: Q and the quotients of position i >= h read
@@ -486,7 +508,8 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
     # a zero target, to the solver and to FormProblem; problems outside the
     # hypotheses under which the side condition is constant on an orbit (6
     # does not divide -7 + 81; 3 does not divide d; 3 does not divide n);
-    # then a bogus point (1, 1) read off the cycle for x^2 - 7y^2 = 9, then
+    # then a root of 9 modulo 9 planted with a wrong z, 3 for 4, whose
+    # point (15, 4) read off the cycle fails x^2 - 7y^2 = 9, then
     # a bogus representative (3, 1) of x^2 - 69y^2 = 12 that the side
     # condition accepts at once; then a stored Q of the cycle of sqrt(45)
     # corrupted from 5 to 4, which without the check on P would move the
@@ -507,13 +530,13 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "        call()\n"
         "    except AssertionError as exc:\n"
         "        print('raised:', exc)\n"
-        "orig = quadrep._cycle_points\n"
-        "quadrep._cycle_points = lambda dabs, nabs, limit: orig(dabs, nabs, limit) + ((1, 1, 1, 1 - dabs),)\n"
+        "orig = quadrep._located_roots\n"
+        "quadrep._located_roots = lambda dabs, nabs, limit: orig(dabs, nabs, limit) + ((1, 3, (0, 1, 2), 2),)\n"
         "try:\n"
         "    quadrep.solve_indefinite(-7, 9)\n"
         "except AssertionError as exc:\n"
         "    print('raised:', exc)\n"
-        "quadrep._cycle_points = orig\n"
+        "quadrep._located_roots = orig\n"
         "quadrep.solve_indefinite = lambda d, n, limit: quadrep.PellCertificate(\n"
         "    quadrep.INDEFINITE, (7775, 936), ((3, 1),))\n"
         "try:\n"
@@ -534,7 +557,7 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "raised: FormProblem modulus 6 does not divide d + ycoef^2 = 74",
         "raised: FormProblem with 3 not dividing y needs 3 | d and 3 | n, got d = -7, n = 3",
         "raised: FormProblem with 3 not dividing y needs 3 | d and 3 | n, got d = -69, n = 4",
-        "raised: (1, 1) does not solve x^2 - 7*y^2 = 9",
+        "raised: (15, 4) does not solve x^2 - 7*y^2 = 9",
         "raised: (3, 1) does not solve x^2 - 69*y^2 = 12",
         "raised: Q = 4 at position 3 of the cycle of sqrt(45) has no P",
     ], out
@@ -598,7 +621,8 @@ class TestSolveIndefinite:
             d, n = rng.randint(2, 20000), rng.randint(-200000, 200000)
             if n and isqrt(d) ** 2 != d:
                 problems.append((d, n))
-        # each way a point is read off the cycle (see quadrep._cycle_points):
+        # each way a point is read off the cycle (see
+        # quadrep._indefinite_certificate):
         # the hit from the transposed prefix P(L-1-c0)^T and its orbit point
         # from the inverted prefix P(c0)^-1; and the refusal of an odd period
         built = {"transposed": 0, "inverted": 0, "refused": 0}
@@ -634,12 +658,12 @@ class TestSolveIndefinite:
         monkeypatch.setattr(quadrep, "factorize", counting_factorize)
         cycle = counting("cycle", quadrep._principal_cycle.__wrapped__)
         monkeypatch.setattr(quadrep, "_principal_cycle", lru_cache(maxsize=2)(cycle))
-        # _located_roots has no cache of its own: the one of _cycle_points,
-        # its one caller, shares it between the signs
-        monkeypatch.setattr(quadrep, "_located_roots", counting("roots", quadrep._located_roots))
-        # empty caches, so that no earlier test answers for the solver
-        for name in ("_cycle_points", "_indefinite_certificate"):
-            monkeypatch.setattr(quadrep, name, lru_cache(maxsize=2)(getattr(quadrep, name).__wrapped__))
+        # the cache of _located_roots shares its runs between the signs
+        roots = counting("roots", quadrep._located_roots.__wrapped__)
+        monkeypatch.setattr(quadrep, "_located_roots", lru_cache(maxsize=2)(roots))
+        # an empty cache, so that no earlier test answers for the solver
+        certificate = quadrep._indefinite_certificate.__wrapped__
+        monkeypatch.setattr(quadrep, "_indefinite_certificate", lru_cache(maxsize=2)(certificate))
         rep = decide_freeness(validate(-792, 209))
         assert rep.verdict == NOT_FREE
         (rhs, plus), (minus_rhs, minus) = rep.pell
@@ -654,8 +678,10 @@ class TestSolveIndefinite:
         # period, each root's pre-period and at most one partial run of
         # _LEAF per root: a hit's prefix comes from the unit's tree, not from
         # a product over its own stretch.  A leaf steps the rows (1, 0) and
-        # (0, 1) through the same run, and its quotients count once
-        fed, roots, located, in_tree = [0], [], [], [False]
+        # (0, 1) through the same run, and its quotients count once.  The
+        # cache sits inside the recorded function, so each sign records its
+        # call, and the roots and (|D|, |N|) recorded are deduplicated
+        fed, roots, located, in_tree = [0], set(), set(), [False]
         tree, steps, locate = quadrep._cf_tree, quadrep._row_steps, quadrep._located_roots
 
         def marking_tree(quots):
@@ -672,15 +698,15 @@ class TestSolveIndefinite:
 
         def recording(d, nabs, limit):
             found = locate(d, nabs, limit)
-            located.append((d, nabs))
-            roots.extend(found)
+            located.add((d, nabs))
+            roots.update(found)
             return found
 
         monkeypatch.setattr(quadrep, "_cf_tree", marking_tree)
         monkeypatch.setattr(quadrep, "_row_steps", counting_steps)
         monkeypatch.setattr(quadrep, "_located_roots", recording)
         for a, b in ((-315, 471), (-672, -830)):
-            for fn in list(vars(quadrep).values()):
+            for fn in [*vars(quadrep).values(), locate]:
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
             fed[0] = 0
@@ -867,9 +893,77 @@ def indefinite_problems(problems):
     return sorted({(-p.d, p.n) for p in problems if p.d < 0 and isqrt(-p.d) ** 2 != -p.d})
 
 
+def pell_pool_fields():
+    """Every field of the benchmark's pell pool, the over-cap ones too."""
+    pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pell.json").read_text())
+    return [tuple(row[:2]) for row in pool["rows"]] + [tuple(f) for f in pool["over_cap"]]
+
+
+class TestSignRule:
+    """A located root's hit solves x^2 - dabs*y^2 = +nabs/f^2 exactly when
+    len(pre) + c0 is odd, and _indefinite_certificate reads only the roots
+    of its target's sign by that parity; the referee reads every root and
+    squares its point."""
+
+    @staticmethod
+    def check(dabs, nabs, seen):
+        # each root's value has the sign of its parity, and each sign's
+        # certificate is the sign closure of the descents of the referee's
+        # points of that sign
+        t, u = pell_fundamental(dabs)
+        want = {nabs: set(), -nabs: set()}
+        roots = quadrep._located_roots(dabs, nabs, LIMIT)
+        for (f, z, pre, c0), (_, x, y, v) in zip(roots, referee_cycle_points(dabs, nabs), strict=True):
+            odd = (len(pre) + c0) % 2 == 1
+            assert v == (nabs if odd else -nabs) // (f * f), (dabs, nabs, f, z)
+            seen["odd, +" if odd else "even, -"] += 1
+            want[v * f * f] |= sign_closure([_normalize_rep(dabs, t, u, f * x, f * y)])
+        for n, reps in want.items():
+            assert set(solve_indefinite(-dabs, n).representatives) == reps, (dabs, n)
+
+    @staticmethod
+    def targets(problems):
+        """The distinct (|D|, |N|) of the indefinite problems."""
+        return sorted({(dabs, abs(n)) for dabs, n in indefinite_problems(problems)})
+
+    def test_every_problem_of_the_square_40(self):
+        seen = {"odd, +": 0, "even, -": 0}
+        for dabs, nabs in self.targets(freeness_problems(-40, 40)):
+            self.check(dabs, nabs, seen)
+        assert min(seen.values()) > 2000, seen
+
+    def test_every_problem_of_the_pell_pool(self):
+        seen = {"odd, +": 0, "even, -": 0}
+        for dabs, nabs in self.targets(field_problems(pell_pool_fields())):
+            self.check(dabs, nabs, seen)
+        assert min(seen.values()) > 100, seen
+
+    def test_seeded_small_d(self):
+        # d = 3m <= 20,000, with targets that have solutions (the value at a
+        # point near y*sqrt(d), times a square) and targets drawn at random
+        rng = random.Random(2400)
+        seen = {"odd, +": 0, "even, -": 0}
+        done = 0
+        while done < 300:
+            dabs = 3 * rng.randint(1, 6666)
+            if isqrt(dabs) ** 2 == dabs:
+                continue
+            y = rng.randint(1, 30)
+            x = isqrt(dabs * y * y) + rng.randint(-3, 3)
+            for nabs in {abs(x * x - dabs * y * y) * rng.choice((1, 4, 9)), 12 * rng.randint(1, 500)}:
+                self.check(dabs, nabs, seen)
+            done += 1
+        assert min(seen.values()) > 300, seen
+
+
 class TestNagellBound:
     """The hits that Nagell's bound certifies minimal skip _normalize_rep;
     the descent stays the exact referee of every one of them."""
+
+    @staticmethod
+    def hits(dabs, n):
+        # the referee's points of value n/f^2, scaled by f
+        return [(f * x, f * y) for f, x, y, v in referee_cycle_points(dabs, abs(n)) if v == n // (f * f)]
 
     @staticmethod
     def check(dabs, n, seen):
@@ -879,10 +973,7 @@ class TestNagellBound:
         t, u = pell_fundamental(dabs)
         room = _nagell_room(t, u, n)
         want = set()
-        for f, x, y, v in quadrep._cycle_points(dabs, abs(n), LIMIT):
-            if v != n // (f * f):
-                continue
-            point = (f * x, f * y)
+        for point in TestNagellBound.hits(dabs, n):
             rep = _normalize_rep(dabs, t, u, *point)
             if 2 * point[1].bit_length() <= room:
                 assert rep == point, (dabs, n, point, rep)
@@ -893,23 +984,19 @@ class TestNagellBound:
         assert set(solve_indefinite(-dabs, n).representatives) == want, (dabs, n)
 
     @staticmethod
-    def planted(monkeypatch, dabs, n, points):
-        """The representatives _indefinite_certificate gives when the cycle
-        yields ``points`` (solutions of x^2 - dabs*y^2 = n), and the points
-        that took the exact descent."""
-        descended = []
+    def descended(monkeypatch, dabs, n):
+        """The points that _indefinite_certificate sends to the exact
+        descent, from an empty cache."""
+        out = []
 
         def recording(d, t, u, x, y):
-            descended.append((x, y))
+            out.append((x, y))
             return _normalize_rep(d, t, u, x, y)
 
         monkeypatch.setattr(quadrep, "_normalize_rep", recording)
-        monkeypatch.setattr(
-            quadrep, "_cycle_points", lambda d, nabs, limit: tuple((1, x, y, x * x - d * y * y) for x, y in points)
-        )
-        reps = quadrep._indefinite_certificate.__wrapped__(dabs, n, LIMIT).representatives
+        quadrep._indefinite_certificate.__wrapped__(dabs, n, LIMIT)
         monkeypatch.undo()
-        return set(reps), descended
+        return out
 
     def test_every_problem_of_the_square_40(self):
         seen = {"fast": 0, "exact": 0, "moved": 0}
@@ -919,10 +1006,8 @@ class TestNagellBound:
         assert len(problems) == 3902 and seen["fast"] > 5000 and seen["moved"] > 20, seen
 
     def test_every_problem_of_the_pell_pool(self):
-        pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pell.json").read_text())
-        fields = [tuple(row[:2]) for row in pool["rows"]] + [tuple(f) for f in pool["over_cap"]]
         seen = {"fast": 0, "exact": 0, "moved": 0}
-        for dabs, n in indefinite_problems(field_problems(fields)):
+        for dabs, n in indefinite_problems(field_problems(pell_pool_fields())):
             self.check(dabs, n, seen)
         assert seen["fast"] > 300 and seen["exact"] > 0, seen
 
@@ -945,13 +1030,17 @@ class TestNagellBound:
         assert min(seen.values()) > 0, seen
 
     def test_points_off_the_minimum_descend(self, monkeypatch):
-        # the minimal point of an orbit and the points one and two automorph
-        # steps from it, both ways, with their sign flips: only the minimal
-        # ones may skip the descent, and the certificate is the same
+        # the certificate sends to the descent exactly the hits that fail
+        # the bit test; and of the minimal point of an orbit and the points
+        # one and two automorph steps from it, both ways, with their sign
+        # flips, only the minimal ones may pass it
         fast = 0
         for dabs, n in [(3, 13), (6, 10), (69, 12), (738072, -4212)] + indefinite_problems(freeness_problems(-12, 12)):
             t, u = pell_fundamental(dabs)
-            hits = [(f * x, f * y) for f, x, y, v in quadrep._cycle_points(dabs, abs(n), LIMIT) if v == n // (f * f)]
+            room = _nagell_room(t, u, n)
+            hits = self.hits(dabs, n)
+            failing = sorted(p for p in hits if 2 * p[1].bit_length() > room)
+            assert sorted(self.descended(monkeypatch, dabs, n)) == failing, (dabs, n)
             for x, y in {_normalize_rep(dabs, t, u, *p) for p in hits}:
                 off = []
                 for sign in (1, -1):
@@ -959,20 +1048,17 @@ class TestNagellBound:
                     for _ in range(2):
                         px, py = t * px + sign * dabs * u * py, sign * u * px + t * py
                         off.append((px, py))
-                points = [(x, y)] + sorted(sign_closure(off))
-                reps, descended = self.planted(monkeypatch, dabs, n, points)
-                assert reps == sign_closure([(x, y)]), (dabs, n, x, y)
-                assert set(descended) >= sign_closure(off), (dabs, n, x, y)
-                fast += (x, y) not in descended
+                assert all(2 * py.bit_length() > room for _, py in sign_closure(off)), (dabs, n, x, y)
+                fast += 2 * y.bit_length() <= room
         assert fast > 50, fast
 
-    def test_points_at_and_next_to_the_bound(self, monkeypatch):
+    def test_points_at_and_next_to_the_bound(self):
         # (t + 1, u) solves x^2 - dabs*y^2 = 2(t + 1) and (t - 1, u) solves
         # it for -2(t - 1); each is at the bound, 2(t +- 1)*u^2 = u^2*|N|,
         # where its orbit holds a second point of the same |y|.  Points next
         # to them, and their multiples, lie on either side of the bound and
         # of the bit test, which passes at 2*bits(y) = room and fails at
-        # room + 1
+        # room + 1; a point that passes must be its own descent
         seen = {"fast": 0, "exact": 0, "at the bound": 0, "at the bit test's edge": 0}
         for dabs in (3, 6, 21, 69, 105, 3 * 4999, 3 * 99991):
             t, u = pell_fundamental(dabs)
@@ -984,13 +1070,14 @@ class TestNagellBound:
                             n = x * x - dabs * y * y
                             if n == 0:
                                 continue
-                            reps, descended = self.planted(monkeypatch, dabs, n, [(x, y)])
-                            assert reps == sign_closure([_normalize_rep(dabs, t, u, x, y)]), (dabs, x, y)
-                            seen["exact" if descended else "fast"] += 1
-                            if 2 * y.bit_length() - _nagell_room(t, u, n) in (0, 1):
+                            edge = 2 * y.bit_length() - _nagell_room(t, u, n)
+                            if edge <= 0:
+                                assert _normalize_rep(dabs, t, u, x, y) == (x, y), (dabs, x, y)
+                            seen["exact" if edge > 0 else "fast"] += 1
+                            if edge in (0, 1):
                                 seen["at the bit test's edge"] += 1
                             if 2 * (t + 1 if n > 0 else t - 1) * y * y == u * u * abs(n):
-                                assert descended, (dabs, x, y)
+                                assert edge > 0, (dabs, x, y)
                                 seen["at the bound"] += 1
         assert min(seen.values()) >= 20, seen
 
@@ -998,17 +1085,17 @@ class TestNagellBound:
 def test_forced_fast_path_caught_under_optimize(run_optimized):
     # (5, 2) is the hit of x^2 - 3y^2 = 13 that the cycle gives; its orbit's
     # minimal point is (4, -1).  Nagell's bound sends (5, 2) to the descent,
-    # under -O too; a bound forced open keeps it, and the descent referee
-    # sees the wrong representative
+    # under -O too; a bound forced open keeps it, and the descent referee,
+    # computed here from the referee's points, sees the wrong representative
+    t, u = pell_fundamental(3)
+    want = sign_closure(_normalize_rep(3, t, u, *p) for p in TestNagellBound.hits(3, 13))
     out = run_optimized(
         "from cubicha import quadrep\n"
-        "t, u = quadrep.pell_fundamental(3)\n"
+        f"want = {sorted(want)!r}\n"
         "limit = quadrep.DEFAULT_TRIAL_DIVISION_LIMIT\n"
-        "want = {(sx * x, sy * y) for f, x0, y0, v in quadrep._cycle_points(3, 13, limit) if v == 13\n"
-        "        for x, y in [quadrep._normalize_rep(3, t, u, f * x0, f * y0)] for sx in (1, -1) for sy in (1, -1)}\n"
         "for label in ('bound', 'forced'):\n"
-        "    got = set(quadrep._indefinite_certificate.__wrapped__(3, 13, limit).representatives)\n"
-        "    print(label, sorted(got), 'matches the descent' if got == want else 'differs from the descent')\n"
+        "    got = sorted(quadrep._indefinite_certificate.__wrapped__(3, 13, limit).representatives)\n"
+        "    print(label, got, 'matches the descent' if got == want else 'differs from the descent')\n"
         "    quadrep._nagell_room = lambda t, u, n: 10**6\n"
     )
     assert out.splitlines() == [
