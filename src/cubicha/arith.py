@@ -1,12 +1,13 @@
 """Exact integer arithmetic utilities.
 
-p-adic valuations, primality (Miller-Rabin to as many prime bases as make it
-a proof below psi_12 ~ 3.2 * 10^23, and the BPSW test, Miller-Rabin plus a
-strong Lucas test, above), factorization within an explicit work budget
-(trial division by a table of primes up to a small bound, then Brent's rho)
-that hands back what it could not split instead of a silent wrong answer, and
-square roots modulo n from the factorization of n.  The one
-continued-fraction engine is the principal-cycle walk in ``quadrep``.
+p-adic valuations, primality (a proof below psi_12 ~ 3.2 * 10^23, by
+Miller-Rabin to as many prime bases as make it one below psi_6 and from 2^64
+up, and by the BPSW test, one base-2 round plus a strong Lucas test, in
+between; above psi_12, BPSW-probable), factorization within an explicit work
+budget (trial division by a table of primes up to a small bound, then
+Brent's rho) that hands back what it could not split instead of a silent
+wrong answer, and square roots modulo n from the factorization of n.  The
+one continued-fraction engine is the principal-cycle walk in ``quadrep``.
 """
 
 from __future__ import annotations
@@ -54,34 +55,41 @@ _TRIAL_BLOCKS = tuple(
 
 # Miller-Rabin to the first k prime bases is a proof of primality below
 # psi_k, the least strong pseudoprime to all of them (OEIS A014233; Jaeschke
-# 1993, and Jiang & Deng 2014 for psi_12).  Rows (psi_k, bases), ascending;
-# psi_8 = psi_7 and psi_10 = psi_11 = psi_9 add nothing.
+# 1993, and Jiang & Deng 2014 for psi_12).  From psi_6 to 2^64 the BPSW test,
+# one base-2 round and then the strong Lucas test, proves it in about half
+# the time of seven to twelve bases: no composite below 2^64 passes it, by
+# Feitsma and Galway's list of the base-2 strong pseudoprimes below 2^64
+# (Baillie, Fiori & Wagstaff, Math. Comp. 90 (2021) 1931-1955).  Below psi_6
+# the bases cost no more than BPSW.  Rows (bound, bases, lucas), ascending:
+# below bound, and not below the row before, Miller-Rabin to those bases and
+# then, if lucas, the strong Lucas test decide.  At and above psi_12 that is
+# BPSW with all twelve bases: no composite that passes it is known, but it
+# is no proof.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROOF_BOUNDS = tuple(
-    (psi, _MR_BASES[:k])
-    for psi, k in (
-        (2047, 1),
-        (1373653, 2),
-        (25326001, 3),
-        (3215031751, 4),
-        (2152302898747, 5),
-        (3474749660383, 6),
-        (341550071728321, 7),
-        (3825123056546413051, 9),
-        (318665857834031151167461, 12),
+_PRIMALITY_ROUTES = tuple(
+    (bound, _MR_BASES[:k], lucas)
+    for bound, k, lucas in (
+        (2047, 1, False),
+        (1373653, 2, False),
+        (25326001, 3, False),
+        (3215031751, 4, False),
+        (2152302898747, 5, False),
+        (3474749660383, 6, False),
+        (2**64, 1, True),
+        (318665857834031151167461, 12, False),
+        (INFINITY, 12, True),
     )
 )
-# at and above psi_12 all twelve bases and then the strong Lucas test run:
-# that is the BPSW test, for which no composite that passes is known
-_PSI_12 = _MR_PROOF_BOUNDS[-1][0]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
     """Whether ``n`` is prime: a proof below psi_12 (~3.2 * 10^23), where
-    Miller-Rabin runs to the fewest prime bases that make it one; at and
-    above psi_12, the BPSW test."""
+    Miller-Rabin runs to the fewest prime bases that make it one below psi_6
+    (~3.5 * 10^12) and from 2^64 up, and one base-2 round and the strong
+    Lucas test (BPSW) run in between; at and above psi_12, the twelve bases
+    and the strong Lucas test, which no known composite passes."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -92,7 +100,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = next((b for psi, b in _MR_PROOF_BOUNDS if n < psi), _MR_BASES)
+    bases, lucas = next((b, lucas) for bound, b, lucas in _PRIMALITY_ROUTES if n < bound)
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -103,7 +111,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _PSI_12 or _strong_lucas(n)
+    return not lucas or _strong_lucas(n)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -199,7 +207,8 @@ def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> tuple[dict[i
             factors[p] = factors.get(p, 0) + 1
             n //= p
     bound = min(limit, TRIAL_DIVISION_BOUND)
-    # no prime below q divides what is left of n, so n < q^2 makes it 1 or prime
+    # no prime below q divides what is left of n, so n < q^2 makes it 1 or
+    # prime, and every root of a power dividing it is at least q
     q = TRIAL_DIVISION_BOUND + 1
     for block, product in _TRIAL_BLOCKS:
         if block[0] > bound or block[0] ** 2 > n:
@@ -227,7 +236,7 @@ def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> tuple[dict[i
         if is_prime(m):
             factors[m] = factors.get(m, 0) + e
             continue
-        root, exp = _perfect_power(m)
+        root, exp = _perfect_power(m, q)
         if exp > 1:
             parts.append((root, e * exp))
             continue
@@ -289,22 +298,26 @@ def _iroot(n: int, e: int) -> int:
         x = y
 
 
-def _perfect_power(n: int) -> tuple[int, int]:
+def _perfect_power(n: int, least: int = 2) -> tuple[int, int]:
     """(r, e) with n = r^e and e maximal; (n, 1) when n is not a power.
 
     Only prime exponents are tried: n = r^e makes every prime p | e an
     exponent too, and the maximal exponent of n is p times that of its
-    p-th root, on which this recurses."""
-    top = n.bit_length() - 1  # 2^e <= n exactly when e <= top
+    p-th root, on which this recurses.  ``least`` is a floor for the root:
+    the caller vouches that no prime below it divides n, so any root is at
+    least ``least`` and the exponents stop at the first e with least^e > n.
+    factorize passes its trial-division floor, which leaves a 62-bit
+    cofactor at the default budget only e in {2, 3, 5} to try."""
+    top = n.bit_length() - 1  # least^e <= n needs e <= top
     exponents = _PRIMES
     if top > TRIAL_DIVISION_BOUND:  # past the table every e is tried
         exponents = chain(_PRIMES, range(TRIAL_DIVISION_BOUND + 1, top + 1))
     for e in exponents:
-        if e > top:
+        if least**e > n:
             break
         r = _iroot(n, e)
         if r**e == n:
-            root, f = _perfect_power(r)
+            root, f = _perfect_power(r, least)
             return root, e * f
     return n, 1
 

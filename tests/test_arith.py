@@ -486,3 +486,172 @@ class TestPsiTable:
             f"print([is_prime(n) for n in {list(PSI_TABLE)}])\n"
         )
         assert out == f"{[False] * len(PSI_TABLE)}\n"
+
+
+PSI_5, PSI_6, PSI_7, PSI_9 = PSI_TABLE[4], PSI_TABLE[5], PSI_TABLE[6], PSI_TABLE[8]
+
+
+def strong_base2(n):
+    # one strong Miller-Rabin round to base 2, written out on its own
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+class TestBPSWRange:
+    # from psi_6 up to 2^64 is_prime runs one base-2 round and the strong
+    # Lucas test, which together admit no composite below 2^64
+
+    def test_psi_6_7_9_rejected(self):
+        for psi in (PSI_6, PSI_7, PSI_9):
+            assert PSI_6 <= psi < 2**64
+            assert strong_base2(psi)
+            assert not is_prime(psi), psi
+
+    def test_base2_strong_pseudoprimes_rejected(self):
+        # n = p(2p - 1) with p and 2p - 1 prime and p = 1 (mod 4) is a
+        # base-2 Fermat pseudoprime, as 2 is a square mod 2p - 1; about half
+        # of them pass the strong round too
+        rng = random.Random(25)
+        lo, hi = math.isqrt(PSI_6 // 2) + 1, math.isqrt(2**63)
+        found = set()
+        while len(found) < 24:
+            p = rng.randrange(lo, hi) // 4 * 4 + 1
+            n = p * (2 * p - 1)
+            if PSI_6 <= n < 2**64 and referee_is_prime(p) and referee_is_prime(2 * p - 1) and strong_base2(n):
+                found.add(n)
+        for n in found:
+            assert not is_prime(n), n
+            assert not referee_is_prime(n), n
+
+    def test_seeded_draws_agree_with_referee_and_sympy(self):
+        isprime = pytest.importorskip("sympy").isprime
+        rng = random.Random(26)
+        # each switch and each old row gets its share of draws
+        edges = (PSI_5, PSI_6, PSI_7, PSI_9, 2**64, 2**64 + 2**40)
+        primes = 0
+        for i in range(20000):
+            lo, hi = edges[i % 5], edges[i % 5 + 1]
+            n = rng.randrange(lo, hi) | 1
+            got = is_prime(n)
+            assert got == referee_is_prime(n) == isprime(n), n
+            primes += got
+        assert primes > 500, primes
+        for edge in (PSI_6, 2**64):
+            for n in range(edge - 2000, edge + 2001):
+                assert is_prime(n) == referee_is_prime(n) == isprime(n), n
+
+
+SMALL_TABLE = sieve(5000)
+
+
+def coprime_to_primes_below(n, least):
+    return all(n % p for p in SMALL_TABLE if p < least)
+
+
+class TestPerfectPowerFloor:
+    # factorize passes its trial-division floor: no prime below it divides
+    # what is left, so no root is smaller and fewer exponents need a try
+
+    @pytest.mark.parametrize("least", (2, 5, 59, 1009, 4097))
+    def test_floor_agrees_with_referee(self, least):
+        rng = random.Random(least)
+        roots = [p for p in SMALL_TABLE if p >= least][:40]
+        while len(roots) < 60:  # larger roots, with no prime below the floor
+            r = rng.randrange(least, 10**6)
+            if coprime_to_primes_below(r, least):
+                roots.append(r)
+        cases = []
+        for _ in range(150):
+            r1, r2 = rng.choice(roots), rng.choice(roots)
+            e1, e2 = rng.choice((2, 3, 5, 7)), rng.choice((1, 2, 3, 5, 7))
+            cases += [r1**e1, r1**e1 * r2**e2]
+        while len(cases) < 450:  # non-powers, almost all of them
+            n = rng.randrange(2, 2**62)
+            if coprime_to_primes_below(n, least):
+                cases.append(n)
+        cases += [least**e for e in (2, 3, 5, 7) if coprime_to_primes_below(least, least)]
+        for n in cases:
+            assert coprime_to_primes_below(n, least)
+            assert _perfect_power(n, least) == referee_perfect_power(n), (n, least)
+
+    def test_factorize_agrees_with_referee_across_the_floor(self):
+        rng = random.Random(27)
+        below = [p for p in SMALL_TABLE if p < 4096]
+        above = [p for p in SMALL_TABLE if p > 4096] + [
+            p for p in (rng.randrange(2**19, 2**21) for _ in range(400)) if referee_is_prime(p)
+        ]
+        # the least primes left at each floor: 5 at limits 0 and 3, 4099 at 4096
+        edge = [5, 7, 4091, 4093, 4099, 4111]
+        for i in range(150):
+            n = 1
+            for _ in range(rng.randint(1, 4)):
+                n *= rng.choice(rng.choice((below, above, above, edge))) ** rng.choice((1, 1, 2, 3, 5))
+            if i % 10 == 0:  # two primes of 28 bits, which rho splits past the budget of 10^5
+                draws = (rng.randrange(2**27, 2**28) for _ in range(200))
+                n *= math.prod([p for p in draws if referee_is_prime(p)][:2])
+            for limit in (0, 3, 4096, 10**5, DEFAULT_TRIAL_DIVISION_LIMIT):
+                assert same_factorization(n, limit), (n, limit)
+
+
+class TestWorkCounts:
+    # operation counts, not timings, guard the fast paths: a change that
+    # brings back the extra bases or exponents fails here
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        iroot = arith._iroot
+
+        def counting_pow(*args):
+            counts["pow"] += 1
+            return pow(*args)
+
+        def counting_iroot(n, e):
+            counts["iroot"] += 1
+            return iroot(n, e)
+
+        monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(arith, "_iroot", counting_iroot)
+        return counts
+
+    def test_prime_below_2_64_costs_one_pow(self, counts):
+        rng = random.Random(28)
+        primes = [3474749660401, 2305843009213693967, 4611686018427387847, 18446744073709551557]
+        while len(primes) < 20:
+            n = rng.randrange(PSI_6, 2**64)
+            if referee_is_prime(n):
+                primes.append(n)
+        for p in primes:
+            counts.clear()
+            assert is_prime(p)
+            assert counts["pow"] == 1, p
+
+    def test_prime_from_2_64_to_psi_12_costs_twelve_pows(self, counts):
+        for p in (18446744073709551629, 318665857834031151167441):
+            counts.clear()
+            assert is_prime(p)
+            assert counts["pow"] == 12, p
+
+    def test_62_bit_non_power_costs_three_iroots(self, counts):
+        rng = random.Random(29)
+        for _ in range(50):
+            m = rng.randrange(2**61, 2**62) | 1
+            counts.clear()
+            assert _perfect_power(m, 4097) == (m, 1)
+            assert counts["iroot"] <= 3, m
+        # factorize passes its floor: a 62-bit p * q for rho, where p and q
+        # are prime, takes one power test
+        for p, q in ((1048583, 2199023255579), (1048589, 3298493989379)):
+            counts.clear()
+            assert factorize(p * q) == ({p: 1, q: 1}, 1)
+            assert counts["iroot"] <= 3, (p, q)

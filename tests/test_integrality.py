@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from cubicha.arith import factorize
@@ -83,6 +87,29 @@ class TestIsMaximal:
             referee = [dedekind_check(k, p) for p in primes]
             assert [ok for _, _, ok in rep.per_prime] == referee, (a, b)
             assert rep.is_maximal == all(referee), (a, b)
+
+    @pytest.mark.parametrize(
+        "limit, want",
+        [
+            (10**7, "13de5661e64cf3f725980c184a0911774a09963d2ac4ff916503be1bc1cea2d7"),
+            (10**5, "f746867209b6929263ff8f5c2db796b32f02b12e8df00b4db2044d0a47a4d673"),
+        ],
+    )
+    def test_maximal_pool_digest(self, limit, want):
+        # one sha256 over the reports of every perfbench maximal-pool field,
+        # as the program that proved primes with seven to twelve
+        # Miller-Rabin bases and tried every prime exponent wrote them; at
+        # 10^5 twelve fields end UNDECIDED_FACTORIZATION
+        pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data" / "maximal.json").read_text())
+        digest = hashlib.sha256()
+        undecided = 0
+        for a, b, *_ in pool["rows"]:
+            rep = is_maximal(validate(a, b), limit)
+            undecided += rep.status == UNDECIDED_FACTORIZATION
+            fields = (rep.status, rep.failing_prime, rep.per_prime, rep.delta_factors, rep.cofactor)
+            digest.update(repr(fields).encode() + b"\n")
+        assert undecided == (12 if limit == 10**5 else 0)
+        assert digest.hexdigest() == want
 
     def test_definite_failure_beats_undecided(self):
         # (1, 4) fails at p = 2 regardless of what remains unfactored
