@@ -13,7 +13,6 @@ one continued-fraction engine is the principal-cycle walk in ``quadrep``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, isqrt
 
@@ -31,9 +30,6 @@ TRIAL_DIVISION_BOUND = 2**12
 RHO_ITERATION_COST = 10
 # iterations whose |x - y| are multiplied together before one gcd
 _RHO_BATCH = 128
-# root sets of a mod p^e kept by _sqrt_mod_prime_power: a scan of [-20, 20]^2
-# asks for 80 distinct ones
-ROOT_CACHE_SIZE = 1024
 
 
 def _sieve(bound: int) -> list[int]:
@@ -347,12 +343,9 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     return r
 
 
-@lru_cache(maxsize=ROOT_CACHE_SIZE)
 def _sqrt_mod_prime_power(a: int, p: int, e: int) -> tuple[int, ...]:
     """All z in [0, p^e) with z^2 = a (mod p^e), ascending, for
-    0 <= a < p^e, as a tuple.  Kept in a bounded cache: the targets of a
-    scan share most of their prime powers, and the residues of |D| modulo
-    them recur.
+    0 <= a < p^e, as a tuple.
 
     With a = p^v * a1 (p not dividing a1, v < e), z = p^(v/2) * w where
     w^2 = a1 (mod p^(e-v)), and each such w mod p^(e-v) gives p^(v/2)
@@ -391,9 +384,8 @@ def _sqrt_mod_prime_power(a: int, p: int, e: int) -> tuple[int, ...]:
 def sqrt_mod(a: int, factors: dict[int, int]) -> list[int]:
     """All z in [0, n) with z^2 = a (mod n), ascending, in a new list, where
     n is the product of p^e over ``factors`` (primes): the roots modulo each
-    prime power, from the cache of _sqrt_mod_prime_power (at most
-    ROOT_CACHE_SIZE residues, keyed by (a mod p^e, p, e)), joined by the
-    Chinese remainder theorem."""
+    prime power (_sqrt_mod_prime_power), joined by the Chinese remainder
+    theorem."""
     roots, n = [0], 1
     for p, e in factors.items():
         q = p**e

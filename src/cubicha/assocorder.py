@@ -78,7 +78,8 @@ class CaseLabel:
 class AssociatedOrder:
     """The order as the integer rows of its reduced matrix R (det R =
     index_iw) and of adj(R), whose columns are index_iw times the basis
-    vectors.  ``basis`` is the rational view of the latter."""
+    vectors.  ``basis`` is the rational view of the latter, for the
+    referees; analyze renders the basis from the integers."""
 
     case: CaseLabel
     index_iw: int

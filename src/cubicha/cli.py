@@ -25,6 +25,7 @@ import io
 import os
 import sys
 import time
+from math import gcd
 
 from . import __version__
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, RHO_ITERATION_COST, TRIAL_DIVISION_BOUND
@@ -50,6 +51,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _basis_text(order) -> list:
+    """The basis vectors of ``order``, the columns of adj(R)/det R, with each
+    entry in lowest terms as ``str(Fraction)`` writes it: "n" when the
+    denominator is 1, else "n/m".  Integer gcds only, so that analyze does
+    not load ``fractions``."""
+    d = order.index_iw
+    return [
+        [str(x // g) if (g := gcd(x, d)) == d else f"{x // g}/{d // g}" for x in col]
+        for col in zip(*order.adj)
+    ]
 
 
 def _maximality_dict(rep) -> dict:
@@ -113,7 +126,7 @@ def analyze_document(a: int, b: int, convention: str, limit: int) -> tuple[dict,
     doc["index_iw"] = order.index_iw
     doc["associated_order"] = {
         "reduced": [[str(x) for x in row] for row in order.reduced],
-        "basis_w": [[str(c) for c in v.coords] for v in order.basis],
+        "basis_w": _basis_text(order),
     }
     doc["maximality"] = _maximality_dict(verdicts.maximality)
     doc["freeness"] = _freeness_dict(verdicts.freeness)
@@ -262,9 +275,11 @@ def _scan_group(task) -> tuple:
 
 def _mirror_groups(a_range: range, b_range: range):
     """(a, bs) per unit of scan work: bs is (b, -b) when both lie in
-    b_range, and (b,) otherwise.  The two fields of a pair share delta, g
-    and every Pell certificate, which quadrep caches only for the latest
-    targets, so they run back to back."""
+    b_range, and (b,) otherwise.  The two fields of a pair share delta, g,
+    every Pell certificate and the maximality report, which quadrep and
+    integrality keep only for the latest two, so they run back to back.
+    The Pell root sets, which the fields of a row share more widely, are
+    kept longer (quadrep._root_sets)."""
     for a in a_range:
         for b in b_range:
             if -b not in b_range or b == 0:

@@ -27,6 +27,7 @@ of f modulo p; the test suite plays the two against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, factorize, is_prime, valuation
 from .assocorder import AssociatedOrder, build
@@ -53,7 +54,12 @@ class MaximalityReport:
 
 def alaca_condition(k: TrinomialCubic, p: int) -> tuple[bool, str]:
     """Evaluate the congruence table at p; returns (passed, matched label)."""
-    a, b = k.a, k.b
+    return _table(k.a, k.b, k.delta, p)
+
+
+def _table(a: int, b: int, delta: int, p: int) -> tuple[bool, str]:
+    """alaca_condition on the integers of the field, which _maximality
+    passes without building a TrinomialCubic."""
     if p == 2:
         if b % 2 == 1:
             return True, "2a"
@@ -80,7 +86,7 @@ def alaca_condition(k: TrinomialCubic, p: int) -> tuple[bool, str]:
         return True, "pa"
     if vpa >= 1 and vpb <= 1:
         return True, "pb"
-    if vpa == 0 and vpb == 0 and valuation(k.delta, p) <= 1:
+    if vpa == 0 and vpb == 0 and valuation(delta, p) <= 1:
         return True, "pc"
     return False, "none"
 
@@ -88,13 +94,26 @@ def alaca_condition(k: TrinomialCubic, p: int) -> tuple[bool, str]:
 def is_maximal(
     k: TrinomialCubic, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT
 ) -> MaximalityReport:
-    """Conjunction of the table over p in {2, 3} and every p > 3 with p^2 | delta."""
-    factors, cofactor = factorize(k.delta, limit)
+    """Conjunction of the table over p in {2, 3} and every p > 3 with p^2 | delta.
+
+    The table reads b only through b mod 4, v_p(b) and b^2, and delta is
+    4a^3 - 27b^2, so the fields (a, b) and (a, -b) have one report.  It is
+    kept for the last two (a, |b|) (_maximality), and a scan, which runs
+    the two fields back to back, factors their delta once.
+    """
+    return _maximality(k.a, abs(k.b), limit)
+
+
+@lru_cache(maxsize=2)
+def _maximality(a: int, babs: int, limit: int) -> MaximalityReport:
+    """is_maximal's report for the fields (a, +-babs)."""
+    delta = 4 * a**3 - 27 * babs * babs
+    factors, cofactor = factorize(delta, limit)
     checked: list[tuple[int, str, bool]] = []
     failing = None
     primes = [2, 3] + sorted(p for p, e in factors.items() if p > 3 and e >= 2)
     for p in primes:
-        ok, label = alaca_condition(k, p)
+        ok, label = _table(a, babs, delta, p)
         checked.append((p, label, ok))
         if not ok and failing is None:
             failing = p

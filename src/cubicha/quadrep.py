@@ -24,9 +24,17 @@ Three regimes:
 
     The principal cycle of sqrt(|D|) and the unit are found once per |D|
     and cached, from the first half of the palindromic period
-    (_principal_cycle).  The roots z, and where each meets the cycle, depend
-    only on |N| and are found once for both signs of N (_located_roots).  A
-    state with Q = +-1 is +-(P + sqrt(|D|)), whose expansion runs into the
+    (_principal_cycle).  The roots z, and where each meets the cycle, are
+    found once for both signs of N (_located_roots).  The roots depend only
+    on |N| and on |D| mod |N|, which fixes |D| mod m for every m | |N|, and
+    a scan meets the same pairs again and again: each target of the
+    freeness criterion has |N| = 12|a|g, 36|a|g or 108|a|g, which divides
+    12a^3 (g | a; 3 | a in the last two cases; v3(g) < v3(a) in the third),
+    and |D| = 81b^2 - 12a^3, so |D| = (9b)^2 (mod |N|).  So the roots are
+    kept in a bounded cache under (|D| mod |N|, |N|) (_root_sets), and the
+    factorization of |N| under |N| (_target_factors).
+
+    A state with Q = +-1 is +-(P + sqrt(|D|)), whose expansion runs into the
     complete quotients of sqrt(|D|) within a few steps; the periodic tail of
     the whole expansion, which is the cycle of its first reduced state, is
     then the principal cycle.  So a z whose first reduced state is off the
@@ -90,6 +98,7 @@ refuses any problem outside these hypotheses (M | D + c^2, and 3 | D, N when
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -338,6 +347,45 @@ def pell_fundamental(dabs: int) -> tuple[int, int]:
     return _principal_cycle(dabs).unit
 
 
+@lru_cache(maxsize=32)
+def _target_factors(nabs: int, limit: int) -> tuple[tuple[int, int], ...]:
+    """The factorization of nabs as ascending (p, e) pairs, kept for the
+    next targets of the same |N|: a scan row poses few, as each is 12|a|g,
+    36|a|g or 108|a|g with g | a.  Raises FactorizationLimitError when the
+    budget ``limit`` cannot complete it, and then caches nothing."""
+    factors, cofactor = factorize(nabs, limit)
+    if cofactor != 1:
+        raise FactorizationLimitError(nabs, limit, cofactor)
+    return tuple(factors.items())
+
+
+@lru_cache(maxsize=256)
+def _root_sets(dmod: int, nabs: int, limit: int) -> tuple:
+    """(f, m, roots) for every f^2 | nabs, m = nabs/f^2: roots holds the
+    z <= m/2 with z^2 = dmod (mod m), ascending.
+
+    dmod is |D| mod |N|, which fixes |D| mod m for every m | |N|, so the
+    fields of a scan that share it share this work (see the module
+    docstring).  Raises FactorizationLimitError when the budget ``limit``
+    cannot factor nabs.
+    """
+    splits = [(1, {})]  # (f, factorization of nabs/f^2) for every f^2 | nabs
+    for p, e in _target_factors(nabs, limit):
+        splits = [
+            (f * p**k, {**mf, p: e - 2 * k} if e > 2 * k else mf)
+            for f, mf in splits
+            for k in range(e // 2 + 1)
+        ]
+    out = []
+    for f, mf in splits:
+        m = nabs // (f * f)
+        # the hits of -z are the conjugates (x, -y) of those of z, up to the
+        # automorph, and the representatives are closed under that sign flip
+        roots = sqrt_mod(dmod, mf)
+        out.append((f, m, tuple(roots[:bisect_right(roots, m // 2)])))
+    return tuple(out)
+
+
 @lru_cache(maxsize=2)
 def _located_roots(dabs: int, nabs: int, limit: int) -> tuple:
     """(f, z, pre, c) for every f^2 | nabs and every square root z <= m/2 of
@@ -345,11 +393,11 @@ def _located_roots(dabs: int, nabs: int, limit: int) -> tuple:
     the principal cycle: pre holds its partial quotients before its first
     reduced state, which is at position c of the cycle.
 
-    Each root is walked once, by the PQa step, to its first reduced state,
-    and its quotients are recorded on the way.  sqrt_mod gives the roots in
-    ascending order, so the walk over a modulus stops at its first root
-    above m/2.  A root whose first reduced state is off the principal cycle
-    has no hit (see the module docstring) and is dropped.
+    The roots come from _root_sets, which a scan's fields share through
+    dabs mod nabs.  Each root is walked once, by the PQa step, to its first
+    reduced state, and its quotients are recorded on the way.  A root whose
+    first reduced state is off the principal cycle has no hit (see the
+    module docstring) and is dropped.
     The states are looked up by one filter over the stored Q of the
     cycle's first half for the Q values wanted: each stored Q_k stands for
     two positions of the cycle (see _principal_cycle), and each position's
@@ -359,28 +407,13 @@ def _located_roots(dabs: int, nabs: int, limit: int) -> tuple:
     Raises FactorizationLimitError when the factorization budget ``limit``
     cannot factor nabs.
     """
-    factors, cofactor = factorize(nabs, limit)
-    if cofactor != 1:
-        raise FactorizationLimitError(nabs, limit, cofactor)
-    splits = [(1, {})]  # (f, factorization of nabs/f^2) for every f^2 | nabs
-    for p, e in factors.items():
-        splits = [
-            (f * p**k, {**mf, p: e - 2 * k} if e > 2 * k else mf)
-            for f, mf in splits
-            for k in range(e // 2 + 1)
-        ]
+    root_sets = _root_sets(dabs % nabs, nabs, limit)
     cycle = _principal_cycle(dabs)
     s, qs = cycle.s, cycle.qs
     roots = []  # (f, z, pre, first reduced state)
     wanted_q = set()
-    for f, mf in splits:
-        m = nabs // (f * f)
-        half = m // 2
-        # the hits of -z are the conjugates (x, -y) of those of z, up to the
-        # automorph, and the representatives are closed under that sign flip
-        for z in sqrt_mod(dabs, mf):
-            if z > half:
-                break
+    for f, m, zs in root_sets:
+        for z in zs:
             p, q, pre = z, m, []
             while True:
                 a = (p + s) // q if q > 0 else (-p - s - 1) // -q
@@ -509,11 +542,8 @@ def solve_degenerate(d: int, n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) 
     k = isqrt(-d)
     if k * k != -d:
         raise AssertionError(f"solve_degenerate needs -d a square, got d = {d}")
-    factors, cofactor = factorize(abs(n), limit)
-    if cofactor != 1:
-        raise FactorizationLimitError(abs(n), limit, cofactor)
     out = set()
-    for pos in divisors(factors):
+    for pos in divisors(dict(_target_factors(abs(n), limit))):
         for d0 in (pos, -pos):
             e0 = n // d0
             if (d0 + e0) % 2 == 0 and (e0 - d0) % (2 * k) == 0:

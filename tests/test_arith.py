@@ -186,31 +186,44 @@ class TestSqrtMod:
 
     @pytest.mark.slow
     def test_every_residue_below_600_cold_and_warm(self):
-        # the cache of prime-power roots changes no answer: every a mod n,
-        # n <= 600, once from an empty cache at every call, and once more in
-        # a shuffled order that interleaves the moduli, with the cache kept
-        # and a shifted by multiples of n
-        want, factors = {}, {}
+        # the cache of root sets (quadrep._root_sets), through which the
+        # Pell layer calls sqrt_mod, changes no answer: every a mod n,
+        # n <= 600, in a shuffled order that interleaves the moduli, in
+        # blocks that are each posed twice, once missing the cache and once
+        # hitting it
+        from cubicha import quadrep
+
+        want, squares = {}, {}
         for n in range(1, 601):
             roots = {}
-            for z in range(n):
+            for z in range(n // 2 + 1):
                 roots.setdefault(z * z % n, []).append(z)
-            want[n], factors[n] = roots, factorize(n)[0]
+            want[n] = roots
+            squares[n] = [f for f in range(1, math.isqrt(n) + 1) if n % (f * f) == 0]
+
+        def root_sets(a, n):
+            return quadrep._root_sets(a, n, DEFAULT_TRIAL_DIVISION_LIMIT)
+
         pairs = [(a, n) for n in range(1, 601) for a in range(n)]
-        for a, n in pairs:
-            arith._sqrt_mod_prime_power.cache_clear()
-            assert sqrt_mod(a, factors[n]) == want[n].get(a, []), (a, n)
         rng = random.Random(600)
         rng.shuffle(pairs)
-        hits = arith._sqrt_mod_prime_power.cache_info().hits
-        for a, n in pairs:
-            shifted = a + n * rng.randint(-3, 3)
-            assert sqrt_mod(shifted, factors[n]) == want[n].get(a, []), (shifted, n)
-        assert arith._sqrt_mod_prime_power.cache_info().hits - hits > len(pairs)
+        quadrep._root_sets.cache_clear()
+        for i in range(0, len(pairs), 100):
+            block = pairs[i:i + 100]
+            cold = {}
+            for a, n in block:
+                cold[a, n] = root_sets(a, n)
+                # f -> the z <= m/2 with z^2 = a mod m, for every f^2 | n, m = n/f^2
+                got = {f: list(roots) for f, _, roots in cold[a, n]}
+                assert got == {f: want[n // (f * f)].get(a % (n // (f * f)), []) for f in squares[n]}, (a, n)
+            for a, n in rng.sample(block, len(block)):
+                assert root_sets(a, n) == cold[a, n], (a, n)
+        info = quadrep._root_sets.cache_info()
+        assert info.misses == info.hits == len(pairs)
 
     def test_returned_list_is_fresh(self):
-        # the cache holds tuples: a caller's edit of its list reaches no
-        # other caller
+        # each call returns a new list: a caller's edit of its list
+        # reaches no other caller
         for factors, roots in (({5: 2}, [2, 23]), ({3: 1, 5: 1}, [2, 7, 8, 13])):
             got = sqrt_mod(4, factors)
             assert got == roots

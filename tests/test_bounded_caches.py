@@ -8,7 +8,9 @@ import inspect
 import pkgutil
 
 import cubicha
-from cubicha import arith
+from cubicha import integrality, quadrep
+from cubicha.cubicfield import validate
+from cubicha.integrality import combined_verdict
 
 
 def functools_caches():
@@ -33,19 +35,24 @@ def test_every_functools_cache_is_bounded():
     assert "cubicha.quadrep._principal_cycle" in caches
     assert "cubicha.quadrep._located_roots" in caches
     assert "cubicha.quadrep._indefinite_certificate" in caches
-    assert "cubicha.arith._sqrt_mod_prime_power" in caches
+    assert "cubicha.quadrep._target_factors" in caches
+    assert "cubicha.quadrep._root_sets" in caches
+    assert "cubicha.integrality._maximality" in caches
     unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
 
 
 def test_cache_clear_sweep_empties_the_root_cache():
     # the sweep with which the benchmark starts each pass from cold caches:
-    # cache_clear on every global of the module that has one
-    arith.sqrt_mod(2, {7: 3, 17: 1})
-    info = arith._sqrt_mod_prime_power.cache_info()
-    assert info.currsize > 0 and info.maxsize == arith.ROOT_CACHE_SIZE
-    for obj in vars(arith).values():
-        clear = getattr(obj, "cache_clear", None)
-        if callable(clear):
-            clear()
-    assert arith._sqrt_mod_prime_power.cache_info().currsize == 0
+    # cache_clear on every global of the module that has one.  The caches
+    # a scan's fields share, the Pell root sets (with the factorization of
+    # |N|) and the maximality report, are emptied by it
+    combined_verdict(validate(-7, 5))
+    shared = (quadrep._target_factors, quadrep._root_sets, integrality._maximality)
+    assert all(cache.cache_info().currsize > 0 for cache in shared)
+    for mod in (quadrep, integrality):
+        for obj in vars(mod).values():
+            clear = getattr(obj, "cache_clear", None)
+            if callable(clear):
+                clear()
+    assert [cache.cache_info().currsize for cache in shared] == [0, 0, 0]

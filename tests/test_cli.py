@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from cubicha.arith import DEFAULT_TRIAL_DIVISION_LIMIT
-from cubicha.cli import CSV_HEADER, _write_json, analyze_document, build_parser, main
+from cubicha.cli import CSV_HEADER, _basis_text, _write_json, analyze_document, build_parser, main
 from cubicha.cubicfield import OrderElement, validate
 from cubicha.freeness import d_beta
 from cubicha import selfcheck
@@ -300,6 +300,36 @@ def test_one_unit_per_mirror_pair_problem(capsys, monkeypatch):
     assert len(capsys.readouterr().out.strip().split("\n")) > 10
     assert len(problems) > 10
     assert len(units) == len(set(problems)) == len(problems) // 2
+
+
+def test_one_factorization_per_distinct_delta_and_target(capsys, monkeypatch):
+    # a scan of one row factors each |delta| once, as a mirror pair shares
+    # its maximality report, and each |N| of its Pell problems (D < 0)
+    # once, whatever residue of |D| the target meets; validate's own
+    # factoring of g is not counted
+    from collections import Counter
+
+    from cubicha import arith, integrality, quadrep
+    from cubicha.freeness import _RHS_FACTOR
+
+    calls = []
+    factorize = arith.factorize
+    for mod in (integrality, quadrep):
+        monkeypatch.setattr(mod, "factorize", lambda n, limit: calls.append(abs(n)) or factorize(n, limit))
+    for cache in (integrality._maximality, quadrep._target_factors, quadrep._root_sets,
+                  quadrep._located_roots, quadrep._indefinite_certificate):
+        cache.cache_clear()
+    assert main(["scan", "--a-range=-20:-20", "--b-range=-40:40"]) == 0
+    deltas, targets = set(), set()
+    for line in capsys.readouterr().out.strip().split("\n")[1:]:
+        a, _, delta, g, case, *_ = line.split(",")
+        deltas.add(abs(int(delta)))
+        if int(delta) < 0:
+            targets.add(_RHS_FACTOR[case.split("/")[0]] * abs(int(a)) * int(g))
+    assert len(deltas) > 30 and len(targets) > 3
+    assert Counter(calls) == Counter(deltas) + Counter(targets)
+    # the row's targets meet more residues of |D| than they have |N|
+    assert quadrep._root_sets.cache_info().misses > len(targets)
 
 
 class TestScan:
@@ -695,3 +725,34 @@ def test_each_command_loads_only_its_modules(code, absent, present):
     # each command imports the standard-library modules only it uses; the
     # modules it does use show that the check sees the command's imports
     assert loaded_after(code, absent + present) == list(present)
+
+
+def test_analyze_loads_no_fractions():
+    # analyze writes the basis from the integer adjugate: no process that
+    # analyzes a field, in either format, pays for fractions and the decimal
+    # and numbers modules it pulls in; (-7, 5) has a basis entry n/m
+    rationals = ("fractions", "decimal", "numbers")
+    for fmt in ("json", "text"):
+        code = f"from cubicha import cli\ncli.main(['analyze', '--a', '-7', '--b', '5', '--format', '{fmt}'])"
+        assert loaded_after(code, rationals) == [], fmt
+
+
+def test_basis_text_matches_the_fraction_view():
+    # referee for the integer rendering of the basis: the strings of
+    # AssociatedOrder.basis, the Fraction view, on every valid field of
+    # [-30,30]^2, which meets all six case tables
+    from cubicha.assocorder import build
+    from cubicha.errors import ValidationError
+
+    cases = set()
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            try:
+                k = validate(a, b)
+            except ValidationError:
+                continue
+            order = build(k)
+            want = [[str(c) for c in v.coords] for v in order.basis]
+            assert _basis_text(order) == want, (a, b)
+            cases.add((order.case.major, order.case.minor))
+    assert len(cases) == 6

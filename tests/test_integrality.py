@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cubicha import integrality
 from cubicha.arith import factorize
 from cubicha.assocorder import CASE1, CASE2, CASE3, classify
 from cubicha.cubicfield import validate
@@ -110,6 +111,23 @@ class TestIsMaximal:
             digest.update(repr(fields).encode() + b"\n")
         assert undecided == (12 if limit == 10**5 else 0)
         assert digest.hexdigest() == want
+
+    def test_mirror_field_reads_its_partners_report(self):
+        # the report is kept under (a, |b|): the mirror (a, -b) of every
+        # valid field of [-40,40]^2 reads, from the cache, the report of
+        # (a, b) made with the cache empty, and that is the report the
+        # table and the factorization give the mirror's own signed b
+        for k in grid(40):
+            integrality._maximality.cache_clear()
+            cold = is_maximal(k)
+            mirror = validate(k.a, -k.b)
+            hits = integrality._maximality.cache_info().hits
+            assert is_maximal(mirror) is cold, (k.a, k.b)
+            assert integrality._maximality.cache_info().hits == hits + 1
+            factors, cofactor = factorize(mirror.delta)
+            assert (dict(cold.delta_factors), cold.cofactor) == (factors, cofactor), (k.a, k.b)
+            rows = [(p, *reversed(alaca_condition(mirror, p))) for p, _, _ in cold.per_prime]
+            assert tuple(rows) == cold.per_prime, (k.a, k.b)
 
     def test_definite_failure_beats_undecided(self):
         # (1, 4) fails at p = 2 regardless of what remains unfactored

@@ -472,6 +472,28 @@ class TestLocatedRoots:
             self.check(d, sorted(nabs), seen)
         assert min(seen["first half"], seen["second half"]) > 600 and seen["refused"] == 0, seen
 
+    def test_warm_root_sets_in_scan_order(self, monkeypatch, capsys):
+        # every indefinite problem of [-40,40]^2, posed by a scan in its own
+        # order with every cache kept warm from the first field on: the
+        # roots a target reads from the cache of another with the same |N|,
+        # or the same |D| mod |N|, are the ones the referee finds without one
+        from cubicha.cli import main
+
+        for cache in (quadrep._located_roots, quadrep._root_sets, quadrep._target_factors):
+            cache.cache_clear()
+        located = quadrep._located_roots
+        posed = {}
+        monkeypatch.setattr(
+            quadrep, "_located_roots",
+            lambda dabs, nabs, limit: posed.setdefault((dabs, nabs), located(dabs, nabs, limit)),
+        )
+        assert main(["scan", "--a-range=-40:40", "--b-range=-40:40"]) == 0
+        capsys.readouterr()
+        info = quadrep._root_sets.cache_info()
+        assert len(posed) > 1900 and info.hits > 1000 and info.hits > info.misses, (len(posed), info)
+        for (dabs, nabs), got in posed.items():
+            assert sorted(got) == referee_located_roots(dabs, (nabs,), joined_roots)[nabs], (dabs, nabs)
+
     @pytest.mark.slow
     def test_seeded_targets_sharing_factors_with_d(self):
         # |N| = 2^i * 3^j * k, i, j <= 10, with k a multiple of a divisor of
