@@ -27,21 +27,41 @@ is min(v_p(b), 3v_p(a), v_p(a)) = v_p(g); at 2 it is
 min(3 + v3(b), 3v3(a), 2 + v3(a)), which is 0 = v3(2g) in CASE1, where
 v3(a) = 0, then 3 = v3(18g) when v3(a) = 1 <= v3(b), and
 2 + v3(a) = v3(18g) when 2 <= v3(a) <= v3(b), and 3 + v3(b) = v3(54g)
-in CASE3, where v3(a) >= v3(b) + 1.  Every matrix is a tuple of integer
-rows and every certificate a congruence on them in straight-line integers;
-rationals appear only in the ``basis`` view, made when read, and
-``fractions`` is imported there too, so a caller that never reads the view
-never loads it.  The Fraction routes that referee these integers
-(membership, the basis matrix, the gcd closed form) live in ``selfcheck``.
+in CASE3, where v3(a) >= v3(b) + 1.
+
+``build`` also proves that the basis spans a ring (R times each product of
+two basis columns is 0 mod d^2, d = det R) and that the identity is its
+first vector.  That check, and containment, are congruences, and they are
+proved once per residue class rather than once per field.  Containment
+reads M only modulo d, ring closure reads the products only modulo d^2, and
+the identity check reads adj(R) and d alone.  The entries of M are integer
+polynomials in a and b, and those of the products (hopf_mul_coords) in
+delta, so their values modulo d and d^2 depend only on a mod d, b mod d and
+delta mod d^2.  ``_congruence_failure`` therefore decides all three from
+the order's own R, adj(R) and d and those three residues, in a bounded
+cache: the 1,424 fields of [-20,20]^2, scanned row by row with the cache
+emptied before each row, pose 530 classes.  The key holds the order as
+given, so an order that is not the closed form is checked as it stands.
+lru_cache keeps only returned values, never a raise, and the helper returns
+its failure for _verify_certificates to raise with the field's name.  The
+equality certificate, the gcd of three minors, is not a function of these
+residues, and stays per field.
+
+Every matrix is a tuple of integer rows and every certificate a congruence
+on them in straight-line integers; no rational appears here.  The Fraction
+routes that referee these integers (the basis view, membership, the basis
+matrix, the gcd closed form) and the per-field form of the certificates
+live in ``selfcheck``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .arith import valuation
-from .cubicfield import HopfElement, TrinomialCubic, hopf_mul_coords
+from .cubicfield import TrinomialCubic, hopf_mul_coords
 from .errors import LatticeMismatchError
 from .exactlinalg import adjugate_rows, det3, divides_product
 from . import cubicfield
@@ -78,21 +98,12 @@ class CaseLabel:
 class AssociatedOrder:
     """The order as the integer rows of its reduced matrix R (det R =
     index_iw) and of adj(R), whose columns are index_iw times the basis
-    vectors.  ``basis`` is the rational view of the latter, for the
-    referees; analyze renders the basis from the integers."""
+    vectors; analyze renders the basis from the integers."""
 
     case: CaseLabel
     index_iw: int
     reduced: tuple[tuple[int, int, int], ...]
     adj: tuple[tuple[int, int, int], ...]
-
-    @property
-    def basis(self) -> tuple[HopfElement, HopfElement, HopfElement]:
-        from fractions import Fraction
-
-        d = self.index_iw
-        cols = zip(*self.adj)
-        return tuple(HopfElement(*(Fraction(x, d) for x in col)) for col in cols)
 
 
 def classify(k: TrinomialCubic) -> CaseLabel:
@@ -147,27 +158,44 @@ def build(k: TrinomialCubic) -> AssociatedOrder:
     return order
 
 
+# what _congruence_failure returns when containment fails
+_MOVES_B = "a basis vector moves B out of Z[alpha]"
+
+
 def _verify_certificates(k: TrinomialCubic, order: AssociatedOrder) -> None:
-    d, adj = order.index_iw, order.adj
-    cols = tuple(zip(*adj))
-    rows = cubicfield.action_matrix(k)
-    # containment: the basis vectors map all of B into Z[alpha]; row block j
-    # of M * adj(R) holds the images of alpha^j under the adj columns
-    if not divides_product(d, rows, cols):
-        raise AssertionError(f"a basis vector moves B out of Z[alpha] for {k}")
+    d = order.index_iw
+    failure = _congruence_failure(order.reduced, order.adj, d, k.a % d, k.b % d, k.delta % (d * d))
+    # containment is the premise of the equality certificate, so it fails first
+    if failure == _MOVES_B:
+        raise AssertionError(f"{failure} for {k}")
     # equality: with containment every 3x3 minor of M is a multiple of d, so
     # three of them whose gcd is d prove the index of A_H to be d
-    if index_minors_gcd(rows) != d:
+    if index_minors_gcd(cubicfield.action_matrix(k)) != d:
         raise LatticeMismatchError(
             f"closed-form and generic reduced matrices disagree for (a, b) = "
             f"({k.a}, {k.b})"
         )
+    if failure is not None:
+        raise AssertionError(f"{failure} for {k}")
+
+
+@lru_cache(maxsize=128)
+def _congruence_failure(reduced, adj, d: int, a: int, b: int, delta: int) -> str | None:
+    """The first congruence certificate that the order with rows ``reduced``
+    and ``adj`` and index d fails, given a, b mod d and delta mod d^2, or
+    None (see the module docstring)."""
+    cols = tuple(zip(*adj))
+    # containment: the basis vectors map all of B into Z[alpha]; row block j
+    # of M * adj(R) holds the images of alpha^j under the adj columns
+    if not divides_product(d, cubicfield.action_rows(a, b), cols):
+        return _MOVES_B
     # ring closure: pairwise products stay in the lattice the basis spans,
     # i.e. R * (adj_i * adj_j) = 0 mod d^2; W is commutative, so one order
     # of each pair is enough
-    products = [hopf_mul_coords(k.delta, u, v) for i, u in enumerate(cols) for v in cols[i:]]
-    if not divides_product(d * d, order.reduced, products):
-        raise AssertionError(f"a product of basis vectors escapes the order for {k}")
+    products = [hopf_mul_coords(delta, u, v) for i, u in enumerate(cols) for v in cols[i:]]
+    if not divides_product(d * d, reduced, products):
+        return "a product of basis vectors escapes the order"
     # the identity operator is a basis vector in every case table
     if cols[0] != (d, 0, 0):
-        raise AssertionError(f"the first basis vector is not the identity for {k}")
+        return "the first basis vector is not the identity"
+    return None

@@ -186,7 +186,12 @@ def action_matrix(k: TrinomialCubic) -> tuple[tuple[int, int, int], ...]:
     the B-coordinates of w1.gamma_j, w2.gamma_j, w3.gamma_j as columns);
     columns are indexed by W.
     """
-    a, b = k.a, k.b
+    return action_rows(k.a, k.b)
+
+
+def action_rows(a: int, b: int) -> tuple[tuple[int, int, int], ...]:
+    """action_matrix on plain ints.  Every entry is an integer polynomial in
+    a and b, so residues of a and b modulo n give the matrix modulo n."""
     return (
         (1, 0, 2),
         (0, 0, 0),

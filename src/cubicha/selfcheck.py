@@ -9,8 +9,10 @@ raises AssertionError with a pinpointed message on the first violation, via
 The referee routines that no production path calls live here too: the
 continued fraction of sqrt(d), multiplication and trace in Z[alpha] with
 the square-root identity behind the Gram matrix, the gcd closed form of the
-case table, the gcd of all the 3x3 minors of a tall matrix, Fraction
-membership in an associated order, and the box search for a generator.  ``cli`` loads this module only for ``verify``.
+case table, the gcd of all the 3x3 minors of a tall matrix, the associated
+order's certificates proved per field, its rational basis and Fraction
+membership in it, and the box search for a generator.  ``cli`` loads this
+module only for ``verify``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from . import arith, assocorder, cubicfield, exactlinalg, freeness, integrality, quadrep
-from .errors import DegenerateFormError, ValidationError
+from .errors import DegenerateFormError, LatticeMismatchError, ValidationError
 
 
 def check(cond: bool, *detail) -> None:
@@ -137,10 +139,38 @@ def in_order(reduced, h: cubicfield.HopfElement) -> bool:
     return True
 
 
+def order_basis(order: assocorder.AssociatedOrder) -> tuple[cubicfield.HopfElement, ...]:
+    """The basis vectors of the order, the columns of adj(R) / det R, as
+    rational Hopf elements."""
+    d = order.index_iw
+    return tuple(cubicfield.HopfElement(*(Fraction(x, d) for x in col)) for col in zip(*order.adj))
+
+
 def basis_matrix(order: assocorder.AssociatedOrder) -> tuple[tuple[Fraction, ...], ...]:
     """Rows of the matrix with the basis vectors as columns (this is exactly
     reduced^-1)."""
-    return tuple(zip(*(v.coords for v in order.basis)))
+    return tuple(zip(*(v.coords for v in order_basis(order))))
+
+
+def referee_order_certificates(k: cubicfield.TrinomialCubic, order: assocorder.AssociatedOrder) -> None:
+    """The certificates of ``assocorder._verify_certificates`` proved per
+    field on the field's own action matrix and delta, with no residue
+    class and no cache; raises as it does, in the same order."""
+    d, adj = order.index_iw, order.adj
+    cols = tuple(zip(*adj))
+    rows = cubicfield.action_matrix(k)
+    if not exactlinalg.divides_product(d, rows, cols):
+        raise AssertionError(f"a basis vector moves B out of Z[alpha] for {k}")
+    if assocorder.index_minors_gcd(rows) != d:
+        raise LatticeMismatchError(
+            f"closed-form and generic reduced matrices disagree for (a, b) = "
+            f"({k.a}, {k.b})"
+        )
+    products = [cubicfield.hopf_mul_coords(k.delta, u, v) for i, u in enumerate(cols) for v in cols[i:]]
+    if not exactlinalg.divides_product(d * d, order.reduced, products):
+        raise AssertionError(f"a product of basis vectors escapes the order for {k}")
+    if cols[0] != (d, 0, 0):
+        raise AssertionError(f"the first basis vector is not the identity for {k}")
 
 
 def brute_force_generator(
@@ -278,10 +308,12 @@ def suite_index_table(rng: random.Random, grid: int) -> int:
 
 
 def suite_order_certificates(rng: random.Random, grid: int) -> int:
-    """Full build() certificates plus membership predicate agreement."""
+    """Full build() certificates, proved again per field by the referee,
+    plus membership predicate agreement."""
     checks = 0
     for k in validated_pairs(min(grid, 12)):
         order = assocorder.build(k)  # internal certificates run here
+        referee_order_certificates(k, order)
         basis_inv = exactlinalg.inverse3(basis_matrix(order))
         for _ in range(5):
             h = cubicfield.HopfElement.of(

@@ -9,6 +9,7 @@ from cubicha.assocorder import (
     CASE3,
     V2GE,
     V2LT,
+    AssociatedOrder,
     build,
     classify,
     closed_form_reduced,
@@ -16,9 +17,16 @@ from cubicha.assocorder import (
     index_of_case,
 )
 from cubicha.cubicfield import REDUCED_LOOSE, REDUCED_STRICT, HopfElement, gram_matrix, apply_hopf, hopf_mul, validate
-from cubicha.errors import ValidationError
-from cubicha.exactlinalg import det3, inverse3, lattice_equal3, reduce_tall
-from cubicha.selfcheck import basis_matrix, h_closed_form, in_order, minors_gcd
+from cubicha.errors import LatticeMismatchError, ValidationError
+from cubicha.exactlinalg import adjugate_rows, det3, inverse3, lattice_equal3, reduce_tall
+from cubicha.selfcheck import (
+    basis_matrix,
+    h_closed_form,
+    in_order,
+    minors_gcd,
+    order_basis,
+    referee_order_certificates,
+)
 from cubicha import assocorder, cubicfield
 
 
@@ -82,7 +90,7 @@ class TestBuild:
     def test_worked_instance_1_1(self):
         order = build(validate(1, 1))
         assert order.index_iw == 2
-        assert [v.coords for v in order.basis] == [
+        assert [v.coords for v in order_basis(order)] == [
             (1, 0, 0),
             (0, 1, 0),
             (0, Fraction(-1, 2), Fraction(1, 2)),
@@ -91,7 +99,7 @@ class TestBuild:
     def test_worked_instance_3_1(self):
         order = build(validate(3, 1))
         assert order.index_iw == 54
-        assert [v.coords for v in order.basis] == [
+        assert [v.coords for v in order_basis(order)] == [
             (1, 0, 0),
             (0, Fraction(1, 9), 0),
             (Fraction(-1, 3), Fraction(-1, 18), Fraction(1, 6)),
@@ -102,10 +110,10 @@ class TestBuild:
         order = build(validate(3, 3))
         assert order.index_iw == 54
         inv = inverse3(order.reduced)
-        for i, v in enumerate(order.basis):
+        for i, v in enumerate(order_basis(order)):
             assert v.coords == tuple(inv[r][i] for r in range(3))
-        assert order.basis[1].coords == (0, Fraction(1, 9), 0)
-        assert order.basis[2].coords == (
+        assert order_basis(order)[1].coords == (0, Fraction(1, 9), 0)
+        assert order_basis(order)[2].coords == (
             Fraction(-1, 3),
             Fraction(-1, 18),
             Fraction(1, 6),
@@ -114,7 +122,7 @@ class TestBuild:
     def test_case1_v2lt_basis_table_row(self):
         # (1, 2): basis {w1, w2/(2g), w3}
         order = build(validate(1, 2))
-        assert [v.coords for v in order.basis] == [
+        assert [v.coords for v in order_basis(order)] == [
             (1, 0, 0),
             (0, Fraction(1, 2), 0),
             (0, 0, 1),
@@ -125,7 +133,7 @@ class TestBuild:
         k = validate(3, 6)
         order = build(k)
         assert classify(k).major == CASE2 and classify(k).minor == V2LT
-        assert [v.coords for v in order.basis] == [
+        assert [v.coords for v in order_basis(order)] == [
             (1, 0, 0),
             (0, Fraction(1, 18), 0),
             (Fraction(-2, 3), 0, Fraction(1, 3)),
@@ -167,17 +175,17 @@ class TestBuild:
     def test_basis_elements_are_members(self):
         for k in [validate(1, 1), validate(3, 1), validate(6, 1), validate(-5, 7)]:
             order = build(k)
-            for v in order.basis:
+            for v in order_basis(order):
                 assert in_order(order.reduced, v)
             # and products of members stay members
-            for v in order.basis:
-                for w in order.basis:
+            for v in order_basis(order):
+                for w in order_basis(order):
                     assert in_order(order.reduced, hopf_mul(k, v, w))
 
     def test_b_stability(self):
         for k in [validate(1, 1), validate(3, 3), validate(7, -2)]:
             order = build(k)
-            for v in order.basis:
+            for v in order_basis(order):
                 for gamma in gram_matrix(k)[0]:
                     image = apply_hopf(k, v, gamma)
                     assert all(x.denominator == 1 for x in image)
@@ -199,14 +207,14 @@ class TestBuild:
         for k in pairs_in_grid(6):
             order = build(k)
             inv = inverse3(order.reduced)
-            assert [v.coords for v in order.basis] == [
+            assert [v.coords for v in order_basis(order)] == [
                 tuple(inv[r][i] for r in range(3)) for i in range(3)
             ]
-            assert order.basis[0].coords == (1, 0, 0)
-            for v in order.basis:
+            assert order_basis(order)[0].coords == (1, 0, 0)
+            for v in order_basis(order):
                 for gamma in gram_matrix(k)[0]:
                     assert all(x.denominator == 1 for x in apply_hopf(k, v, gamma))
-                for w in order.basis:
+                for w in order_basis(order):
                     assert in_order(order.reduced, hopf_mul(k, v, w))
 
 
@@ -273,6 +281,141 @@ class TestIndexMinors:
         for k, order in orders:
             assocorder._verify_certificates(k, order)
         assert calls[0] == 3 * len(orders) and len(orders) > 1000, (calls[0], len(orders))
+
+
+def certificate_outcome(route, k, order):
+    """The (exception type, message) with which ``route`` rejects the
+    order, or None when it accepts it."""
+    try:
+        route(k, order)
+    except (AssertionError, LatticeMismatchError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def replaced(rows, i, j, value):
+    return tuple(
+        tuple(value if (r, c) == (i, j) else x for c, x in enumerate(row)) for r, row in enumerate(rows)
+    )
+
+
+def reversed_columns(order):
+    # spans the same ring as the order, but the identity is not first
+    return AssociatedOrder(order.case, order.index_iw, order.reduced, tuple(zip(*list(zip(*order.adj))[::-1])))
+
+
+def scaled_pivot(order, i, num, den=1):
+    # a consistent order (d = det R, adj = adj R) of another lattice
+    reduced = replaced(order.reduced, i, i, order.reduced[i][i] * num // den)
+    return AssociatedOrder(order.case, det3(reduced), reduced, adjugate_rows(reduced))
+
+
+def moved_adj_entry(order, i, j):
+    # adj no longer the adjugate of R
+    d = order.index_iw
+    return AssociatedOrder(order.case, d, order.reduced, replaced(order.adj, i, j, order.adj[i][j] + d // 2))
+
+
+def moved_reduced_entry(order, i, j):
+    # R no longer the adjugate's inverse up to d
+    return AssociatedOrder(order.case, order.index_iw, replaced(order.reduced, i, j, order.reduced[i][j] + 1), order.adj)
+
+
+class TestResidueClasses:
+    """_verify_certificates proves containment, ring closure and the
+    identity once per residue class, through a bounded cache; the referee
+    proves them per field on the field's own integers."""
+
+    def test_every_field_of_the_square_40_agrees_with_the_referee(self):
+        # the cache is warm from the fields before, as in a scan; each field
+        # is checked honest and with four planted faults: the columns
+        # reversed, the middle pivot halved (when even) or doubled, and an
+        # entry of adj moved by d // 2 and one of R by 1, in turn each entry
+        outcomes = set()
+        for n, k in enumerate(pairs_in_grid(40)):
+            order = build(k)
+            assert referee_order_certificates(k, order) is None
+            i, j = divmod(n % 9, 3)
+            plants = (
+                reversed_columns(order),
+                scaled_pivot(order, 1, 2) if order.reduced[1][1] % 2 else scaled_pivot(order, 1, 1, 2),
+                moved_adj_entry(order, i, j),
+                moved_reduced_entry(order, i, j),
+            )
+            for plant in plants:
+                got = certificate_outcome(assocorder._verify_certificates, k, plant)
+                assert got == certificate_outcome(referee_order_certificates, k, plant), (k, plant)
+                outcomes.add(got and got[1].split(" for ")[0])
+        # every certificate rejects some plant, and some plants pass all four
+        assert len(outcomes) == 5 and None in outcomes, outcomes
+
+    def test_seeded_case2_and_case3_fields_up_to_a_million(self):
+        # g carries 2, 3 and a prime above 4096, so that d = 18g or 54g is
+        # far from the small moduli of a grid
+        rng = random.Random(2727)
+        seen, done = set(), 0
+        while done < 600:
+            p = rng.choice((4099, 4111, 5003, 7919, 10007))
+            g = 2 ** rng.randint(1, 2) * 3 ** rng.randint(1, 2) * p
+            a = rng.choice((-1, 1)) * g * rng.randint(1, 10**6 // g)
+            b = rng.choice((-1, 1)) * g * rng.randint(1, 10**6 // g)
+            try:
+                k = validate(a, b)
+            except ValidationError:
+                continue
+            order = build(k)
+            assert referee_order_certificates(k, order) is None
+            assert k.g % (6 * p) == 0 and order.index_iw in (18 * k.g, 54 * k.g), (a, b)
+            seen.add(str(order.case))
+            done += 1
+        assert seen == {f"{major}/{minor}" for major in (CASE2, CASE3) for minor in (V2GE, V2LT)}, seen
+
+    def test_planted_orders_raise_the_referees_message_past_a_warm_cache(self):
+        # the honest order of each field is in the cache first; a planted
+        # one is keyed by its own matrices, so it is checked as it stands
+        for a, b in ((3, 3), (1, 2), (-6, 10), (12, -20), (-28, 30), (15, 9)):
+            k = validate(a, b)
+            order = build(k)
+            misses = assocorder._congruence_failure.cache_info().misses
+            assocorder._verify_certificates(k, order)
+            assert assocorder._congruence_failure.cache_info().misses == misses
+            plants = (
+                ("the first basis vector is not the identity", reversed_columns(order)),
+                ("a basis vector moves B out of Z[alpha]", scaled_pivot(order, 1, 2)),
+                ("a basis vector moves B out of Z[alpha]", moved_adj_entry(order, 2, 1)),
+            )
+            for want, plant in plants:
+                got = certificate_outcome(assocorder._verify_certificates, k, plant)
+                assert got == certificate_outcome(referee_order_certificates, k, plant)
+                assert got == ("AssertionError", f"{want} for {k}"), (a, b, got)
+
+    def test_a_scan_proves_each_residue_class_once(self, capsys):
+        # the rows a = 12 and a = 7 of a scan, one after the other; the key
+        # is R, adj(R), d and a, b mod d and delta mod d^2, built here
+        # without build.  Row 12 has d = 54g or 18g >= 54 > 40, so none of
+        # its fields shares a class; row 7 has d = 2 or 14, and most do
+        from cubicha.cli import main
+
+        assocorder._congruence_failure.cache_clear()
+        keys, fields, misses = set(), [], []
+        for a in (12, 7):
+            row = 0
+            for b in range(-20, 21):
+                try:
+                    k = validate(a, b)
+                except ValidationError:
+                    continue
+                reduced = closed_form_reduced(k, classify(k))
+                d = det3(reduced)
+                keys.add((reduced, adjugate_rows(reduced), d, a % d, b % d, k.delta % (d * d)))
+                row += 1
+            assert main(["scan", f"--a-range={a}:{a}", "--b-range=-20:20"]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == row + 1
+            info = assocorder._congruence_failure.cache_info()
+            assert (info.misses, info.hits + info.misses) == (len(keys), sum(fields) + row), info
+            fields.append(row)
+            misses.append(info.misses - sum(misses))
+        assert misses[0] == fields[0] and misses[1] < fields[1] // 4, (misses, fields)
 
 
 def test_certificates_raise_under_optimize(run_optimized):

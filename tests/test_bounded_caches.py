@@ -8,7 +8,7 @@ import inspect
 import pkgutil
 
 import cubicha
-from cubicha import integrality, quadrep
+from cubicha import assocorder, integrality, quadrep
 from cubicha.cubicfield import validate
 from cubicha.integrality import combined_verdict
 
@@ -38,6 +38,7 @@ def test_every_functools_cache_is_bounded():
     assert "cubicha.quadrep._target_factors" in caches
     assert "cubicha.quadrep._root_sets" in caches
     assert "cubicha.integrality._maximality" in caches
+    assert "cubicha.assocorder._congruence_failure" in caches
     unbounded = [name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None]
     assert unbounded == []
 
@@ -46,13 +47,15 @@ def test_cache_clear_sweep_empties_the_root_cache():
     # the sweep with which the benchmark starts each pass from cold caches:
     # cache_clear on every global of the module that has one.  The caches
     # a scan's fields share, the Pell root sets (with the factorization of
-    # |N|) and the maximality report, are emptied by it
+    # |N|), the maximality report and the order's congruence certificates,
+    # are emptied by it
     combined_verdict(validate(-7, 5))
-    shared = (quadrep._target_factors, quadrep._root_sets, integrality._maximality)
+    shared = (quadrep._target_factors, quadrep._root_sets, integrality._maximality,
+              assocorder._congruence_failure)
     assert all(cache.cache_info().currsize > 0 for cache in shared)
-    for mod in (quadrep, integrality):
+    for mod in (quadrep, integrality, assocorder):
         for obj in vars(mod).values():
             clear = getattr(obj, "cache_clear", None)
             if callable(clear):
                 clear()
-    assert [cache.cache_info().currsize for cache in shared] == [0, 0, 0]
+    assert [cache.cache_info().currsize for cache in shared] == [0, 0, 0, 0]

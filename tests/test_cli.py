@@ -739,7 +739,7 @@ def test_analyze_loads_no_fractions():
 
 def test_basis_text_matches_the_fraction_view():
     # referee for the integer rendering of the basis: the strings of
-    # AssociatedOrder.basis, the Fraction view, on every valid field of
+    # selfcheck.order_basis, the Fraction view, on every valid field of
     # [-30,30]^2, which meets all six case tables
     from cubicha.assocorder import build
     from cubicha.errors import ValidationError
@@ -752,7 +752,7 @@ def test_basis_text_matches_the_fraction_view():
             except ValidationError:
                 continue
             order = build(k)
-            want = [[str(c) for c in v.coords] for v in order.basis]
+            want = [[str(c) for c in v.coords] for v in selfcheck.order_basis(order)]
             assert _basis_text(order) == want, (a, b)
             cases.add((order.case.major, order.case.minor))
     assert len(cases) == 6

@@ -326,7 +326,7 @@ class TestIsGeneratorReferee:
                 for _ in range(40)
             ]
             for beta in betas:
-                images = [apply_hopf(k, v, beta) for v in order.basis]
+                images = [apply_hopf(k, v, beta) for v in selfcheck.order_basis(order)]
                 assert all(x.denominator == 1 for img in images for x in img)
                 spans = abs(det3(images)) == 1
                 assert is_generator(k, beta, order) == spans, (a, b, beta)

@@ -1,7 +1,7 @@
 import json
 import random
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -1205,3 +1205,98 @@ class TestSolveWithConditions:
     def test_modulus_must_be_divisible_by_6(self):
         with pytest.raises(AssertionError):
             FormProblem(d=-69, n=12, modulus=5, ycoef=9)
+
+
+def descend_in_orbit(d, t, u, x, y):
+    """The point of the orbit of (x, y) under (t + u*sqrt(d))^k, k in Z,
+    with the least (|y|, |x|): |y| falls and then rises along the orbit, so
+    step towards the smaller neighbour until neither is smaller."""
+    def size(p):
+        return abs(p[1]), abs(p[0])
+
+    point = (x, y)
+    while True:
+        px, py = point
+        up = (t * px + d * u * py, u * px + t * py)
+        down = (t * px - d * u * py, t * py - u * px)
+        step = min(up, down, key=size)
+        if size(step) >= size(point):
+            return point
+        point = step
+
+
+class TestSympyOracle:
+    """sympy, which shares no code with cubicha, as the oracle of the root
+    stage and of the indefinite solver."""
+
+    def test_sqrt_mod_and_root_sets_on_seeded_composite_moduli(self):
+        from cubicha.arith import factorize, sqrt_mod
+
+        sympy_sqrt_mod = pytest.importorskip("sympy.ntheory").sqrt_mod
+        rng = random.Random(2708)
+        moduli = []
+        for _ in range(60):
+            # products of powers of 2, 3 and small primes
+            m = 2 ** rng.randint(0, 7) * 3 ** rng.randint(0, 6)
+            for _ in range(rng.randint(0, 3)):
+                m *= rng.choice((5, 7, 11, 13, 17, 19, 23, 29, 97, 101)) ** rng.randint(1, 3)
+            moduli.append((m, rng.randrange(m)))
+        for _ in range(60):
+            # the targets of the freeness criterion, |N| = c|a|g with g | a,
+            # posed with |D| mod |N| = (9b)^2 mod |N|
+            a, b = rng.randint(1, 3000), rng.randint(1, 3000)
+            g = gcd(a, b)
+            for c in (12, 36, 108):
+                moduli.append((c * a * g, (9 * b) ** 2 % (c * a * g)))
+        splits = roots = 0
+        for nabs, x in moduli:
+            factors, cofactor = factorize(nabs)
+            assert cofactor == 1 and prod(p**e for p, e in factors.items()) == nabs
+            assert sqrt_mod(x, factors) == sorted(sympy_sqrt_mod(x, nabs, all_roots=True)), (x, nabs)
+            squares = [1]  # every f with f^2 | nabs
+            for p, e in factors.items():
+                squares = [f * p**k for f in squares for k in range(e // 2 + 1)]
+            squares.sort()
+            got = sorted(quadrep._root_sets(x, nabs, LIMIT))
+            assert [f for f, _, _ in got] == squares, nabs
+            for f, m, zs in got:
+                assert m == nabs // (f * f)
+                want = sorted(z for z in sympy_sqrt_mod(x % m, m, all_roots=True) if z <= m // 2)
+                assert list(zs) == want, (x, nabs, f)
+                splits += 1
+                roots += len(zs)
+        assert splits > 1000 and roots > 5000, (splits, roots)
+
+    def test_solve_indefinite_against_diop_dn(self):
+        # d = 3m, the solver's domain, and n = 3k of both signs; half the
+        # targets are x0^2 - d*y0^2 of a random point, so that they have
+        # solutions.  sympy's classes are descended here, not by quadrep,
+        # and closed under the sign flips, as the representatives are
+        diop_dn = pytest.importorskip("sympy.solvers.diophantine.diophantine").diop_DN
+        rng = random.Random(2709)
+        problems = []
+        while len(problems) < 16:
+            d = 3 * rng.randint(1, 3000)
+            if isqrt(d) ** 2 == d:
+                continue
+            if len(problems) % 2:
+                n = 3 * rng.choice((-1, 1)) * rng.randint(1, 2000)
+            else:
+                y0 = rng.randint(1, 40)
+                x0 = 3 * ((isqrt(d * y0 * y0) + rng.randint(-30, 30)) // 3)
+                n = x0 * x0 - d * y0 * y0
+                if not 0 < abs(n) <= 6000:
+                    continue
+            problems.append((d, n))
+        solvable = 0
+        for d, n in problems:
+            (t, u), = diop_dn(d, 1)
+            want = set()
+            for x, y in diop_dn(d, n):
+                x, y = descend_in_orbit(d, t, u, x, y)
+                want |= {(x, y), (-x, y), (x, -y), (-x, -y)}
+            cert = solve_indefinite(-d, n)
+            assert cert.fundamental == (t, u), (d, n)
+            assert set(cert.representatives) == want, (d, n)
+            solvable += bool(want)
+        assert solvable >= 8, solvable

@@ -9,13 +9,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "cubicha"
 
 # the modules that may import fractions: the HopfElement coordinates, the
-# basis view, the Fraction referee routines and the suites
-FRACTION_MODULES = {"cubicfield.py", "assocorder.py", "exactlinalg.py", "selfcheck.py"}
+# Fraction referee routines and the suites
+FRACTION_MODULES = {"cubicfield.py", "exactlinalg.py", "selfcheck.py"}
 
 REFEREE_ONLY = {
     "periodic_sqrt_cf", "trace", "verify_sqrt_identity", "_mul_coords",
     "h_closed_form", "in_order", "basis_matrix", "brute_force_generator",
-    "minors_gcd",
+    "minors_gcd", "order_basis", "referee_order_certificates",
 }
 
 
