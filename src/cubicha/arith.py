@@ -8,6 +8,12 @@ budget (trial division by a table of primes up to a small bound, then
 Brent's rho) that hands back what it could not split instead of a silent
 wrong answer, and square roots modulo n from the factorization of n.  The
 one continued-fraction engine is the principal-cycle walk in ``quadrep``.
+
+Each kernel of a factorization computes what its plain loop would, in fewer
+interpreter steps: trial division skips a group of eight blocks of 16
+primes, or a block, with one gcd; Brent's rho takes four iterations per
+pass on the same walk and iteration count; the strong Lucas test runs a
+ladder on V alone and reads U_k = 0 off D U_k = 2V_(k+1) - P V_k.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ DEFAULT_TRIAL_DIVISION_LIMIT = 10**7
 
 # factorize divides by primes up to this bound and leaves larger ones to rho
 TRIAL_DIVISION_BOUND = 2**12
-# One Brent iteration was measured at about ten divisions of the old 6k +- 1
-# trial-division wheel (both on a 40-digit p*q), so a limit L buys
-# (L - TRIAL_DIVISION_BOUND) // 10 of them.  Trial division now runs over
-# blocks of primes and costs less per prime, but the budget formula is kept
-# as it was, so a given limit ends the same factorizations UNDECIDED.
+# A limit L buys (L - TRIAL_DIVISION_BOUND) // 10 rho iterations.  The 10 is
+# a budget unit, not a timing: it was once one rho iteration's cost in
+# divisions of the old 6k +- 1 wheel, and neither trial division (now by
+# groups and blocks of primes) nor rho (now four iterations per pass) costs
+# that any more.  The formula and the count of iterations are kept, so a
+# given limit ends the same factorizations UNDECIDED.
 RHO_ITERATION_COST = 10
 # iterations whose |x - y| are multiplied together before one gcd
 _RHO_BATCH = 128
@@ -47,6 +54,13 @@ _PRIMES = _sieve(TRIAL_DIVISION_BOUND)  # 564 primes, the last 4093
 # skips a block that holds no factor
 _TRIAL_BLOCKS = tuple(
     (block, math.prod(block)) for block in (_PRIMES[i : i + 16] for i in range(2, len(_PRIMES), 16))
+)
+# the blocks eight at a time, as (last prime, product, blocks): one gcd
+# skips a group that holds no factor and lies wholly below the bound and
+# sqrt(n); the 36 blocks make five groups
+_TRIAL_GROUPS = tuple(
+    (blocks[-1][0][-1], math.prod(product for _, product in blocks), blocks)
+    for blocks in (_TRIAL_BLOCKS[i : i + 8] for i in range(0, len(_TRIAL_BLOCKS), 8))
 )
 
 # Miller-Rabin to the first k prime bases is a proof of primality below
@@ -129,7 +143,16 @@ def _jacobi(a: int, n: int) -> int:
 def _strong_lucas(n: int) -> bool:
     """Strong Lucas probable-prime test with Selfridge's parameters: the
     first D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.
-    ``n`` is odd with no prime factor below 50."""
+    ``n`` is odd with no prime factor below 50.  With n + 1 = k * 2^s, k
+    odd, it passes when U_k = 0 or V_(k*2^r) = 0 (mod n) for some r < s.
+
+    A ladder over the bits of k carries (V_m, V_(m+1), Q^m) mod n, with
+    V_2m = V_m^2 - 2Q^m, V_(2m+1) = V_m V_(m+1) - P Q^m and
+    V_(2m+2) = V_(m+1)^2 - 2Q^(m+1), and no U at all.  U_k is read off
+    D U_k = 2V_(k+1) - P V_k: (D/n) = -1 makes D a unit mod n, so U_k = 0
+    exactly when 2V_(k+1) = P V_k (mod n).  This is the strong test, not
+    the extra strong one, and so the one that the BPSW proof below 2^64
+    covers."""
     if isqrt(n) ** 2 == n:
         return False  # no D with (D/n) = -1 exists
     d = 5
@@ -140,21 +163,19 @@ def _strong_lucas(n: int) -> bool:
         if j == 0:  # gcd(D, n) > 1: a prime n meets (D/n) = -1 long before |D| = n
             return False
         d = -d - 2 if d > 0 else -d + 2
-    q = (1 - d) // 4
+    q = (1 - d) // 4 % n
     k, s = n + 1, 0
     while k % 2 == 0:
         k //= 2
         s += 1
-    # (U_m, V_m, Q^m) mod n for m running over the binary prefixes of k
-    u, v, qm = 1, 1, q % n
+    # m runs over the binary prefixes of k from m = 1: V_1 = P = 1, V_2 = 1 - 2Q
+    v, w, qm = 1, (1 - 2 * q) % n, q
     for bit in bin(k)[3:]:
-        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
         if bit == "1":
-            u, v = u + v, d * u + v  # (P*U + V)/2 and (D*U + P*V)/2 with P = 1
-            u = (u + n if u % 2 else u) // 2 % n
-            v = (v + n if v % 2 else v) // 2 % n
-            qm = qm * q % n
-    if u == 0 or v == 0:
+            v, w, qm = (v * w - qm) % n, (w * w - 2 * qm * q) % n, qm * qm * q % n
+        else:
+            v, w, qm = (v * v - 2 * qm) % n, (v * w - qm) % n, qm * qm % n
+    if v == 0 or (2 * w - v) % n == 0:
         return True
     for _ in range(s - 1):
         v = (v * v - 2 * qm) % n
@@ -184,10 +205,13 @@ def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> tuple[dict[i
     """Factor |n| within the work budget ``limit``; returns (factors, cofactor).
 
     Trial division by 2, 3 and then the primes of the table up to
-    min(limit, TRIAL_DIVISION_BOUND), in blocks of 16: one gcd with a
-    block's product skips a block that holds no factor.  Then Brent's rho on
-    what is left, with (limit - TRIAL_DIVISION_BOUND) // RHO_ITERATION_COST
-    iterations in all, shared by every split.  Each part is tested with
+    min(limit, TRIAL_DIVISION_BOUND), in groups of eight blocks of 16: one
+    gcd with a group's product skips a group below the bound and sqrt(n)
+    that holds no factor, and one with a block's product skips such a block
+    (_trial_division).  Then Brent's rho on what is left, with
+    (limit - TRIAL_DIVISION_BOUND) // RHO_ITERATION_COST iterations in all,
+    shared by every split; an iteration is counted as one step of the walk
+    however many a loop pass takes.  Each part is tested with
     is_prime and _perfect_power and split again while composite.
     ``factors`` comes in ascending order.  The cofactor is 1 when the
     factorization is complete; otherwise it is the product of the composites
@@ -202,24 +226,7 @@ def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> tuple[dict[i
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    bound = min(limit, TRIAL_DIVISION_BOUND)
-    # no prime below q divides what is left of n, so n < q^2 makes it 1 or
-    # prime, and every root of a power dividing it is at least q
-    q = TRIAL_DIVISION_BOUND + 1
-    for block, product in _TRIAL_BLOCKS:
-        if block[0] > bound or block[0] ** 2 > n:
-            q = block[0]
-            break
-        if gcd(n, product) > 1:
-            for p in block:
-                if p > bound:
-                    break
-                while n % p == 0:
-                    factors[p] = factors.get(p, 0) + 1
-                    n //= p
-            if p > bound:  # the block's primes above the bound are not tried
-                q = p
-                break
+    n, q = _trial_division(n, min(limit, TRIAL_DIVISION_BOUND), factors)
     if q * q > n:
         if n > 1:
             factors[n] = factors.get(n, 0) + 1
@@ -244,11 +251,43 @@ def factorize(n: int, limit: int = DEFAULT_TRIAL_DIVISION_LIMIT) -> tuple[dict[i
     return dict(sorted(factors.items())), cofactor
 
 
+def _trial_division(n: int, bound: int, factors: dict[int, int]) -> tuple[int, int]:
+    """Divide the primes of the table from 5 up to ``bound`` out of ``n``
+    into ``factors``; returns what is left of n and a floor q: no prime
+    below q divides it, so n < q^2 makes it 1 or prime, and every root of a
+    power dividing it is at least q.  One gcd skips a group that lies
+    wholly below the bound and sqrt(n); any other group goes block by
+    block, as if there were no groups, up to the first block past the bound
+    or sqrt(n) or the first prime past the bound."""
+    for last, group_product, blocks in _TRIAL_GROUPS:
+        if last <= bound and last * last <= n and gcd(n, group_product) == 1:
+            continue
+        for block, product in blocks:
+            if block[0] > bound or block[0] ** 2 > n:
+                return n, block[0]
+            if gcd(n, product) > 1:
+                for p in block:
+                    if p > bound:  # the block's primes above the bound are not tried
+                        return n, p
+                    while n % p == 0:
+                        factors[p] = factors.get(p, 0) + 1
+                        n //= p
+    return n, TRIAL_DIVISION_BOUND + 1
+
+
 def _brent(n: int, budget: int) -> tuple[int | None, int]:
     """A proper factor of the composite ``n`` by Brent's rho, or None when
     the next step would take more than ``budget`` iterations; returns it with
     the budget left.  x -> x^2 + c from x0 = 2, with c = 1, 2, ... in turn
-    when a walk closes without a split, so every run is the same."""
+    when a walk closes without a split, so every run is the same.
+
+    Each round advances y by r iterations from the saved x, then walks r
+    more in batches of m = min(_RHO_BATCH, r) whose differences x - y are
+    multiplied together mod n before one gcd; r doubles every round.  r and
+    m are powers of two, so from 4 on both loops take four iterations per
+    pass, and a batch folds its four differences into q with one reduction
+    mod n.  That leaves every y, every q mod n, each gcd and each budget
+    check where one iteration per pass puts them."""
     c = 0
     while True:
         c += 1
@@ -257,8 +296,15 @@ def _brent(n: int, budget: int) -> tuple[int | None, int]:
             if budget < r:
                 return None, budget
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n
+            if r < 4:
+                for _ in range(r):
+                    y = (y * y + c) % n
+            else:
+                for _ in range(r >> 2):
+                    y = (y * y + c) % n
+                    y = (y * y + c) % n
+                    y = (y * y + c) % n
+                    y = (y * y + c) % n
             budget -= r
             k = 0
             while k < r and g == 1:
@@ -266,9 +312,17 @@ def _brent(n: int, budget: int) -> tuple[int | None, int]:
                 if budget < m:
                     return None, budget
                 ys = y
-                for _ in range(m):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
+                if m < 4:
+                    for _ in range(m):
+                        y = (y * y + c) % n
+                        q = q * (x - y) % n
+                else:
+                    for _ in range(m >> 2):
+                        y1 = (y * y + c) % n
+                        y2 = (y1 * y1 + c) % n
+                        y3 = (y2 * y2 + c) % n
+                        y = (y3 * y3 + c) % n
+                        q = q * ((x - y1) * (x - y2)) * ((x - y3) * (x - y)) % n
                 budget -= m
                 g = gcd(q, n)
                 k += m

@@ -30,14 +30,16 @@ v3(a) = 0, then 3 = v3(18g) when v3(a) = 1 <= v3(b), and
 in CASE3, where v3(a) >= v3(b) + 1.
 
 ``build`` also proves that the basis spans a ring (R times each product of
-two basis columns is 0 mod d^2, d = det R) and that the identity is its
-first vector.  That check, and containment, are congruences, and they are
+two basis columns is 0 mod d^2, d = det R), that the identity is its
+first vector, and that the given adj is the adjugate of R (R * adj = d * I),
+so that its columns span the lattice of R and not a sublattice of it.
+Those checks, and containment, are congruences or identities, and they are
 proved once per residue class rather than once per field.  Containment
 reads M only modulo d, ring closure reads the products only modulo d^2, and
-the identity check reads adj(R) and d alone.  The entries of M are integer
+the last two checks read R, adj and d alone.  The entries of M are integer
 polynomials in a and b, and those of the products (hopf_mul_coords) in
 delta, so their values modulo d and d^2 depend only on a mod d, b mod d and
-delta mod d^2.  ``_congruence_failure`` therefore decides all three from
+delta mod d^2.  ``_congruence_failure`` therefore decides all four from
 the order's own R, adj(R) and d and those three residues, in a bounded
 cache: the 1,424 fields of [-20,20]^2, scanned row by row with the cache
 emptied before each row, pose 530 classes.  The key holds the order as
@@ -198,4 +200,20 @@ def _congruence_failure(reduced, adj, d: int, a: int, b: int, delta: int) -> str
     # the identity operator is a basis vector in every case table
     if cols[0] != (d, 0, 0):
         return "the first basis vector is not the identity"
+    # adj is the adjugate of R, R * adj = d * I, so the basis spans the
+    # lattice of R and not a sublattice of it
+    (r0, r1, r2), (s0, s1, s2), (t0, t1, t2) = reduced
+    (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = cols
+    if (
+        r0 * u0 + r1 * u1 + r2 * u2 != d
+        or r0 * v0 + r1 * v1 + r2 * v2
+        or r0 * w0 + r1 * w1 + r2 * w2
+        or s0 * u0 + s1 * u1 + s2 * u2
+        or s0 * v0 + s1 * v1 + s2 * v2 != d
+        or s0 * w0 + s1 * w1 + s2 * w2
+        or t0 * u0 + t1 * u1 + t2 * u2
+        or t0 * v0 + t1 * v1 + t2 * v2
+        or t0 * w0 + t1 * w1 + t2 * w2 != d
+    ):
+        return "the adjugate does not invert the reduced matrix"
     return None

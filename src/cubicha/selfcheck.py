@@ -171,6 +171,9 @@ def referee_order_certificates(k: cubicfield.TrinomialCubic, order: assocorder.A
         raise AssertionError(f"a product of basis vectors escapes the order for {k}")
     if cols[0] != (d, 0, 0):
         raise AssertionError(f"the first basis vector is not the identity for {k}")
+    identity = tuple(tuple(d * (i == j) for j in range(3)) for i in range(3))
+    if tuple(tuple(sum(r * c for r, c in zip(row, col)) for col in cols) for row in order.reduced) != identity:
+        raise AssertionError(f"the adjugate does not invert the reduced matrix for {k}")
 
 
 def brute_force_generator(

@@ -309,12 +309,83 @@ class TestRho:
 
 
 # The referees below are the implementations that the prime-table trial
-# division, the fewer Miller-Rabin bases below psi_12 and the prime-exponent
-# power test replaced, kept verbatim apart from names.  They share _brent,
-# _iroot and _strong_lucas with the package, which did not change with them.
+# division, the fewer Miller-Rabin bases below psi_12, the prime-exponent
+# power test, the four-iteration rho loops and the V-only Lucas ladder
+# replaced, kept verbatim apart from names.  They share _iroot and _jacobi
+# with the package, which did not change with them.
 
 REFEREE_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 REFEREE_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def referee_brent(n, budget):
+    # one iteration per loop pass and one reduction of q per difference
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if budget < r:
+                return None, budget
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            budget -= r
+            k = 0
+            while k < r and g == 1:
+                m = min(128, r - k)
+                if budget < m:
+                    return None, budget
+                ys = y
+                for _ in range(m):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                budget -= m
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g, budget
+
+
+def referee_strong_lucas(n):
+    # the U/V doubling, with a halving of each for every 1-bit of k
+    if math.isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while True:
+        j = arith._jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    u, v, qm = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
+        if bit == "1":
+            u, v = u + v, d * u + v
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            qm = qm * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qm) % n
+        qm = qm * qm % n
+        if v == 0:
+            return True
+    return False
 
 
 def referee_is_prime(n):
@@ -339,7 +410,7 @@ def referee_is_prime(n):
                 break
         else:
             return False
-    return _strong_lucas(n)
+    return referee_strong_lucas(n)
 
 
 def referee_perfect_power(n):
@@ -386,7 +457,7 @@ def referee_factorize(n, limit=DEFAULT_TRIAL_DIVISION_LIMIT):
         if exp > 1:
             parts.append((root, e * exp))
             continue
-        d, budget = _brent(m, budget)
+        d, budget = referee_brent(m, budget)
         if d is None:
             cofactor *= m**e
         else:
@@ -460,6 +531,77 @@ class TestReferees:
         # 4105 = 5 * 821 is found through the fifth root
         for e in (4099, 4105, 4111):
             assert _perfect_power(2**e) == referee_perfect_power(2**e) == (2, e)
+
+
+def random_prime(rng, lo, hi):
+    while True:
+        p = rng.randrange(lo, hi)
+        if referee_is_prime(p):
+            return p
+
+
+class TestRewrittenKernels:
+    # _brent, _strong_lucas and the grouped trial division each compute what
+    # the parent's plain loops did: the same factor and budget left, the
+    # same verdict, the same factors and cofactor
+
+    BUDGETS = (0, 1, 3, 7, 100, 1000, 10**6)
+
+    def test_brent_matches_referee_at_every_budget(self):
+        # p and q of 13 to 31 bits, so that the budget runs out mid-advance
+        # and mid-batch and the split comes in the first batch of 128 or
+        # far past it; p = q overshoots a batch and steps back through it,
+        # and the last three walks close without a split at c = 1
+        rng = random.Random(2801)
+        pairs = []
+        for i in range(60):
+            p = random_prime(rng, 4097, 2 ** rng.randint(13, 31))
+            pairs.append((p, p if i % 15 == 0 else random_prime(rng, 4097, 2 ** rng.randint(13, 31))))
+        pairs += [(4099, 4273), (4111, 4643), (4129, 4337)]
+        splits = 0
+        for p, q in pairs:
+            for budget in self.BUDGETS:
+                got = _brent(p * q, budget)
+                assert got == referee_brent(p * q, budget), (p, q, budget)
+                splits += got[0] is not None
+        assert splits > 90, splits
+
+    def test_strong_lucas_matches_referee_and_sympy(self):
+        is_strong_lucas_prp = pytest.importorskip("sympy.ntheory.primetest").is_strong_lucas_prp
+        rng = random.Random(2802)
+        odd_small = [p for p in REFEREE_SMALL_PRIMES if p > 2]
+        passed = 0
+        for i in range(6000):
+            # odd n with no prime factor below 50, every third one a prime
+            n = rng.randrange(53, 2 ** rng.randint(7, 64)) | 1
+            if i % 3 == 0:
+                n = random_prime(rng, 53, 2 ** rng.randint(7, 64))
+            if any(n % p == 0 for p in odd_small):
+                continue
+            got = _strong_lucas(n)
+            assert got == referee_strong_lucas(n) == is_strong_lucas_prp(n), n
+            passed += got
+        assert passed > 1000, passed
+        for n in (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519):
+            assert not referee_is_prime(n) and _strong_lucas(n), n
+
+    def test_factorize_matches_referee_at_the_group_edges(self):
+        # factors at the ends of the five trial groups and of their blocks,
+        # above the table, and two primes of 20 to 31 bits for rho
+        rng = random.Random(2803)
+        table = [p for p in SMALL_TABLE if 5 <= p < 4096]
+        edges = [p for _, _, blocks in arith._TRIAL_GROUPS for b in (blocks[0], blocks[-1]) for p in (b[0][0], b[0][-1])]
+        above = [p for p in SMALL_TABLE if p > 4096]
+        for i in range(120):
+            n = rng.choice((1, 2, 6, 81))
+            for _ in range(rng.randint(0, 3)):
+                n *= rng.choice(rng.choice((table, edges, edges))) ** rng.choice((1, 1, 2, 3))
+            if i % 3 == 0:
+                n *= rng.choice(above) ** rng.choice((1, 2))
+            elif i % 3 == 1:
+                n *= random_prime(rng, 2**20, 2**31) * random_prime(rng, 2**20, 2**31)
+            for limit in (0, 5, 4095, 4096, 4097, 10**5, DEFAULT_TRIAL_DIVISION_LIMIT):
+                assert same_factorization(n, limit), (n, limit)
 
 
 # psi_1 .. psi_13 (OEIS A014233): the least odd n that is a strong
@@ -633,9 +775,36 @@ class TestWorkCounts:
             counts["iroot"] += 1
             return iroot(n, e)
 
+        def counting_gcd(*args):
+            counts["gcd"] += 1
+            return math.gcd(*args)
+
         monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
         monkeypatch.setattr(arith, "_iroot", counting_iroot)
+        monkeypatch.setattr(arith, "gcd", counting_gcd)
         return counts
+
+    def test_62_bit_prime_costs_one_gcd_per_trial_group(self, counts):
+        # and a limit below the first group's last prime pays for no group:
+        # none at limit 0, one block at limit 5
+        assert len(arith._TRIAL_GROUPS) == 5
+        rng = random.Random(30)
+        for _ in range(20):
+            p = random_prime(rng, 2**61, 2**62)
+            for limit, gcds in ((DEFAULT_TRIAL_DIVISION_LIMIT, 5), (5, 1), (0, 0)):
+                counts.clear()
+                assert factorize(p, limit) == ({p: 1}, 1)
+                assert counts["gcd"] <= gcds, (p, limit)
+
+    def test_small_prime_costs_one_gcd_per_block_it_reaches(self, counts):
+        # below 733^2, the square of the first group's last prime, no group
+        # is skipped whole: a prime n pays one gcd for each block whose
+        # first prime p has p^2 <= n, as it did before the groups
+        starts = [block[0] for block, _ in arith._TRIAL_BLOCKS]
+        for p in (5003, 10007, 65537, 100003, 536867):
+            counts.clear()
+            assert factorize(p) == ({p: 1}, 1)
+            assert counts["gcd"] == sum(s * s <= p for s in starts), p
 
     def test_prime_below_2_64_costs_one_pow(self, counts):
         rng = random.Random(28)

@@ -322,9 +322,9 @@ def moved_reduced_entry(order, i, j):
 
 
 class TestResidueClasses:
-    """_verify_certificates proves containment, ring closure and the
-    identity once per residue class, through a bounded cache; the referee
-    proves them per field on the field's own integers."""
+    """_verify_certificates proves containment, ring closure, the identity
+    and R * adj = d * I once per residue class, through a bounded cache; the
+    referee proves them per field on the field's own integers."""
 
     def test_every_field_of_the_square_40_agrees_with_the_referee(self):
         # the cache is warm from the fields before, as in a scan; each field
@@ -346,8 +346,14 @@ class TestResidueClasses:
                 got = certificate_outcome(assocorder._verify_certificates, k, plant)
                 assert got == certificate_outcome(referee_order_certificates, k, plant), (k, plant)
                 outcomes.add(got and got[1].split(" for ")[0])
-        # every certificate rejects some plant, and some plants pass all four
-        assert len(outcomes) == 5 and None in outcomes, outcomes
+        # every certificate rejects some plant, and no plant passes all five
+        assert outcomes == {
+            "a basis vector moves B out of Z[alpha]",
+            "closed-form and generic reduced matrices disagree",
+            "a product of basis vectors escapes the order",
+            "the first basis vector is not the identity",
+            "the adjugate does not invert the reduced matrix",
+        }, outcomes
 
     def test_seeded_case2_and_case3_fields_up_to_a_million(self):
         # g carries 2, 3 and a prime above 4096, so that d = 18g or 54g is

@@ -94,13 +94,17 @@ class TestIsMaximal:
         [
             (10**7, "13de5661e64cf3f725980c184a0911774a09963d2ac4ff916503be1bc1cea2d7"),
             (10**5, "f746867209b6929263ff8f5c2db796b32f02b12e8df00b4db2044d0a47a4d673"),
+            (14096, "1c08559d6f84af82766975eb21e27d463ce39f84040c605a068190031da60377"),
+            (5000, "873288208ee43bf1a2c683b4d6da9a85d5ccd3f7f5257416cdb1846376500a1e"),
         ],
     )
     def test_maximal_pool_digest(self, limit, want):
         # one sha256 over the reports of every perfbench maximal-pool field,
         # as the program that proved primes with seven to twelve
-        # Miller-Rabin bases and tried every prime exponent wrote them; at
-        # 10^5 twelve fields end UNDECIDED_FACTORIZATION
+        # Miller-Rabin bases and tried every prime exponent wrote them at
+        # 10^7 and 10^5, and as the one-iteration-per-pass rho loops wrote
+        # them at 14,096 and 5,000, where rho gets 1,000 and 90 iterations
+        # and its walks are cut mid-advance and mid-batch
         pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data" / "maximal.json").read_text())
         digest = hashlib.sha256()
         undecided = 0
@@ -109,7 +113,7 @@ class TestIsMaximal:
             undecided += rep.status == UNDECIDED_FACTORIZATION
             fields = (rep.status, rep.failing_prime, rep.per_prime, rep.delta_factors, rep.cofactor)
             digest.update(repr(fields).encode() + b"\n")
-        assert undecided == (12 if limit == 10**5 else 0)
+        assert undecided == {10**7: 0, 10**5: 12, 14096: 70, 5000: 145}[limit]
         assert digest.hexdigest() == want
 
     def test_mirror_field_reads_its_partners_report(self):

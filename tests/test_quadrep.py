@@ -1300,3 +1300,59 @@ class TestSympyOracle:
             assert set(cert.representatives) == want, (d, n)
             solvable += bool(want)
         assert solvable >= 8, solvable
+
+
+class TestBruteForceCompleteness:
+    """An oracle with no continued fraction: every orbit of solutions of
+    x^2 - d*y^2 = n under the unit (t, u) has a point with
+    |y| <= u*sqrt(|n|/(2(t + 1))) for n > 0, and with t - 1 for n < 0
+    (Nagell, Introduction to Number Theory, section 58).  Where the unit is
+    small enough that this bound stays below about 10^4, every y up to it is
+    tried, and the solutions found, descended and closed under the sign
+    flips, must be the representatives of solve_indefinite."""
+
+    @staticmethod
+    def nagell_bound(d, t, u, n):
+        return isqrt(u * u * abs(n) // (2 * (t + 1 if n > 0 else t - 1)))
+
+    @staticmethod
+    def enumerated(d, t, u, n, bound):
+        want = set()
+        for y in range(bound + 1):
+            r = n + d * y * y
+            if r >= 0:
+                x = isqrt(r)
+                if x * x == r:
+                    for point in ((x, y), (-x, y), (x, -y), (-x, -y)):
+                        px, py = descend_in_orbit(d, t, u, *point)
+                        want |= {(px, py), (-px, py), (px, -py), (-px, -py)}
+        return want
+
+    def test_seeded_problems_with_small_units(self):
+        # d = 3m and n = 3k of both signs; half the targets are
+        # x0^2 - d*y0^2 of a random point, so that they have solutions
+        rng = random.Random(2811)
+        done = solvable = widest = 0
+        while done < 2000:
+            d = 3 * rng.randint(1, 20000)
+            if isqrt(d) ** 2 == d:
+                continue
+            if done % 2:
+                n = 3 * rng.choice((-1, 1)) * rng.randint(1, 2000)
+            else:
+                y0 = rng.randint(1, 40)
+                x0 = 3 * ((isqrt(d * y0 * y0) + rng.randint(-30, 30)) // 3)
+                n = x0 * x0 - d * y0 * y0
+                if n == 0:
+                    continue
+            cert = solve_indefinite(-d, n)
+            t, u = cert.fundamental
+            bound = self.nagell_bound(d, t, u, n)
+            if bound > 10**4:
+                continue
+            assert t > 1 and u > 0 and t * t - d * u * u == 1, d
+            assert set(cert.representatives) == self.enumerated(d, t, u, n, bound), (d, n)
+            done += 1
+            solvable += bool(cert.representatives)
+            widest = max(widest, bound)
+        assert solvable > 1000 and widest > 5000, (solvable, widest)
