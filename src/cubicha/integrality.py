@@ -19,9 +19,11 @@ Beyond 2 and 3 only the primes with p^2 | delta can fail, so the per-input
 work is factoring delta; an unfactorable composite cofactor downgrades the
 verdict to UNDECIDED_FACTORIZATION instead of guessing.
 
-As an independent referee, ``dedekind_check`` decides via the classical
-criterion whether p divides the index [O_L : Z[alpha]] from the factorization
-of f modulo p; the test suite plays the two against each other.
+As an independent referee, ``dedekind_check`` decides by Dedekind's
+criterion whether p divides the index [O_L : Z[alpha]]: from the one root r
+that f and f' can share modulo p, p divides the index iff p^2 | f(r).  It
+uses only is_prime and integer arithmetic, not the table, and the test
+suite plays the two against each other.
 """
 
 from __future__ import annotations
@@ -129,132 +131,34 @@ def _maximality(a: int, babs: int, limit: int) -> MaximalityReport:
     )
 
 
-# --- Dedekind's criterion ------------------------------------------------
-#
-# For the monic cubic f and a prime p: factor f mod p.  If the reduction is
-# squarefree the criterion passes outright.  Otherwise the cubic has exactly
-# one repeated linear factor (x - r)^e, e in {2, 3}; with radical lift g* and
-# complement lift h* (so f = g*h* mod p), p does not divide the index iff
-# T = (f - g*h*)/p is nonzero at r mod p.
-
-
-def _poly_mod(coeffs: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_divmod(num, den, p):
-    num = list(num)
-    inv = pow(den[-1], -1, p)
-    deg_d = len(den) - 1
-    quot = [0] * max(0, len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i] % p
-        if c == 0:
-            continue
-        q = c * inv % p
-        quot[i - deg_d] = q
-        for j, dc in enumerate(den):
-            num[i - deg_d + j] = (num[i - deg_d + j] - q * dc) % p
-    rem = tuple(num[:deg_d])
-    while rem and rem[-1] % p == 0:
-        rem = rem[:-1]
-    return tuple(quot), _poly_mod(rem, p)
-
-
-def _poly_gcd(f, g, p):
-    while g:
-        f, g = g, _poly_divmod(f, g, p)[1]
-    if f:
-        inv = pow(f[-1], -1, p)
-        f = tuple(c * inv % p for c in f)
-    return f
-
-
-def _poly_eval(coeffs, x, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _repeated_root(fbar, p: int) -> int | None:
-    """The (unique) root of the monic cubic fbar mod p with multiplicity >= 2."""
-    if p <= 3:
-        for r in range(p):
-            if _poly_eval(fbar, r, p) == 0:
-                quot, rem = _poly_divmod(fbar, (-r % p, 1), p)
-                if rem != ():
-                    raise AssertionError(f"x - {r} leaves remainder {rem} mod {p}")
-                if _poly_eval(quot, r, p) == 0:
-                    return r
-        return None
-    deriv = _poly_mod(tuple(i * c for i, c in enumerate(fbar))[1:], p)
-    c = _poly_gcd(fbar, deriv, p)
-    if len(c) <= 1:
-        return None  # squarefree
-    if len(c) == 3:  # c = (x - r)^2; its own derivative pins r (char > 2)
-        c = _poly_gcd(c, _poly_mod(tuple(i * k for i, k in enumerate(c))[1:], p), p)
-    if len(c) != 2:
-        raise AssertionError(f"repeated factor {c} mod {p} is not linear")
-    return (-c[0] * pow(c[1], -1, p)) % p
-
-
 def dedekind_check(k: TrinomialCubic, p: int) -> bool:
-    """True iff p does not divide the index [O_L : Z[alpha]]."""
+    """True iff p does not divide the index [O_L : Z[alpha]], by Dedekind's
+    criterion (Cohen, GTM 138, 6.1) for f = x^3 - a*x + b.
+
+    Write f = g*h mod p with g the product of the distinct irreducible
+    factors of f mod p, and T = (f - g*h)/p for monic lifts g, h.  If f is
+    squarefree mod p then p does not divide the index.  Otherwise a cubic
+    has one repeated factor, linear: a root r of both f and f' = 3x^2 - a
+    mod p, hence of x*f' - 3f = 2a*x - 3b.  For p > 3 that pins r to
+    3b/(2a) when p does not divide a, and to 0 (where f' = 3x^2) when it
+    does; for p <= 3 every residue is tried.  p divides the index iff T(r)
+    = 0 mod p, and lifts g, h that vanish at the integer r give T(r) =
+    f(r)/p.  Another lift r + t*p moves f(r) by t*p*f'(r) = 0 mod p^2, so
+    p divides the index iff p^2 | f(r), for a double root and a triple
+    root alike.
+    """
     if not is_prime(p):
         raise ValueError(f"dedekind_check requires a prime, got {p}")
-    f = (k.b, -k.a, 0, 1)
-    fbar = _poly_mod(f, p)
-    r = _repeated_root(fbar, p)
-    if r is None:
-        return True
-    # multiplicity of r and the complementary factor
-    rest = fbar
-    e = 0
-    while True:
-        quot, rem = _poly_divmod(rest, (-r % p, 1), p)
-        if rem != ():
-            break
-        rest = quot
-        e += 1
-    if e not in (2, 3):
-        raise AssertionError(f"root {r} of f mod {p} has multiplicity {e}")
-    lin = (-r % p, 1)
-    if e == 2:
-        gstar = _poly_mul(lin, rest, p)  # (x - r) * (x - r')
-        hstar = lin
+    a, b = k.a, k.b
+    if p <= 3:
+        candidates = range(p)
     else:
-        gstar = lin
-        hstar = _poly_mul(lin, lin, p)
-    prod = _poly_mul_z(tuple(gstar), tuple(hstar))
-    t = []
-    for i in range(4):
-        fc = f[i] if i < len(f) else 0
-        pc = prod[i] if i < len(prod) else 0
-        diff = fc - pc
-        if diff % p != 0:
-            raise AssertionError(f"g* h* does not lift f mod {p}")
-        t.append(diff // p)
-    return _poly_eval(_poly_mod(tuple(t), p), r, p) != 0
-
-
-def _poly_mul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return tuple(out)
-
-
-def _poly_mul_z(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return tuple(out)
+        candidates = (3 * b * pow(2 * a, -1, p) % p if a % p else 0,)
+    for r in candidates:
+        fr = r**3 - a * r + b
+        if fr % p == 0 and (3 * r * r - a) % p == 0:
+            return fr % (p * p) != 0
+    return True
 
 
 @dataclass(frozen=True)

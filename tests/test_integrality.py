@@ -1,11 +1,12 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from cubicha import integrality
-from cubicha.arith import factorize
+from cubicha.arith import factorize, is_prime
 from cubicha.assocorder import CASE1, CASE2, CASE3, classify
 from cubicha.cubicfield import validate
 from cubicha.errors import ValidationError
@@ -144,6 +145,83 @@ class TestDedekind:
         assert dedekind_check(validate(17, 1), 5) is False
         assert dedekind_check(validate(1, 1), 23) is True
         assert dedekind_check(validate(3, 1), 3) is True
+
+    @pytest.mark.parametrize(
+        "a, b, p, want",
+        [
+            (1, 2, 2, True),  # r = 1, f(1) = 2
+            (1, 4, 2, False),  # r = 1, f(1) = 4
+            (3, 1, 3, True),  # 3 | a: f = (x + 1)^3 mod 3, f(2) = 3
+            (-6, 2, 3, False),  # 3 | a: f = (x - 1)^3 mod 3, f(1) = 9
+            (-1, -1, 3, True),  # 3 !| a: f' = 1 mod 3, so squarefree, though f(2) = 9
+            (-1, 1, 3, True),  # 3 !| a: f' = 1 mod 3, f(1) = 3
+            (5, 5, 5, True),  # 5 | a: r = 0, f(0) = 5
+            (5, 25, 5, False),  # 5 | a: r = 0, f(0) = 25
+            (-2, 2, 7, True),  # 7 !| a: r = 3b/(2a) = 2, f(2) = 14
+            (-8, 2, 7, False),  # 7 !| a: r = 3b/(2a) = 4, f(4) = 98
+        ],
+    )
+    def test_each_branch_on_each_side_of_p_squared(self, a, b, p, want):
+        # each way the repeated-root candidate is found, with f(r) = 0 mod p
+        # and f(r) != 0 mod p^2 (p does not divide the index), and with
+        # p^2 | f(r) (it does); for p = 3 with 3 !| a, f' = -a is a unit and
+        # no root is repeated, whatever f(r) is mod 9
+        k = validate(a, b)
+        assert dedekind_check(k, p) is want
+        assert alaca_condition(k, p)[0] is want
+
+    def test_true_wherever_p_squared_does_not_divide_delta(self):
+        # delta = index^2 * d_K, so a prime p with p^2 !| delta cannot
+        # divide the index.  The primes below 60 include some with p !| a
+        # and p^2 | b, where f has a simple root at 0 with p^2 | f(0): a
+        # referee that skipped the f'(r) test would say False there
+        rng = random.Random(29)
+        small = [p for p in range(2, 60) if is_prime(p)]
+        checked = simple_deep = 0
+        for _ in range(300):
+            a, b = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
+            try:
+                k = validate(a, b)
+            except ValidationError:
+                continue
+            factors, cofactor = factorize(k.delta)
+            assert cofactor == 1
+            for p in sorted(set(small) | set(factors)):
+                if factors.get(p, 0) <= 1:
+                    assert dedekind_check(k, p), (a, b, p)
+                    checked += 1
+                    simple_deep += a % p != 0 and b % (p * p) == 0
+        assert checked > 3000 and simple_deep > 10
+
+    def test_planted_root_against_sympy_round_two(self):
+        # an oracle outside the package: p divides the index iff it divides
+        # delta / d_K = index^2, with d_K from sympy's round two
+        round_two = pytest.importorskip("sympy.polys.numberfields.basis").round_two
+        from sympy import Poly, Symbol, ZZ
+
+        x = Symbol("x")
+        rng = random.Random(2029)
+        primes = [p for p in range(5, 3000) if is_prime(p)]
+        fields = deep = 0
+        while fields < 60:
+            # (x - r)^2 (x + 2r) = x^3 - 3r^2 x + 2r^3 has r as a double root
+            p = rng.choice(primes)
+            r = rng.randint(-(p // 2), p // 2)
+            a = 3 * r * r + p * rng.randint(-3, 3)
+            b = 2 * r**3 + p * rng.randint(-3, 3)
+            if rng.random() < 0.5:
+                b -= (r**3 - a * r + b) % (p * p)  # now p^2 | f(r)
+            try:
+                k = validate(a, b)
+            except ValidationError:
+                continue
+            fields += 1
+            deep += (r**3 - a * r + b) % (p * p) == 0
+            _, dk = round_two(Poly(x**3 - a * x + b, x, domain=ZZ))
+            index_squared = k.delta // int(dk)
+            for q in (2, 3, p):
+                assert dedekind_check(k, q) == (index_squared % q != 0), (a, b, q)
+        assert 0 < deep < fields
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
