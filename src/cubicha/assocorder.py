@@ -58,7 +58,6 @@ live in ``selfcheck``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -66,6 +65,7 @@ from .arith import valuation
 from .cubicfield import TrinomialCubic, hopf_mul_coords
 from .errors import LatticeMismatchError
 from .exactlinalg import adjugate_rows, det3, divides_product
+from .record import Record
 from . import cubicfield
 
 CASE1 = "CASE1"
@@ -87,25 +87,35 @@ _REDUCED = {
 }
 
 
-@dataclass(frozen=True)
-class CaseLabel:
-    major: str
-    minor: str
+class CaseLabel(Record):
+    __slots__ = ("major", "minor")
+
+    def __init__(self, major: str, minor: str):
+        self.major = major
+        self.minor = minor
 
     def __str__(self) -> str:
         return f"{self.major}/{self.minor}"
 
 
-@dataclass(frozen=True)
-class AssociatedOrder:
+class AssociatedOrder(Record):
     """The order as the integer rows of its reduced matrix R (det R =
     index_iw) and of adj(R), whose columns are index_iw times the basis
     vectors; analyze renders the basis from the integers."""
 
-    case: CaseLabel
-    index_iw: int
-    reduced: tuple[tuple[int, int, int], ...]
-    adj: tuple[tuple[int, int, int], ...]
+    __slots__ = ("case", "index_iw", "reduced", "adj")
+
+    def __init__(
+        self,
+        case: CaseLabel,
+        index_iw: int,
+        reduced: tuple[tuple[int, int, int], ...],
+        adj: tuple[tuple[int, int, int], ...],
+    ):
+        self.case = case
+        self.index_iw = index_iw
+        self.reduced = reduced
+        self.adj = adj
 
 
 def classify(k: TrinomialCubic) -> CaseLabel:

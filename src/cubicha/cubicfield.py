@@ -24,12 +24,12 @@ maximality) consumes only these rational data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import TYPE_CHECKING
 
 from .arith import _perfect_power, factorize, valuation
 from .errors import ValidationError
+from .record import Record
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -38,36 +38,42 @@ REDUCED_STRICT = "strict"
 REDUCED_LOOSE = "loose"
 
 
-@dataclass(frozen=True)
-class TrinomialCubic:
+class TrinomialCubic(Record):
     """Validated descriptor of f = x^3 - a*x + b.  Construct via validate()."""
 
-    a: int
-    b: int
-    delta: int
-    g: int
+    __slots__ = ("a", "b", "delta", "g")
+
+    def __init__(self, a: int, b: int, delta: int, g: int):
+        self.a = a
+        self.b = b
+        self.delta = delta
+        self.g = g
 
 
-@dataclass(frozen=True)
-class OrderElement:
+class OrderElement(Record):
     """Element of Z[alpha] with coordinates (c0, c1, c2) w.r.t. {1, alpha, alpha^2}."""
 
-    c0: int
-    c1: int
-    c2: int
+    __slots__ = ("c0", "c1", "c2")
+
+    def __init__(self, c0: int, c1: int, c2: int):
+        self.c0 = c0
+        self.c1 = c1
+        self.c2 = c2
 
     @property
     def coords(self) -> tuple[int, int, int]:
         return (self.c0, self.c1, self.c2)
 
 
-@dataclass(frozen=True)
-class HopfElement:
+class HopfElement(Record):
     """Element of the Hopf algebra with rational coordinates w.r.t. W."""
 
-    h1: Fraction
-    h2: Fraction
-    h3: Fraction
+    __slots__ = ("h1", "h2", "h3")
+
+    def __init__(self, h1: Fraction, h2: Fraction, h3: Fraction):
+        self.h1 = h1
+        self.h2 = h2
+        self.h3 = h3
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:

@@ -43,6 +43,10 @@ _RHS_FACTOR = {"CASE1": 12, "CASE2": 36, "CASE3": 108}
 
 @dataclass(frozen=True)
 class FreenessReport:
+    """The freeness verdict on the associated order of index ``index_iw``,
+    with the verified generator when FREE and the Pell certificate of each
+    right-hand side solved."""
+
     index_iw: int
     verdict: str
     generator: OrderElement | None

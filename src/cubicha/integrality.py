@@ -43,6 +43,10 @@ UNDECIDED_FACTORIZATION = "UNDECIDED_FACTORIZATION"
 
 @dataclass(frozen=True)
 class MaximalityReport:
+    """Whether Z[alpha] is the ring of integers, with the congruence table's
+    answer at 2, 3 and each p > 3 with p^2 | delta, and the first prime
+    that fails it."""
+
     status: str
     failing_prime: int | None
     per_prime: tuple[tuple[int, str, bool], ...]

@@ -99,7 +99,6 @@ refuses any problem outside these hypotheses (M | D + c^2, and 3 | D, N when
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
@@ -107,14 +106,14 @@ from typing import NamedTuple
 
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, divisors, factorize, sqrt_mod
 from .errors import DegenerateFormError, FactorizationLimitError
+from .record import Record
 
 DEFINITE = "DEFINITE"
 INDEFINITE = "INDEFINITE"
 DEGENERATE = "DEGENERATE"
 
 
-@dataclass(frozen=True)
-class FormProblem:
+class FormProblem(Record):
     """x^2 + d*y^2 = n with the divisibility side condition.
 
     ``modulus`` is 6|a| and ``ycoef`` is 9b: a pair (x, y) is accepted when
@@ -126,13 +125,15 @@ class FormProblem:
     meet them (d + 81b^2 = 12a^3); any other raises AssertionError.
     """
 
-    d: int
-    n: int
-    modulus: int
-    ycoef: int
-    require_y_not_div3: bool = False
+    __slots__ = ("d", "n", "modulus", "ycoef", "require_y_not_div3")
 
-    def __post_init__(self):
+    def __init__(self, d: int, n: int, modulus: int, ycoef: int, require_y_not_div3: bool = False):
+        self.d = d
+        self.n = n
+        self.modulus = modulus
+        self.ycoef = ycoef
+        self.require_y_not_div3 = require_y_not_div3
+
         if self.n == 0 or self.d == 0:
             raise AssertionError(f"FormProblem needs d, n != 0, got d = {self.d}, n = {self.n}")
         if self.modulus <= 0 or self.modulus % 6 != 0:
@@ -161,8 +162,7 @@ class FormProblem:
         return None
 
 
-@dataclass(frozen=True)
-class PellCertificate:
+class PellCertificate(Record):
     """Evidence object for one right-hand side N.
 
     ``representatives`` is the complete solution set (DEFINITE, DEGENERATE)
@@ -174,10 +174,19 @@ class PellCertificate:
     ``perfbench/spans.py``); the analyze JSON keeps its key as well.
     """
 
-    kind: str
-    fundamental: tuple[int, int] | None
-    representatives: tuple[tuple[int, int], ...]
-    orbit_period_mod: int | None = None
+    __slots__ = ("kind", "fundamental", "representatives", "orbit_period_mod")
+
+    def __init__(
+        self,
+        kind: str,
+        fundamental: tuple[int, int] | None,
+        representatives: tuple[tuple[int, int], ...],
+        orbit_period_mod: int | None = None,
+    ):
+        self.kind = kind
+        self.fundamental = fundamental
+        self.representatives = representatives
+        self.orbit_period_mod = orbit_period_mod
 
 
 def solve_definite(d: int, n: int) -> list[tuple[int, int]]:

@@ -428,13 +428,12 @@ def test_certificates_raise_under_optimize(run_optimized):
     # reversed adj columns span the same B-stable ring, but the identity is
     # no longer the first basis vector
     out = run_optimized(
-        "import dataclasses\n"
-        "from cubicha.assocorder import build, _verify_certificates\n"
+        "from cubicha.assocorder import AssociatedOrder, build, _verify_certificates\n"
         "from cubicha.cubicfield import validate\n"
         "k = validate(3, 3)\n"
         "order = build(k)\n"
         "cols = list(zip(*order.adj))[::-1]\n"
-        "broken = dataclasses.replace(order, adj=tuple(zip(*cols)))\n"
+        "broken = AssociatedOrder(order.case, order.index_iw, order.reduced, tuple(zip(*cols)))\n"
         "try:\n"
         "    _verify_certificates(k, broken)\n"
         "except AssertionError as exc:\n"

@@ -336,8 +336,7 @@ def test_is_generator_checks_raise_under_optimize(run_optimized):
     # an adj entry off by one moves beta's images out of Z[alpha]; a doubled
     # adj column keeps them integral but no longer spanning Z[alpha]
     out = run_optimized(
-        "import dataclasses\n"
-        "from cubicha.assocorder import build\n"
+        "from cubicha.assocorder import AssociatedOrder, build\n"
         "from cubicha.cubicfield import OrderElement, validate\n"
         "from cubicha.freeness import is_generator\n"
         "k = validate(3, 3)\n"
@@ -349,7 +348,7 @@ def test_is_generator_checks_raise_under_optimize(run_optimized):
         "off[0][0] += 1\n"
         "doubled = [[x * (2 if j == 1 else 1) for j, x in enumerate(r)] for r in rows]\n"
         "for planted in (off, doubled):\n"
-        "    broken = dataclasses.replace(order, adj=tuple(map(tuple, planted)))\n"
+        "    broken = AssociatedOrder(order.case, order.index_iw, order.reduced, tuple(map(tuple, planted)))\n"
         "    try:\n"
         "        is_generator(k, beta, broken)\n"
         "    except AssertionError as exc:\n"
