@@ -191,6 +191,12 @@ def valuation(n: int, p: int) -> int | float:
     pass, need no test to be."""
     if p != 2 and p != 3 and not is_prime(p):
         raise ValueError(f"valuation requires a prime, got {p}")
+    return _valuation(n, p)
+
+
+def _valuation(n: int, p: int) -> int | float:
+    """valuation without the primality test, for a p the caller has proved
+    prime, such as a prime that factorize returned."""
     if n == 0:
         return INFINITY
     n = abs(n)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import TYPE_CHECKING
 
-from .arith import _perfect_power, factorize, valuation
+from .arith import _perfect_power, _valuation, factorize
 from .errors import ValidationError
 from .record import Record
 
@@ -144,7 +144,8 @@ def validate(a: int, b: int, reduced_convention: str = REDUCED_STRICT) -> Trinom
     g = gcd(a, b)
     common, cof = factorize(g)
     for p in common:
-        if valuation(a, p) >= amin and valuation(b, p) >= bmin:
+        # factorize proved p prime
+        if _valuation(a, p) >= amin and _valuation(b, p) >= bmin:
             raise ValidationError(
                 "NOT_REDUCED",
                 f"prime {p} has v_p(a) >= {amin} and v_p(b) >= {bmin}",

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, factorize, is_prime, valuation
+from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, _valuation, factorize, is_prime
 from .assocorder import AssociatedOrder, build
 from .cubicfield import TrinomialCubic
 from .freeness import FreenessReport, decide_freeness
@@ -59,13 +59,17 @@ class MaximalityReport:
 
 
 def alaca_condition(k: TrinomialCubic, p: int) -> tuple[bool, str]:
-    """Evaluate the congruence table at p; returns (passed, matched label)."""
+    """Evaluate the congruence table at p; returns (passed, matched label).
+    ValueError unless p is prime."""
+    if p != 2 and p != 3 and not is_prime(p):
+        raise ValueError(f"alaca_condition requires a prime, got {p}")
     return _table(k.a, k.b, k.delta, p)
 
 
 def _table(a: int, b: int, delta: int, p: int) -> tuple[bool, str]:
     """alaca_condition on the integers of the field, which _maximality
-    passes without building a TrinomialCubic."""
+    passes without building a TrinomialCubic, for a p already proved prime:
+    2, 3, or a prime of delta that factorize returned."""
     if p == 2:
         if b % 2 == 1:
             return True, "2a"
@@ -77,7 +81,7 @@ def _table(a: int, b: int, delta: int, p: int) -> tuple[bool, str]:
             return True, "2d"
         return False, "none"
     if p == 3:
-        v3a, v3b = valuation(a, 3), valuation(b, 3)
+        v3a, v3b = _valuation(a, 3), _valuation(b, 3)
         if v3a == 0:
             return True, "3a"
         if v3a >= 1 and v3b == 1:
@@ -87,12 +91,12 @@ def _table(a: int, b: int, delta: int, p: int) -> tuple[bool, str]:
         if a % 9 == 3 and v3b == 0 and (b * b - 4) % 9 != 0:
             return True, "3d"
         return False, "none"
-    vpa, vpb = valuation(a, p), valuation(b, p)
+    vpa, vpb = _valuation(a, p), _valuation(b, p)
     if vpa == 0 and vpb >= 1:
         return True, "pa"
     if vpa >= 1 and vpb <= 1:
         return True, "pb"
-    if vpa == 0 and vpb == 0 and valuation(delta, p) <= 1:
+    if vpa == 0 and vpb == 0 and _valuation(delta, p) <= 1:
         return True, "pc"
     return False, "none"
 

@@ -34,6 +34,22 @@ Three regimes:
     kept in a bounded cache under (|D| mod |N|, |N|) (_root_sets), and the
     factorization of |N| under |N| (_target_factors).
 
+    The unit and the hits are products of M(a) = [[a, 1], [1, 0]] over
+    stretches of the cycle's partial quotients, and the cycle keeps them in
+    a product tree of top rows alone (_cf_tree).  Three identities of the
+    complete quotients (P_k + sqrt(|D|))/Q_k of sqrt(|D|) (Jacobson &
+    Williams, Solving the Pell Equation, 2009, ch. 3) supply the rest:
+
+      * P_k^2 = |D| - Q_(k-1) Q_k, with Q_0 = 1, so P need not be stored;
+      * the bottom row of R = M(a_i) ... M(a_j) follows from its top row in
+        linear time, R10 = (R00 (P_(j+1) - P_i) + R01 Q_(j+1))/Q_(i-1) and
+        R11 = (R00 Q_i - R10 (P_i + P_(j+1)))/Q_(j+1): the sqrt(|D|) part
+        and the rational part of x_i (R10 x_(j+1) + R11) = R00 x_(j+1) + R01,
+        x_k = (P_k + sqrt(|D|))/Q_k, with Q_(i-1) Q_i = |D| - P_i^2;
+      * for the period L = 2h, the unit is t + u sqrt(|D|) =
+        (G + B_(h-1) sqrt(|D|))^2/Q_h, from the middle convergent G/B_(h-1)
+        of sqrt(|D|), G = P_h B_(h-1) + Q_h B_(h-2).
+
     A state with Q = +-1 is +-(P + sqrt(|D|)), whose expansion runs into the
     complete quotients of sqrt(|D|) within a few steps; the periodic tail of
     the whole expansion, which is the cycle of its first reduced state, is
@@ -211,16 +227,9 @@ def _rep_order(p: tuple[int, int]):
     return (abs(y), 0 if y >= 0 else 1, abs(x), 0 if x >= 0 else 1)
 
 
-def _mat_mul(x: tuple, y: tuple) -> tuple:
-    # 2x2 matrices as (top-left, top-right, bottom-left, bottom-right)
-    return (
-        x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3],
-    )
-
-
 def _row_mul(r: tuple, y: tuple) -> tuple:
-    # a row vector times a 2x2 matrix
+    # a row vector times a 2x2 matrix (top-left, top-right, bottom-left,
+    # bottom-right)
     return r[0] * y[0] + r[1] * y[2], r[0] * y[1] + r[1] * y[3]
 
 
@@ -236,35 +245,91 @@ def _row_steps(row: tuple, quots) -> tuple:
     return r0, r1
 
 
-def _cf_tree(quots) -> list:
-    """The product tree of M(a) = [[a, 1], [1, 0]] over quots, level by
-    level.  Level 0 holds the products over the runs of _LEAF quotients,
-    each [[A_i, A_(i-1)], [B_i, B_(i-1)]] for the convergents A/B of its run,
-    built as its top row, (1, 0) stepped through the run by _row_steps, and
-    its bottom row, (0, 1) stepped likewise.  Each level above holds the
-    products of neighbouring pairs below it, an odd last node carried up
+def _edge(dabs: int, qs, k: int) -> tuple:
+    """(P_k, Q_(k-1), Q_k) of sqrt(dabs), k >= 1, from the stored Q (qs[i]
+    is Q_(i+1), Q_0 = 1): P_k^2 = dabs - Q_(k-1) Q_k must be an exact
+    square, else AssertionError."""
+    q_prev, q = qs[k - 2] if k > 1 else 1, qs[k - 1]
+    p2 = dabs - q_prev * q
+    p = isqrt(p2) if p2 > 0 else 0
+    if p == 0 or p * p != p2:
+        raise AssertionError(f"Q = {q} at step {k} of the cycle of sqrt({dabs}) has no P")
+    return p, q_prev, q
+
+
+def _segment(row: tuple, e0: tuple, e1: tuple) -> tuple:
+    """The product R = M(a_i) ... M(a_j) whose top row is ``row``, with its
+    bottom row derived from e0 = (P_i, Q_(i-1), Q_i) and
+    e1 = (P_(j+1), Q_j, Q_(j+1)) (_edge):
+    R10 = (R00 (P_(j+1) - P_i) + R01 Q_(j+1))/Q_(i-1) and
+    R11 = (R00 Q_i - R10 (P_i + P_(j+1)))/Q_(j+1) (see the module
+    docstring).  Products by small integers only; a division that leaves a
+    remainder raises AssertionError."""
+    r0, r1 = row
+    p0, q_prev, q0 = e0
+    p1, _, q1 = e1
+    r2, m2 = divmod(r0 * (p1 - p0) + r1 * q1, q_prev)
+    r3, m3 = divmod(r0 * q0 - r2 * (p0 + p1), q1)
+    if m2 or m3:
+        raise AssertionError(f"no bottom row from (P, Q) = ({p0}, {q0}) to ({p1}, {q1}) of a cycle")
+    return r0, r1, r2, r3
+
+
+def _cf_tree(dabs: int, qs, quots) -> list:
+    """The product tree of M(a) = [[a, 1], [1, 0]] over quots = a_1 ... a_n
+    of sqrt(dabs), whose Q are qs (qs[i] = Q_(i+1), n < len(qs)), level by
+    level, each node as its top row alone.  Level 0 holds the products over
+    the runs of _LEAF quotients, the top row of each, (B, B'), built by
+    stepping (1, 0) through the run (_row_steps).  Each level above holds
+    the products of neighbouring pairs below it, an odd last node carried up
     unchanged.  So node j of level i covers runs j*2^i .. (j+1)*2^i - 1 (the
-    last node up to the last run), and the last level holds the whole
-    product alone."""
-    runs = (quots[i:i + _LEAF] for i in range(0, len(quots), _LEAF))
-    level = [_row_steps((1, 0), run) + _row_steps((0, 1), run) for run in runs] or [(1, 0, 0, 1)]
-    tree = [level]
+    last node up to the last run), and the last level holds the top row of
+    the whole product alone.
+
+    A pair's product is the left node's top row times the right node's
+    matrix, 4 products of the nodes' size, not the 8 of two whole matrices.
+    The right node R = M(a_i) ... M(a_j) gets its bottom row from its top
+    row and the complete quotients at its two ends (_segment, _edge;
+    Jacobson & Williams, Solving the Pell Equation, 2009, ch. 3):
+
+        R10 = (R00 (P_(j+1) - P_i) + R01 Q_(j+1)) / Q_(i-1)
+        R11 = (R00 Q_i - R10 (P_i + P_(j+1))) / Q_(j+1)
+
+    with each P from P_k^2 = dabs - Q_(k-1) Q_k, Q_0 = 1."""
+    n = len(quots)
+    level = [_row_steps((1, 0), quots[i:i + _LEAF]) for i in range(0, n, _LEAF)] or [(1, 0)]
+    # the states at the ends of the runs: edges[r] is step r*_LEAF + 1, the
+    # last one step n + 1
+    edges = [_edge(dabs, qs, min(i, n) + 1) for i in range(0, n + _LEAF, _LEAF)] if n > _LEAF else []
+    runs = len(level)
+    tree, width = [level], 1  # width: runs per node of the level
     while len(level) > 1:
         tail = level[-1:] if len(level) % 2 else []
-        level = [_mat_mul(x, y) for x, y in zip(level[::2], level[1::2])] + tail
+        level = [
+            _row_mul(x, _segment(y, edges[j * width], edges[min(j * width + width, runs)]))
+            for j, x, y in zip(range(1, len(level), 2), level[::2], level[1::2])
+        ] + tail
         tree.append(level)
+        width *= 2
     return tree
 
 
-def _prefix_rows(quots, tree, cuts) -> list:
-    """The top row of P(c), the product of M(a) over quots[:c], for each of
-    the sorted cuts, which lie within the quotients of ``tree`` (_cf_tree).
+def _prefix_rows(dabs: int, cycle: _Cycle, cuts) -> list:
+    """The top row (B_c, B_(c-1)) of P(c), the product of M(a) over the
+    first c quotients of the cycle of sqrt(dabs), for each of the sorted
+    cuts, c <= h - 1, the span of the cycle's tree (_principal_cycle).
 
     One left-to-right sweep: the top row of the product of the first whole
     runs is carried from run to run, multiplied (_row_mul) by each tree node
-    that covers runs between, O(log) nodes per gap.  A cut steps the row
+    that covers runs between, O(log) nodes per gap.  A node keeps its top
+    row alone; its bottom row is derived, as in _cf_tree, from the Q stored
+    at its ends: each P from P_k^2 = dabs - Q_(k-1) Q_k (_edge), then
+    R10 = (R00 (P_(j+1) - P_i) + R01 Q_(j+1))/Q_(i-1) and
+    R11 = (R00 Q_i - R10 (P_i + P_(j+1)))/Q_(j+1) (_segment; Jacobson &
+    Williams, Solving the Pell Equation, 2009, ch. 3).  A cut steps the row
     one quotient at a time (_row_steps) from the previous cut when that
     lies in its run, else from the start of its run."""
+    qs, quots, tree = cycle.qs, cycle.quots, cycle.row_tree
     row, pos = (1, 0), 0  # the top row of the product of the first pos runs
     cut_row, at = row, 0  # the top row of P(at)
     rows = []
@@ -274,8 +339,9 @@ def _prefix_rows(quots, tree, cuts) -> list:
             while pos < b:
                 # the highest node that starts at run pos and ends by run b
                 i = min(len(tree), (b - pos).bit_length(), (pos & -pos).bit_length() or len(tree)) - 1
-                row = _row_mul(row, tree[i][pos >> i])
-                pos += 1 << i
+                end = pos + (1 << i)
+                e0, e1 = _edge(dabs, qs, pos * _LEAF + 1), _edge(dabs, qs, end * _LEAF + 1)
+                row, pos = _row_mul(row, _segment(tree[i][pos >> i], e0, e1)), end
             cut_row, at = row, b * _LEAF
         cut_row, at = _row_steps(cut_row, quots[at:c]), c
         rows.append(cut_row)
@@ -289,15 +355,20 @@ class _Cycle(NamedTuple):
     qs: list
     quots: list
     unit: tuple[int, int]
-    tree: list
+    row_tree: list
     period: int
+
+
+# the unit is checked to solve t^2 - dabs*u^2 = 1 modulo this prime, which
+# costs no product of the unit's size
+_UNIT_CHECK_MOD = (1 << 61) - 1
 
 
 @lru_cache(maxsize=2)
 def _principal_cycle(dabs: int) -> _Cycle:
     """The first half of the period of sqrt(dabs), its length, its unit and
-    the product tree of the unit's half.  Raises ValueError when the period
-    is odd, which 3 | dabs rules out (see the module docstring).
+    the product tree of the half's convergents.  Raises ValueError when the
+    period is odd, which 3 | dabs rules out (see the module docstring).
 
     s = isqrt(dabs); qs[i] and quots[i] are Q and the partial quotient of
     the complete quotient (P + sqrt(dabs))/Q at step i + 1, for the first
@@ -315,15 +386,21 @@ def _principal_cycle(dabs: int) -> _Cycle:
     position L - 1 is the only state with Q = 1, (s, 1), whose quotient
     is 2s.
 
-    The unit is the first column of M(s) M(a_1) ... M(a_(L-1)),
-    M(a) = [[a, 1], [1, 0]]; as M(a) is symmetric, that product is
-    K M(a_h) K^T for K = M(a_1) ... M(a_(h-1)), the root of ``tree``.
+    ``row_tree`` is the product tree of M(a_1) ... M(a_(h-1)),
+    M(a) = [[a, 1], [1, 0]], each node kept as its top row (_cf_tree); the
+    root's is (B_(h-1), B_(h-2)), the denominators of the convergents of
+    sqrt(dabs).  The unit comes from the middle convergent G/B_(h-1),
+    G = P_h B_(h-1) + Q_h B_(h-2): t = (G^2 + dabs B_(h-1)^2)/Q_h and
+    u = 2 G B_(h-1)/Q_h (Jacobson & Williams, Solving the Pell Equation,
+    2009, ch. 3), three products of the unit's size.  Both divisions must
+    be exact, and t^2 - dabs*u^2 = 1 must hold modulo 2^61 - 1, else
+    AssertionError.
 
-    By the same symmetry a hit needs only a prefix P(c) = M(a_1) ... M(a_c)
-    with c < h (see _indefinite_certificate): a_(c+1) ... a_(L-1) is the
-    reverse of a_1 ... a_(L-1-c), so its product is P(L-1-c)^T.  The tree's
-    nodes are kept for _prefix_rows, which reads all the prefixes a target
-    needs off them in one sweep.
+    By the symmetry of the period a hit needs only a prefix
+    P(c) = M(a_1) ... M(a_c) with c < h (see _indefinite_certificate):
+    a_(c+1) ... a_(L-1) is the reverse of a_1 ... a_(L-1-c), so its product
+    is P(L-1-c)^T.  The tree's nodes are kept for _prefix_rows, which reads
+    all the prefixes a target needs off them in one sweep.
     """
     s = isqrt(dabs)
     qs, quots = [], []
@@ -340,11 +417,15 @@ def _principal_cycle(dabs: int) -> _Cycle:
         q0, q = q, q0 + a * (p - p1)
         p = p1
     h = len(quots)
-    tree = _cf_tree(quots[:h - 1])
-    k0, k1, k2, k3 = tree[-1][0]
-    x, y = quots[-1] * k0 + k1, k0
-    n0 = k0 * x + k1 * y
-    return _Cycle(s, qs, quots, (s * n0 + k2 * x + k3 * y, n0), tree, 2 * h)
+    tree = _cf_tree(dabs, qs, quots[:h - 1])
+    b1, b0 = tree[-1][0]
+    g = p * b1 + q * b0  # p, q = P_h, Q_h
+    t, mt = divmod(g * g + dabs * (b1 * b1), q)
+    u, mu = divmod(2 * g * b1, q)
+    tm, um = t % _UNIT_CHECK_MOD, u % _UNIT_CHECK_MOD
+    if mt or mu or (tm * tm - dabs * um * um - 1) % _UNIT_CHECK_MOD:
+        raise AssertionError(f"the middle convergent of sqrt({dabs}) gives no unit")
+    return _Cycle(s, qs, quots, (t, u), tree, 2 * h)
 
 
 def pell_fundamental(dabs: int) -> tuple[int, int]:
@@ -504,7 +585,7 @@ def _indefinite_certificate(dabs: int, n: int, limit: int) -> PellCertificate:
     last = cycle.period - 1
     roots = [r for r in _located_roots(dabs, abs(n), limit) if (len(r[2]) + r[3]) % 2 == (n > 0)]
     cuts = sorted({min(c0, last - c0) for *_, c0 in roots})
-    rows = dict(zip(cuts, _prefix_rows(cycle.quots, cycle.tree, cuts)))
+    rows = dict(zip(cuts, _prefix_rows(dabs, cycle, cuts)))
     room = _nagell_room(t, u, n)
     reps = set()
     for f, z, pre, c0 in roots:

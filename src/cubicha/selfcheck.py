@@ -239,9 +239,11 @@ def refuses_odd_period(call, *args) -> bool:
 
 
 def suite_sqrt_cf(rng: random.Random, grid: int) -> int:
-    """pell_fundamental (a product tree over the principal cycle) vs the
-    period-end convergent of sqrt(d), for d = 3m, the solver's domain, whose
-    period is even; d = 13, whose period is odd, must be refused."""
+    """pell_fundamental (from the middle convergent of the principal cycle,
+    read off a product tree of top rows over its first half) vs the
+    period-end convergent of sqrt(d), stepped one quotient at a time, for
+    d = 3m, the solver's domain, whose period is even; d = 13, whose period
+    is odd, must be refused."""
     check(len(periodic_sqrt_cf(13)[1]) % 2 == 1 and refuses_odd_period(quadrep.pell_fundamental, 13))
     checks = 1
     for _ in range(max(20, 5 * grid)):

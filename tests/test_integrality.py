@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,38 @@ class TestAlacaCondition:
                 if k.delta % p != 0:
                     ok, _ = alaca_condition(k, p)
                     assert ok
+
+    def test_non_prime_rejected(self):
+        # the public table proves its prime, as the table behind it does not
+        k = validate(17, 1)
+        for p in (0, 1, 4, 9, 25, 35, -5):
+            with pytest.raises(ValueError, match=rf"^alaca_condition requires a prime, got {p}$"):
+                alaca_condition(k, p)
+
+    def test_primes_proved_once(self, monkeypatch):
+        # alaca_condition proves a p > 3 prime; the table behind it, which
+        # is_maximal runs on the primes factorize returned, and validate, on
+        # the primes of gcd(a, b), prove none of them again
+        from cubicha import arith
+
+        calls = []
+        prove = arith.is_prime
+        monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or prove(n))
+        monkeypatch.setattr(integrality, "is_prime", arith.is_prime)
+
+        def proved(call):
+            calls.clear()
+            call()
+            return list(calls)
+
+        for a, b in ((17, 1), (5**2 * 7**2 * 11, 5**2 * 7 * 13), (-(7**2) * 43**2, 7 * 43**2 * 2)):
+            k = validate(a, b)
+            assert proved(lambda: validate(a, b)) == proved(lambda: factorize(gcd(a, b))), (a, b)
+            integrality._maximality.cache_clear()
+            assert proved(lambda: is_maximal(k)) == proved(lambda: factorize(k.delta)), (a, b)
+            for p in [2, 3] + [p for p in factorize(a * b * k.delta)[0] if p > 3]:
+                assert proved(lambda: alaca_condition(k, p)) == ([p] if p > 3 else []), (a, b, p)
+                assert proved(lambda: integrality._table(a, b, k.delta, p)) == [], (a, b, p)
 
 
 class TestIsMaximal:

@@ -308,7 +308,7 @@ def referee_cycle_points(dabs, nabs):
     roots = quadrep._located_roots(dabs, nabs, LIMIT)
     last = cycle.period - 1
     cuts = sorted({min(c0, last - c0) for *_, c0 in roots})
-    rows = dict(zip(cuts, quadrep._prefix_rows(cycle.quots, cycle.tree, cuts)))
+    rows = dict(zip(cuts, quadrep._prefix_rows(dabs, cycle, cuts)))
     out = []
     for f, z, pre, c0 in roots:
         p0, p1 = rows[min(c0, last - c0)]
@@ -382,13 +382,24 @@ class TestPrincipalCycle:
 
     @pytest.mark.slow
     def test_seeded_large_d(self):
+        # each even period is checked by TestProductTree too, at seeded
+        # cuts, the run boundaries next to them, and the first and last cut
         rng = random.Random(1108)
-        done = 0
+        leaf, depths, done = quadrep._LEAF, [], 0
         while done < 300:
             d = rng.randint(10**8, 10**11)
             if isqrt(d) ** 2 != d:
-                assert rebuilt_period(d) == walked_period(d), d
+                rebuilt = rebuilt_period(d)
+                assert rebuilt == walked_period(d), d
                 done += 1
+                if isinstance(rebuilt, str):
+                    continue
+                h = len(rebuilt[2]) // 2
+                cuts = {0, h - 1}
+                for c in (rng.randrange(h) for _ in range(5)):
+                    cuts |= {c, c // leaf * leaf, min(h - 1, (c // leaf + 1) * leaf)}
+                depths.append(TestProductTree.check(d, sorted(cuts)))
+        assert len(depths) > 250 and max(depths) >= 12, (len(depths), max(depths))
 
     def test_list_storage(self):
         # 2s does not fit 64 bits; the entries are plain lists all the same
@@ -398,8 +409,9 @@ class TestPrincipalCycle:
         assert rebuilt_period(d) == full_period_walk(d)
 
     def test_stores_half_the_period_and_no_p(self):
-        # the entry's fields are named, none holds P, and the walk keeps
-        # L/2 values of Q and of the quotients; an odd L is refused
+        # the entry's fields are named, none holds P, the walk keeps L/2
+        # values of Q and of the quotients, and each node of the tree is a
+        # pair, its top row; an odd L is refused
         sizes = set()
         for d in [*range(2, 3000), 2**140 - 1, 2**140 + 1, 10**10 + 19]:
             if isqrt(d) ** 2 == d:
@@ -410,11 +422,173 @@ class TestPrincipalCycle:
                 sizes.add((1, "refused"))
                 continue
             c = _principal_cycle(d)
-            assert c._fields == ("s", "qs", "quots", "unit", "tree", "period")
+            assert c._fields == ("s", "qs", "quots", "unit", "row_tree", "period")
             assert c.period == period, d
             assert len(c.qs) == len(c.quots) == period // 2, d
+            assert all(len(node) == 2 for level in c.row_tree for node in level), d
             sizes.add((0, True))
         assert sizes == {(0, True), (1, "refused")}
+
+
+def referee_steps(row, quots):
+    # row times the product of M(a) = [[a, 1], [1, 0]] over quots
+    r0, r1 = row
+    for a in quots:
+        r0, r1 = a * r0 + r1, r0
+    return r0, r1
+
+
+def mat_mul(x, y):
+    # 2x2 matrices as (top-left, top-right, bottom-left, bottom-right)
+    return (
+        x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def two_row_tree(quots):
+    """Referee for quadrep._cf_tree: the same tree with whole matrices as
+    nodes, each leaf its run's product, (1, 0) and (0, 1) stepped through
+    the run, each level above the products of neighbouring pairs, an odd
+    last node carried up unchanged."""
+    leaf = quadrep._LEAF
+    runs = (quots[i:i + leaf] for i in range(0, len(quots), leaf))
+    level = [referee_steps((1, 0), run) + referee_steps((0, 1), run) for run in runs] or [(1, 0, 0, 1)]
+    tree = [level]
+    while len(level) > 1:
+        tail = level[-1:] if len(level) % 2 else []
+        level = [mat_mul(x, y) for x, y in zip(level[::2], level[1::2])] + tail
+        tree.append(level)
+    return tree
+
+
+def two_row_unit(s, quots, tree):
+    """Referee for the unit of quadrep._principal_cycle: the first column
+    of M(s) M(a_1) ... M(a_(L-1)) = M(s) K M(a_h) K^T, K = M(a_1) ...
+    M(a_(h-1)) the root of the two-row tree."""
+    k0, k1, k2, k3 = tree[-1][0]
+    x, y = quots[-1] * k0 + k1, k0
+    n0 = k0 * x + k1 * y
+    return s * n0 + k2 * x + k3 * y, n0
+
+
+def two_row_prefix_rows(quots, tree, cuts):
+    """Referee for quadrep._prefix_rows: the same sweep over the two-row
+    tree, each node multiplied in whole."""
+    leaf = quadrep._LEAF
+    row, pos = (1, 0), 0
+    cut_row, at = row, 0
+    rows = []
+    for c in cuts:
+        b = c // leaf
+        if b > pos:
+            while pos < b:
+                i = min(len(tree), (b - pos).bit_length(), (pos & -pos).bit_length() or len(tree)) - 1
+                node = tree[i][pos >> i]
+                row = row[0] * node[0] + row[1] * node[2], row[0] * node[1] + row[1] * node[3]
+                pos += 1 << i
+            cut_row, at = row, b * leaf
+        cut_row, at = referee_steps(cut_row, quots[at:c]), c
+        rows.append(cut_row)
+    return rows
+
+
+class TestProductTree:
+    """The one-row tree, its unit from the middle convergent and its prefix
+    rows, against the two-row tree they replace."""
+
+    @staticmethod
+    def check(d, cuts=None):
+        # the unit, every node's top row, and the prefix rows at ``cuts``
+        # (every cut 0 .. h - 1 by default)
+        c = _principal_cycle(d)
+        h = len(c.qs)
+        tree = two_row_tree(c.quots[:h - 1])
+        assert c.unit == two_row_unit(c.s, c.quots, tree), d
+        assert [[node[:2] for node in level] for level in tree] == c.row_tree, d
+        cuts = range(h) if cuts is None else cuts
+        assert quadrep._prefix_rows(d, c, cuts) == two_row_prefix_rows(c.quots, tree, cuts), d
+        return len(tree)
+
+    def test_small_d(self):
+        # every nonsquare d = 3m < 20,000
+        depths = set()
+        for d in range(3, 20000, 3):
+            if isqrt(d) ** 2 != d:
+                depths.add(self.check(d))
+        assert max(depths) >= 3, depths
+
+    def test_segment_identity(self):
+        # the bottom row of M(a_i) ... M(a_j) derived from the top row and
+        # the states at its ends, against (0, 1) stepped through the
+        # quotients, on seeded segments: from the first quotient (Q_0 = 1),
+        # to the last one the tree spans, a_(h-1), and anywhere
+        rng = random.Random(3101)
+        seen = {"from a_1": 0, "to a_(h-1)": 0, "inside": 0}
+        for _ in range(400):
+            d = 3 * rng.randint(1, 3 * 10**5)
+            if isqrt(d) ** 2 == d:
+                continue
+            c = _principal_cycle(d)
+            h = len(c.qs)
+            if h < 3:
+                continue
+            i, j = sorted(rng.randint(1, h - 1) for _ in range(2))
+            i, j = rng.choice(((1, j), (i, h - 1), (i, j)))
+            quots = c.quots[i - 1:j]
+            top, bottom = referee_steps((1, 0), quots), referee_steps((0, 1), quots)
+            e0, e1 = quadrep._edge(d, c.qs, i), quadrep._edge(d, c.qs, j + 1)
+            assert quadrep._segment(top, e0, e1) == top + bottom, (d, i, j)
+            seen["from a_1" if i == 1 else "to a_(h-1)" if j == h - 1 else "inside"] += 1
+        assert min(seen.values()) >= 50, seen
+
+
+def test_tree_certificates_raise_under_optimize(run_optimized):
+    # the cycle of sqrt(8061) has h = 68, so its tree spans three runs, and
+    # step 33 starts the second: a top row planted off by one fails a
+    # division of the derived bottom row; the stored Q_33 corrupted from 65
+    # to 64 leaves step 33 without a P, both in a sweep and in a rebuilt
+    # tree; and a root planted off by one or doubled fails the unit's
+    # division or its check modulo 2^61 - 1.  Each answers before it is
+    # planted
+    out = run_optimized(
+        "from cubicha import quadrep\n"
+        "d = 8061\n"
+        "c = quadrep._principal_cycle(d)\n"
+        "h = len(c.qs)\n"
+        "tree = quadrep._cf_tree\n"
+        "def attempt(label, call):\n"
+        "    try:\n"
+        "        call()\n"
+        "        print(label, 'ok')\n"
+        "    except AssertionError as exc:\n"
+        "        print(label, 'raised:', exc)\n"
+        "sweep = lambda cuts: lambda: quadrep._prefix_rows(d, c, cuts)\n"
+        "attempt('sweep', sweep([40, 67]))\n"
+        "row = c.row_tree[0][1]\n"
+        "c.row_tree[0][1] = (row[0] + 1, row[1])\n"
+        "attempt('sweep', sweep([40, 67]))\n"
+        "c.row_tree[0][1] = row\n"
+        "print('Q_33 =', c.qs[32])\n"
+        "c.qs[32] -= 1\n"
+        "attempt('sweep', sweep([40]))\n"
+        "attempt('tree', lambda: tree(d, c.qs, c.quots[:h - 1]))\n"
+        "c.qs[32] += 1\n"
+        "attempt('unit', lambda: quadrep._principal_cycle.__wrapped__(d))\n"
+        "for plant in (lambda r: (r[0] + 1, r[1]), lambda r: (2 * r[0], 2 * r[1])):\n"
+        "    quadrep._cf_tree = lambda dabs, qs, quots: (lambda t: t[:-1] + [[plant(t[-1][0])]])(tree(dabs, qs, quots))\n"
+        "    attempt('unit', lambda: quadrep._principal_cycle.__wrapped__(d))\n"
+    )
+    assert out.splitlines() == [
+        "sweep ok",
+        "sweep raised: no bottom row from (P, Q) = (66, 65) to (61, 140) of a cycle",
+        "Q_33 = 65",
+        "sweep raised: Q = 64 at step 33 of the cycle of sqrt(8061) has no P",
+        "tree raised: Q = 64 at step 33 of the cycle of sqrt(8061) has no P",
+        "unit ok",
+        "unit raised: the middle convergent of sqrt(8061) gives no unit",
+        "unit raised: the middle convergent of sqrt(8061) gives no unit",
+    ], out
 
 
 class TestLocatedRoots:
@@ -695,27 +869,26 @@ class TestSolveIndefinite:
         assert plus.fundamental[0] is minus.fundamental[0]
 
     def test_hits_need_no_product_past_the_half_period(self, monkeypatch):
-        # from empty caches, the quotients multiplied one at a time (the
-        # tree's leaves and the row steps) are those of the unit's half
-        # period, each root's pre-period and at most one partial run of
-        # _LEAF per root: a hit's prefix comes from the unit's tree, not from
-        # a product over its own stretch.  A leaf steps the rows (1, 0) and
-        # (0, 1) through the same run, and its quotients count once.  The
-        # cache sits inside the recorded function, so each sign records its
-        # call, and the roots and (|D|, |N|) recorded are deduplicated
-        fed, roots, located, in_tree = [0], set(), set(), [False]
+        # from empty caches, each quotient of the unit's half period but the
+        # middle one, quots[:h - 1], is multiplied one at a time exactly
+        # once, inside the tree, which steps one row per leaf; outside it,
+        # the row steps take only each root's pre-period and at most one
+        # partial run of _LEAF per root: a hit's prefix comes from the
+        # unit's tree, not from a product over its own stretch.  The cache
+        # sits inside the recorded function, so each sign records its call,
+        # and the roots and (|D|, |N|) recorded are deduplicated
+        fed, roots, located, in_tree = {"tree": 0, "sweep": 0}, set(), set(), [False]
         tree, steps, locate = quadrep._cf_tree, quadrep._row_steps, quadrep._located_roots
 
-        def marking_tree(quots):
+        def marking_tree(dabs, qs, quots):
             in_tree[0] = True
             try:
-                return tree(quots)
+                return tree(dabs, qs, quots)
             finally:
                 in_tree[0] = False
 
         def counting_steps(row, quots):
-            if not in_tree[0] or row == (1, 0):
-                fed[0] += len(quots)
+            fed["tree" if in_tree[0] else "sweep"] += len(quots)
             return steps(row, quots)
 
         def recording(d, nabs, limit):
@@ -731,15 +904,16 @@ class TestSolveIndefinite:
             for fn in [*vars(quadrep).values(), locate]:
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
-            fed[0] = 0
+            fed.update(tree=0, sweep=0)
             roots.clear()
             located.clear()
             decide_freeness(validate(a, b))
             # one root location for the one (|D|, |N|), whatever the signs solved
             ((d, _),) = located
-            period = _principal_cycle(d).period
-            bound = -(-period // 2) + sum(len(pre) + quadrep._LEAF for _, _, pre, _ in roots)
-            assert 0 < fed[0] <= bound, (a, b, period, fed[0], bound)
+            h = len(_principal_cycle(d).qs)
+            bound = sum(len(pre) + quadrep._LEAF for _, _, pre, _ in roots)
+            assert h > 4 * quadrep._LEAF and fed["tree"] == h - 1, (a, b, h, fed)
+            assert 0 < fed["sweep"] <= bound, (a, b, fed, bound)
 
     def test_factorization_limit_surfaces(self):
         # the roots z come from the factorization of the target, so a target
