@@ -139,11 +139,11 @@ class TestAnalyze:
             "": "",
         }
         chunks = []
-        _write_json(doc, chunks.append, {}, encode_basestring_ascii, "\n")
+        _write_json(doc, chunks.append, {}, {}, encode_basestring_ascii, "\n")
         assert "".join(chunks) == json.dumps(doc, indent=2)
         for bad in ({"x": 1.5}, [{1, 2}], {"x": {3: "three"}}):
             with pytest.raises(TypeError):
-                _write_json(bad, [].append, {}, encode_basestring_ascii, "\n")
+                _write_json(bad, [].append, {}, {}, encode_basestring_ascii, "\n")
 
     def test_analyze_leaves_no_cyclic_garbage(self, capsys):
         # cycles would keep each document's chunks and digits alive until

@@ -510,13 +510,30 @@ class TestProductTree:
         assert quadrep._prefix_rows(d, c, cuts) == two_row_prefix_rows(c.quots, tree, cuts), d
         return len(tree)
 
-    def test_small_d(self):
-        # every nonsquare d = 3m < 20,000
-        depths = set()
-        for d in range(3, 20000, 3):
-            if isqrt(d) ** 2 != d:
-                depths.add(self.check(d))
-        assert max(depths) >= 3, depths
+    def test_small_d(self, monkeypatch):
+        # every nonsquare d = 3m < 20,000: each half period fits one run of
+        # the production leaf, and at a leaf of 4 the trees reach depth 6
+        depths = {}
+        for leaf in (quadrep._LEAF, 4):
+            monkeypatch.setattr(quadrep, "_LEAF", leaf)
+            # the cache holds no cycle built at another leaf
+            _principal_cycle.cache_clear()
+            try:
+                depths[leaf] = {self.check(d) for d in range(3, 20000, 3) if isqrt(d) ** 2 != d}
+            finally:
+                _principal_cycle.cache_clear()
+        assert depths == {256: {1}, 4: {1, 2, 3, 4, 5, 6}}, depths
+
+    def test_seeded_d_past_two_runs(self):
+        # seeded d = 3m < 3*10^7 whose half period spans three runs of the
+        # production leaf or more, every cut
+        rng = random.Random(3209)
+        depths = []
+        while len(depths) < 6:
+            d = 3 * rng.randint(10**5, 10**7)
+            if isqrt(d) ** 2 != d and len(full_period_walk(d)[3]) > 4 * quadrep._LEAF + 2:
+                depths.append(self.check(d))
+        assert min(depths) >= 3 and max(depths) >= 4, depths
 
     def test_segment_identity(self):
         # the bottom row of M(a_i) ... M(a_j) derived from the top row and
@@ -544,18 +561,20 @@ class TestProductTree:
 
 
 def test_tree_certificates_raise_under_optimize(run_optimized):
-    # the cycle of sqrt(8061) has h = 68, so its tree spans three runs, and
-    # step 33 starts the second: a top row planted off by one fails a
-    # division of the derived bottom row; the stored Q_33 corrupted from 65
-    # to 64 leaves step 33 without a P, both in a sweep and in a rebuilt
-    # tree; and a root planted off by one or doubled fails the unit's
-    # division or its check modulo 2^61 - 1.  Each answers before it is
-    # planted
+    # the cycle of sqrt(373101) has h = 540, so its tree spans three runs
+    # of 256 quotients, and step 257 starts the second: a top row planted
+    # off by one fails a division of the derived bottom row, and so does a
+    # quotient planted off by one in a cut's partial run; the stored Q_257
+    # corrupted from 980 to 979 leaves step 257 without a P, both in a
+    # sweep and in a rebuilt tree; and a root planted off by one or doubled
+    # fails the unit's division or its check modulo 2^61 - 1.  Each answers
+    # before it is planted
     out = run_optimized(
         "from cubicha import quadrep\n"
-        "d = 8061\n"
+        "d = 373101\n"
         "c = quadrep._principal_cycle(d)\n"
         "h = len(c.qs)\n"
+        "print('h =', h, 'leaf =', quadrep._LEAF)\n"
         "tree = quadrep._cf_tree\n"
         "def attempt(label, call):\n"
         "    try:\n"
@@ -564,30 +583,35 @@ def test_tree_certificates_raise_under_optimize(run_optimized):
         "    except AssertionError as exc:\n"
         "        print(label, 'raised:', exc)\n"
         "sweep = lambda cuts: lambda: quadrep._prefix_rows(d, c, cuts)\n"
-        "attempt('sweep', sweep([40, 67]))\n"
+        "attempt('sweep', sweep([300, h - 1]))\n"
         "row = c.row_tree[0][1]\n"
         "c.row_tree[0][1] = (row[0] + 1, row[1])\n"
-        "attempt('sweep', sweep([40, 67]))\n"
+        "attempt('sweep', sweep([300, h - 1]))\n"
         "c.row_tree[0][1] = row\n"
-        "print('Q_33 =', c.qs[32])\n"
-        "c.qs[32] -= 1\n"
-        "attempt('sweep', sweep([40]))\n"
+        "c.quots[280] += 1\n"
+        "attempt('cut', sweep([300]))\n"
+        "c.quots[280] -= 1\n"
+        "print('Q_257 =', c.qs[256])\n"
+        "c.qs[256] -= 1\n"
+        "attempt('sweep', sweep([300]))\n"
         "attempt('tree', lambda: tree(d, c.qs, c.quots[:h - 1]))\n"
-        "c.qs[32] += 1\n"
+        "c.qs[256] += 1\n"
         "attempt('unit', lambda: quadrep._principal_cycle.__wrapped__(d))\n"
         "for plant in (lambda r: (r[0] + 1, r[1]), lambda r: (2 * r[0], 2 * r[1])):\n"
         "    quadrep._cf_tree = lambda dabs, qs, quots: (lambda t: t[:-1] + [[plant(t[-1][0])]])(tree(dabs, qs, quots))\n"
         "    attempt('unit', lambda: quadrep._principal_cycle.__wrapped__(d))\n"
     )
     assert out.splitlines() == [
+        "h = 540 leaf = 256",
         "sweep ok",
-        "sweep raised: no bottom row from (P, Q) = (66, 65) to (61, 140) of a cycle",
-        "Q_33 = 65",
-        "sweep raised: Q = 64 at step 33 of the cycle of sqrt(8061) has no P",
-        "tree raised: Q = 64 at step 33 of the cycle of sqrt(8061) has no P",
+        "sweep raised: no bottom row from (P, Q) = (449, 980) to (545, 209) of a cycle",
+        "cut raised: no bottom row from (P, Q) = (449, 980) to (489, 231) of a cycle",
+        "Q_257 = 980",
+        "sweep raised: Q = 979 at step 257 of the cycle of sqrt(373101) has no P",
+        "tree raised: Q = 979 at step 257 of the cycle of sqrt(373101) has no P",
         "unit ok",
-        "unit raised: the middle convergent of sqrt(8061) gives no unit",
-        "unit raised: the middle convergent of sqrt(8061) gives no unit",
+        "unit raised: the middle convergent of sqrt(373101) gives no unit",
+        "unit raised: the middle convergent of sqrt(373101) gives no unit",
     ], out
 
 
@@ -871,24 +895,30 @@ class TestSolveIndefinite:
     def test_hits_need_no_product_past_the_half_period(self, monkeypatch):
         # from empty caches, each quotient of the unit's half period but the
         # middle one, quots[:h - 1], is multiplied one at a time exactly
-        # once, inside the tree, which steps one row per leaf; outside it,
-        # the row steps take only each root's pre-period and at most one
-        # partial run of _LEAF per root: a hit's prefix comes from the
-        # unit's tree, not from a product over its own stretch.  The cache
-        # sits inside the recorded function, so each sign records its call,
-        # and the roots and (|D|, |N|) recorded are deduplicated
-        fed, roots, located, in_tree = {"tree": 0, "sweep": 0}, set(), set(), [False]
-        tree, steps, locate = quadrep._cf_tree, quadrep._row_steps, quadrep._located_roots
+        # once, inside the tree, which steps one row per leaf.  The sweep
+        # steps, once per cut, the small row (1, 0) through at most one
+        # partial run of _LEAF, and no unit-sized row; elsewhere the row
+        # steps take only each root's pre-period: a hit's prefix comes from
+        # the unit's tree, not from a product over its own stretch.  The
+        # cache sits inside the recorded function, so each sign records its
+        # call, and the roots and (|D|, |N|) recorded are deduplicated
+        fed, sweep_steps, roots, located, where = {"tree": 0, "sweep": 0, "pre": 0}, [], set(), set(), ["pre"]
+        tree, sweep, steps, locate = quadrep._cf_tree, quadrep._prefix_rows, quadrep._row_steps, quadrep._located_roots
 
-        def marking_tree(dabs, qs, quots):
-            in_tree[0] = True
-            try:
-                return tree(dabs, qs, quots)
-            finally:
-                in_tree[0] = False
+        def marking(fn, name):
+            def marked(*args):
+                where[0] = name
+                try:
+                    return fn(*args)
+                finally:
+                    where[0] = "pre"
+
+            return marked
 
         def counting_steps(row, quots):
-            fed["tree" if in_tree[0] else "sweep"] += len(quots)
+            fed[where[0]] += len(quots)
+            if where[0] == "sweep":
+                sweep_steps.append((row, len(quots)))
             return steps(row, quots)
 
         def recording(d, nabs, limit):
@@ -897,23 +927,26 @@ class TestSolveIndefinite:
             roots.update(found)
             return found
 
-        monkeypatch.setattr(quadrep, "_cf_tree", marking_tree)
+        monkeypatch.setattr(quadrep, "_cf_tree", marking(tree, "tree"))
+        monkeypatch.setattr(quadrep, "_prefix_rows", marking(sweep, "sweep"))
         monkeypatch.setattr(quadrep, "_row_steps", counting_steps)
         monkeypatch.setattr(quadrep, "_located_roots", recording)
-        for a, b in ((-315, 471), (-672, -830)):
+        for a, b in ((-555, -219), (-672, -830)):
             for fn in [*vars(quadrep).values(), locate]:
                 if hasattr(fn, "cache_clear"):
                     fn.cache_clear()
-            fed.update(tree=0, sweep=0)
+            fed.update(tree=0, sweep=0, pre=0)
+            sweep_steps.clear()
             roots.clear()
             located.clear()
             decide_freeness(validate(a, b))
             # one root location for the one (|D|, |N|), whatever the signs solved
             ((d, _),) = located
             h = len(_principal_cycle(d).qs)
-            bound = sum(len(pre) + quadrep._LEAF for _, _, pre, _ in roots)
             assert h > 4 * quadrep._LEAF and fed["tree"] == h - 1, (a, b, h, fed)
-            assert 0 < fed["sweep"] <= bound, (a, b, fed, bound)
+            assert 0 < len(sweep_steps) <= len(roots), (a, b, len(sweep_steps), len(roots))
+            assert all(row == (1, 0) and k < quadrep._LEAF for row, k in sweep_steps), (a, b, sweep_steps)
+            assert 0 < fed["sweep"] and fed["pre"] <= sum(len(pre) for _, _, pre, _ in roots), (a, b, fed)
 
     def test_factorization_limit_surfaces(self):
         # the roots z come from the factorization of the target, so a target
@@ -1093,6 +1126,63 @@ def pell_pool_fields():
     """Every field of the benchmark's pell pool, the over-cap ones too."""
     pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pell.json").read_text())
     return [tuple(row[:2]) for row in pool["rows"]] + [tuple(f) for f in pool["over_cap"]]
+
+
+def content(dabs, m, z):
+    """The content of the form (m, 2z, (z^2 - dabs)/m) of the state
+    (z + sqrt(dabs))/m."""
+    return gcd(m, 2 * z, (z * z - dabs) // m)
+
+
+class TestContentSkip:
+    """_located_roots skips a root of content > 1 before its walk: the
+    content is a class invariant, and every state of the principal cycle
+    has content 1."""
+
+    @staticmethod
+    def solve(problems):
+        # each problem's located roots and certificate, from empty caches
+        for fn in vars(quadrep).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        return {
+            (dabs, n): (quadrep._located_roots(dabs, abs(n), LIMIT), quadrep._indefinite_certificate(dabs, n, LIMIT))
+            for dabs, n in problems
+        }
+
+    @pytest.mark.parametrize("name", ["square 40", "pell pool"])
+    def test_skip_drops_no_located_root(self, monkeypatch, name):
+        # every indefinite problem of [-40,40]^2 or of the pell pool: with
+        # the skip disabled, no located root has content > 1, though most
+        # roots of the square have, and the certificates are the skipping
+        # solver's
+        fields = [(a, b) for a in range(-40, 41) for b in range(-40, 41)] if name == "square 40" else pell_pool_fields()
+        problems = indefinite_problems(field_problems(fields))
+        skipped = [0]
+
+        def counting_gcd(*args):
+            g = gcd(*args)
+            skipped[0] += g > 1
+            return g
+
+        monkeypatch.setattr(quadrep, "gcd", counting_gcd)
+        skipping = self.solve(problems)
+        monkeypatch.setattr(quadrep, "gcd", lambda *args: 1)
+        walking = self.solve(problems)
+        monkeypatch.undo()
+        self.solve(())
+        assert walking == skipping
+        for (dabs, n), (located, _) in walking.items():
+            assert all(content(dabs, abs(n) // (f * f), z) == 1 for f, z, *_ in located), (dabs, n)
+        above_one = [
+            content(dabs, m, z) > 1
+            for dabs, nabs in {(dabs, abs(n)) for dabs, n in problems}
+            for _, m, zs in quadrep._root_sets(dabs % nabs, nabs, LIMIT)
+            for z in zs
+        ]
+        assert skipped[0] >= sum(above_one) > 0, (skipped, sum(above_one))
+        if name == "square 40":
+            assert (len(above_one), sum(above_one)) == (46022, 26682)
 
 
 class TestSignRule:
