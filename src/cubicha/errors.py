@@ -51,7 +51,8 @@ class NoIntegralCandidateError(RuntimeError):
     and branch: 6a does not divide 9by + branch*x, or in CASE1 3 divides y,
     so no linear factor 3*b1 + 2a*y is +-1.
 
-    The solver only reports matches that meet the side conditions, so from
-    decide_freeness this surfaces an inconsistency rather than being
+    The solver only reports matches that meet the side condition, and no
+    solution of a CASE1 equation has 3 | y (the lemma in ``freeness``), so
+    from decide_freeness this surfaces an inconsistency rather than being
     silently swallowed.
     """

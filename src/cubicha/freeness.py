@@ -9,9 +9,13 @@ is the determinant of the 3x3 coordinate matrix of the W-action on beta.
 The decision procedure reduces generator existence to the representability
 questions handled by quadrep:
 
-    CASE1: x^2 + 3*delta*y^2 = +-12ag, 6a | 9by +- x, 3 not dividing y
+    CASE1: x^2 + 3*delta*y^2 = +-12ag, 6a | 9by +- x
     CASE2: x^2 + 3*delta*y^2 = +-36ag, 6a | 9by +- x
     CASE3: x^2 + 3*delta*y^2 = +-108ag, 6a | 9by +- x
+
+CASE1 also asks that 3 not divide y, and every solution meets that: 3
+divides neither a nor g, so v3(12ag) = 1; 3 divides 3*delta and N, so
+3 | x^2 and 3 | x; then 3 | y would put 9 into x^2 + 3*delta*y^2 = N.
 
 The solver reports the branch sign it matched, so a match (x, y, branch)
 fixes the one generator of the closed formulas (generator_from_solution),
@@ -110,7 +114,8 @@ def generator_from_solution(
 
     b3 = y and 6a*b2 = 9by + branch*x.  b1 sets the linear factor
     L = 3*b1 + 2a*y of d_beta: in CASE1, L is the one of +-1 congruent to
-    2ay mod 3, which exists because 3 does not divide y; when 3 | a, L = 3.
+    2ay mod 3, which exists because no solution of a CASE1 equation has
+    3 | y (see the module docstring); when 3 | a, L = 3.
     The quadratic factor of d_beta is then N/(12a), so
     |d_beta| = 2|L||N|/(12|a|), which is I_W (2g, 18g or 54g) in every case.
     The candidate is still verified through is_generator.  Raises
@@ -120,7 +125,8 @@ def generator_from_solution(
     a = k.a
     num = 9 * k.b * y + branch * x
     # in CASE1 3 does not divide a; (2ay + 1) % 3 - 1 is 0, 1 or -1 and
-    # congruent to 2ay mod 3, so it is a unit exactly when 3 does not divide y
+    # congruent to 2ay mod 3, and it is a unit, as no solution of a CASE1
+    # equation has 3 | y (the module docstring's lemma)
     lin = (2 * a * y + 1) % 3 - 1 if order.case.major == CASE1 else 3
     if lin == 0 or num % (6 * a) != 0:
         raise NoIntegralCandidateError(
@@ -149,18 +155,11 @@ def decide_freeness(
     """
     if order is None:
         order = build(k)
-    major = order.case.major
-    base = _RHS_FACTOR[major] * k.a * k.g
+    base = _RHS_FACTOR[order.case.major] * k.a * k.g
     certs: list[tuple[int, PellCertificate]] = []
     try:
         for rhs in (base, -base):
-            problem = FormProblem(
-                d=3 * k.delta,
-                n=rhs,
-                modulus=6 * abs(k.a),
-                ycoef=9 * k.b,
-                require_y_not_div3=(major == CASE1),
-            )
+            problem = FormProblem(d=3 * k.delta, n=rhs, modulus=6 * abs(k.a), ycoef=9 * k.b)
             match, cert = solve_with_conditions(problem, limit)
             certs.append((rhs, cert))
             if match is not None:

@@ -58,18 +58,10 @@ class MaximalityReport:
         return self.status == MAXIMAL
 
 
-def alaca_condition(k: TrinomialCubic, p: int) -> tuple[bool, str]:
-    """Evaluate the congruence table at p; returns (passed, matched label).
-    ValueError unless p is prime."""
-    if p != 2 and p != 3 and not is_prime(p):
-        raise ValueError(f"alaca_condition requires a prime, got {p}")
-    return _table(k.a, k.b, k.delta, p)
-
-
 def _table(a: int, b: int, delta: int, p: int) -> tuple[bool, str]:
-    """alaca_condition on the integers of the field, which _maximality
-    passes without building a TrinomialCubic, for a p already proved prime:
-    2, 3, or a prime of delta that factorize returned."""
+    """The congruence table at p on the integers of the field; returns
+    (passed, matched label).  p must already be proved prime: _maximality
+    passes 2, 3 or a prime of delta that factorize returned."""
     if p == 2:
         if b % 2 == 1:
             return True, "2a"

@@ -1,6 +1,6 @@
-"""Exact solution of x^2 + D*y^2 = N with the side conditions used by the
+"""Exact solution of x^2 + D*y^2 = N with the side condition used by the
 freeness criterion (D = 3*delta of either sign, N one of +-12ag, +-36ag,
-+-108ag, divisibility 6a | 9by + x or 9by - x, optionally 3 not dividing y).
++-108ag, divisibility 6a | 9by + x or 9by - x).
 
 Three regimes:
 
@@ -110,10 +110,7 @@ l_s(A(x, y)) = (t + s*c*u)*l_s(x, y) + s*u*(|D| - c^2)*y, and M divides
 The multiplier is a unit mod M, as (t + s*c*u)(t - s*c*u) = t^2 - |D|*u^2
 = 1 mod M, and the same holds for A^-1 with -u.  So M divides l_s at one
 point of an orbit exactly when it divides l_s at every point, with the same
-s.  The condition "3 does not divide y" is constant too: 3 divides D and N,
-so 3 divides x, and t^2 = 1 mod 3 gives u*x + t*y = t*y mod 3.  FormProblem
-refuses any problem outside these hypotheses (M | D + c^2, and 3 | D, N when
-3 must not divide y).
+s.  FormProblem refuses any problem outside this hypothesis (M | D + c^2).
 """
 
 from __future__ import annotations
@@ -137,22 +134,20 @@ class FormProblem(Record):
     """x^2 + d*y^2 = n with the divisibility side condition.
 
     ``modulus`` is 6|a| and ``ycoef`` is 9b: a pair (x, y) is accepted when
-    modulus divides ycoef*y + x or ycoef*y - x (and 3 does not divide y when
-    ``require_y_not_div3`` is set).  The problem must meet the hypotheses
-    under which acceptance is constant on each orbit of the automorph (see
-    the module docstring): modulus divides d + ycoef^2, and when
-    ``require_y_not_div3`` is set, 3 divides d and n.  The freeness problems
-    meet them (d + 81b^2 = 12a^3); any other raises AssertionError.
+    modulus divides ycoef*y + x or ycoef*y - x.  The problem must meet the
+    hypothesis under which acceptance is constant on each orbit of the
+    automorph (see the module docstring): modulus divides d + ycoef^2.  The
+    freeness problems meet it (d + 81b^2 = 12a^3); any other raises
+    AssertionError.
     """
 
-    __slots__ = ("d", "n", "modulus", "ycoef", "require_y_not_div3")
+    __slots__ = ("d", "n", "modulus", "ycoef")
 
-    def __init__(self, d: int, n: int, modulus: int, ycoef: int, require_y_not_div3: bool = False):
+    def __init__(self, d: int, n: int, modulus: int, ycoef: int):
         self.d = d
         self.n = n
         self.modulus = modulus
         self.ycoef = ycoef
-        self.require_y_not_div3 = require_y_not_div3
 
         if self.n == 0 or self.d == 0:
             raise AssertionError(f"FormProblem needs d, n != 0, got d = {self.d}, n = {self.n}")
@@ -162,10 +157,6 @@ class FormProblem(Record):
             raise AssertionError(
                 f"FormProblem modulus {self.modulus} does not divide d + ycoef^2 = {self.d + self.ycoef**2}"
             )
-        if self.require_y_not_div3 and (self.d % 3 or self.n % 3):
-            raise AssertionError(
-                f"FormProblem with 3 not dividing y needs 3 | d and 3 | n, got d = {self.d}, n = {self.n}"
-            )
 
     def accepts(self, x: int, y: int) -> int | None:
         """Matched branch sign (-1 for ycoef*y - x, +1 for ycoef*y + x), or None.
@@ -173,8 +164,6 @@ class FormProblem(Record):
         When modulus divides both, the branch is -1.  The caller builds its
         generator from this branch, so the reported match reproduces it.
         """
-        if self.require_y_not_div3 and y % 3 == 0:
-            return None
         if (self.ycoef * y - x) % self.modulus == 0:
             return -1
         if (self.ycoef * y + x) % self.modulus == 0:

@@ -11,8 +11,9 @@ continued fraction of sqrt(d), multiplication and trace in Z[alpha] with
 the square-root identity behind the Gram matrix, the gcd closed form of the
 case table, the gcd of all the 3x3 minors of a tall matrix, the associated
 order's certificates proved per field, its rational basis and Fraction
-membership in it, and the box search for a generator.  ``cli`` loads this
-module only for ``verify``.
+membership in it, the box search for a generator, and the maximality table
+at one prime of the caller's choice.  ``cli`` loads this module only for
+``verify``.
 """
 
 from __future__ import annotations
@@ -427,6 +428,14 @@ def suite_freeness_oracle(rng: random.Random, grid: int) -> int:
     return checks
 
 
+def alaca_condition(k: cubicfield.TrinomialCubic, p: int) -> tuple[bool, str]:
+    """Evaluate the congruence table at p; returns (passed, matched label).
+    ValueError unless p is prime."""
+    if p != 2 and p != 3 and not arith.is_prime(p):
+        raise ValueError(f"alaca_condition requires a prime, got {p}")
+    return integrality._table(k.a, k.b, k.delta, p)
+
+
 def suite_alaca_dedekind(rng: random.Random, grid: int) -> int:
     """Congruence table vs Dedekind referee on every relevant prime, over the
     grid and 20 random fields at 10^6, whose delta needs Brent's rho."""
@@ -442,14 +451,14 @@ def suite_alaca_dedekind(rng: random.Random, grid: int) -> int:
         check(product == abs(k.delta), k, factors)
         primes = sorted({2, 3} | {p for p, e in factors.items() if e >= 2})
         for p in primes:
-            table_ok, _ = integrality.alaca_condition(k, p)
+            table_ok, _ = alaca_condition(k, p)
             referee_ok = integrality.dedekind_check(k, p)
             check(table_ok == referee_ok, k, p, table_ok)
             checks += 1
         # primes not dividing delta pass vacuously
         for p in (5, 7, 11, 13):
             if k.delta % p != 0:
-                ok, _ = integrality.alaca_condition(k, p)
+                ok, _ = alaca_condition(k, p)
                 check(ok, k, p)
                 checks += 1
         # when maximal, the freeness case matches the table's 3-adic row

@@ -30,8 +30,8 @@ from cubicha.freeness import (
     decide_freeness,
     is_generator,
 )
-from cubicha.integrality import alaca_condition, dedekind_check, is_maximal
-from cubicha.selfcheck import brute_force_generator
+from cubicha.integrality import dedekind_check, is_maximal
+from cubicha.selfcheck import alaca_condition, brute_force_generator
 
 
 def _grid(bound):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cubicha.assocorder import CASE1, build
+from cubicha.assocorder import build
 from cubicha.cubicfield import OrderElement, apply_hopf, validate
 from cubicha.errors import FactorizationLimitError, NoIntegralCandidateError, ValidationError
 from cubicha.exactlinalg import det3
@@ -208,9 +208,7 @@ class TestDecideFreeness:
                 for limit in (0, 4):
                     raised = []
                     for rhs in (base, -base):
-                        problem = FormProblem(
-                            d=d, n=rhs, modulus=6 * abs(a), ycoef=9 * b, require_y_not_div3=major == CASE1
-                        )
+                        problem = FormProblem(d=d, n=rhs, modulus=6 * abs(a), ycoef=9 * b)
                         try:
                             solve_with_conditions(problem, limit)
                             raised.append(False)

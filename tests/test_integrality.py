@@ -16,11 +16,11 @@ from cubicha.integrality import (
     MAXIMAL,
     NOT_MAXIMAL,
     UNDECIDED_FACTORIZATION,
-    alaca_condition,
     combined_verdict,
     dedekind_check,
     is_maximal,
 )
+from cubicha.selfcheck import alaca_condition
 
 
 def grid(bound):

@@ -8,7 +8,7 @@ import pytest
 
 from cubicha import quadrep
 from cubicha.arith import DEFAULT_TRIAL_DIVISION_LIMIT as LIMIT
-from cubicha.assocorder import CASE1, classify
+from cubicha.assocorder import classify
 from cubicha.cubicfield import validate
 from cubicha.errors import DegenerateFormError, FactorizationLimitError, ValidationError
 from cubicha.freeness import _RHS_FACTOR, NOT_FREE, decide_freeness
@@ -725,9 +725,9 @@ class TestLocatedRoots:
 
 def test_solution_certificates_raise_under_optimize(run_optimized):
     # two d whose square root has an odd period, which the solver refuses;
-    # a zero target, to the solver and to FormProblem; problems outside the
-    # hypotheses under which the side condition is constant on an orbit (6
-    # does not divide -7 + 81; 3 does not divide d; 3 does not divide n);
+    # a zero target, to the solver and to FormProblem; a problem outside the
+    # hypothesis under which the side condition is constant on an orbit (6
+    # does not divide -7 + 81);
     # then a root of 9 modulo 9 planted with a wrong z, 3 for 4, whose
     # point (15, 4) read off the cycle fails x^2 - 7y^2 = 9, then
     # a bogus representative (3, 1) of x^2 - 69y^2 = 12 that the side
@@ -743,9 +743,7 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "        print('raised:', exc)\n"
         "for call in (lambda: quadrep.solve_indefinite(-69, 0),\n"
         "             lambda: quadrep.FormProblem(d=-69, n=0, modulus=6, ycoef=9),\n"
-        "             lambda: quadrep.FormProblem(d=-7, n=9, modulus=6, ycoef=9),\n"
-        "             lambda: quadrep.FormProblem(d=-7, n=3, modulus=6, ycoef=1, require_y_not_div3=True),\n"
-        "             lambda: quadrep.FormProblem(d=-69, n=4, modulus=6, ycoef=9, require_y_not_div3=True)):\n"
+        "             lambda: quadrep.FormProblem(d=-7, n=9, modulus=6, ycoef=9)):\n"
         "    try:\n"
         "        call()\n"
         "    except AssertionError as exc:\n"
@@ -775,8 +773,6 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "raised: solve_indefinite needs d < 0, n != 0, got d = -69, n = 0",
         "raised: FormProblem needs d, n != 0, got d = -69, n = 0",
         "raised: FormProblem modulus 6 does not divide d + ycoef^2 = 74",
-        "raised: FormProblem with 3 not dividing y needs 3 | d and 3 | n, got d = -7, n = 3",
-        "raised: FormProblem with 3 not dividing y needs 3 | d and 3 | n, got d = -69, n = 4",
         "raised: (15, 4) does not solve x^2 - 7*y^2 = 9",
         "raised: (3, 1) does not solve x^2 - 69*y^2 = 12",
         "raised: Q = 4 at position 3 of the cycle of sqrt(45) has no P",
@@ -1042,12 +1038,9 @@ def field_problems(fields):
             k = validate(a, b)
         except ValidationError:
             continue
-        major = classify(k).major
-        base = _RHS_FACTOR[major] * a * k.g
+        base = _RHS_FACTOR[classify(k).major] * a * k.g
         for n in (base, -base):
-            yield FormProblem(
-                d=3 * k.delta, n=n, modulus=6 * abs(a), ycoef=9 * b, require_y_not_div3=major == CASE1
-            )
+            yield FormProblem(d=3 * k.delta, n=n, modulus=6 * abs(a), ycoef=9 * b)
 
 
 def freeness_problems(lo, hi):
@@ -1055,12 +1048,18 @@ def freeness_problems(lo, hi):
     return field_problems((a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1))
 
 
+def is_case1(p):
+    """Whether the freeness problem p is CASE1's: 3 does not divide
+    a = +-modulus/6."""
+    return p.modulus // 6 % 3 != 0
+
+
 class TestConditionConstantOnOrbits:
     def test_orbit_walk_referee_on_freeness_problems(self):
         # every indefinite problem of [-20,20]^2, both signs: the walk of
         # each orbit modulo 6|a| finds the solver's match, and acceptance,
         # with its branch, is the same at every state of every orbit
-        seen = {"match": 0, "none": 0, "y3": 0, "orbit > 1": 0}
+        seen = {"match": 0, "none": 0, "CASE1 match": 0, "orbit > 1": 0}
         for p in freeness_problems(-20, 20):
             if p.d > 0 or isqrt(-p.d) ** 2 == -p.d:
                 continue
@@ -1071,7 +1070,7 @@ class TestConditionConstantOnOrbits:
                 assert set(verdicts) == {p.accepts(*rep)}, (p, rep)
                 seen["orbit > 1"] += len(verdicts) > 1
             seen["match" if match else "none"] += 1
-            seen["y3"] += p.require_y_not_div3 and match is not None
+            seen["CASE1 match"] += is_case1(p) and match is not None
         assert min(seen.values()) >= 100, seen
 
     def test_linear_form_identity_on_seeded_points(self):
@@ -1100,17 +1099,11 @@ class TestConditionConstantOnOrbits:
             done += 1
 
     def test_problem_outside_the_hypotheses_rejected(self):
-        # each of these breaks one hypothesis of the lemma and meets the rest
-        for kwargs in (
-            dict(d=-69, n=12, modulus=18, ycoef=9),  # 18 does not divide -69 + 81
-            dict(d=-7, n=3, modulus=6, ycoef=1, require_y_not_div3=True),  # 3 does not divide d
-            dict(d=-69, n=4, modulus=6, ycoef=9, require_y_not_div3=True),  # 3 does not divide n
-        ):
-            with pytest.raises(AssertionError, match="FormProblem"):
-                FormProblem(**kwargs)
-            if kwargs.get("require_y_not_div3"):
-                FormProblem(**{**kwargs, "require_y_not_div3": False})
-        FormProblem(d=-69, n=12, modulus=6, ycoef=9, require_y_not_div3=True)
+        # 18 does not divide -69 + 81, which breaks the lemma's hypothesis;
+        # 6 does, and the same problem is accepted
+        with pytest.raises(AssertionError, match="FormProblem"):
+            FormProblem(d=-69, n=12, modulus=18, ycoef=9)
+        FormProblem(d=-69, n=12, modulus=6, ycoef=9)
 
 
 def sign_closure(points):
@@ -1392,7 +1385,7 @@ def test_forced_fast_path_caught_under_optimize(run_optimized):
 
 class TestSolveWithConditions:
     def test_worked_instance_1_1(self):
-        p = FormProblem(d=-69, n=12, modulus=6, ycoef=9, require_y_not_div3=True)
+        p = FormProblem(d=-69, n=12, modulus=6, ycoef=9)
         match, cert = solve_with_conditions(p)
         assert match is not None
         x, y, branch = match
@@ -1421,12 +1414,26 @@ class TestSolveWithConditions:
             assert match is None
             assert cert.representatives == ()
 
-    def test_condition_y_not_div3_filters(self):
-        # x^2 - 69y^2 = 12 has solutions with y = 0 mod 3 in other orbits;
-        # the returned one must respect the filter
-        p = FormProblem(d=-69, n=12, modulus=6, ycoef=9, require_y_not_div3=True)
-        match, _ = solve_with_conditions(p)
-        assert match is not None and match[1] % 3 != 0
+    def test_no_case1_solution_has_y_divisible_by_3(self):
+        # the CASE1 lemma of the freeness module on samples: 3 divides
+        # neither a nor g, so v3(N) = 1, 3 | x, and 3 | y would make 9 | N;
+        # so no representative of any CASE1 problem of [-60,60]^2, of either
+        # sign and in any regime, has 3 | y, accepted by the side condition
+        # or not, and the paper's condition "3 does not divide y" is implied
+        seen = {"problems": 0, "representatives": 0}
+        kinds = set()
+        for p in freeness_problems(-60, 60):
+            if not is_case1(p):
+                continue
+            _, cert = solve_with_conditions(p)
+            assert all(y % 3 for _, y in cert.representatives), p
+            seen["problems"] += 1
+            seen["representatives"] += len(cert.representatives)
+            kinds.add(cert.kind)
+        assert seen == {"problems": 17912, "representatives": 34144}, seen
+        # a square |D| = 81b^2 - 12a^3 is a multiple of 3, so of 9, and then
+        # 3 | a: no CASE1 problem is degenerate
+        assert kinds == {DEFINITE, INDEFINITE}
 
     def test_none_reverified_by_exhaustion(self):
         # small indefinite problems reported NONE: check against the box

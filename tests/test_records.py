@@ -34,7 +34,7 @@ def samples():
         HopfElement.of(1, Fraction(-1, 2), 0),
         verdict.order.case,
         verdict.order,
-        FormProblem(d=-69, n=12, modulus=6, ycoef=9, require_y_not_div3=True),
+        FormProblem(d=-69, n=12, modulus=6, ycoef=9),
         verdict.freeness.pell[0][1],
     )
 
@@ -57,7 +57,7 @@ def test_repr_is_the_dataclass_repr():
     )
     assert str(CaseLabel("CASE2", "V2GE")) == "CASE2/V2GE"
     assert repr(FormProblem(d=-69, n=12, modulus=6, ycoef=9)) == (
-        "FormProblem(d=-69, n=12, modulus=6, ycoef=9, require_y_not_div3=False)"
+        "FormProblem(d=-69, n=12, modulus=6, ycoef=9)"
     )
     assert repr(PellCertificate("INDEFINITE", (7775, 936), ((3, 1),))) == (
         "PellCertificate(kind='INDEFINITE', fundamental=(7775, 936), "
@@ -101,8 +101,6 @@ REFUSED = (
     ((-69, 12, 5, 9), "FormProblem modulus 5 is not 6k, k > 0"),
     ((-69, 12, -6, 9), "FormProblem modulus -6 is not 6k, k > 0"),
     ((-69, 12, 18, 9), "FormProblem modulus 18 does not divide d + ycoef^2 = 12"),
-    ((-7, 3, 6, 1, True), "FormProblem with 3 not dividing y needs 3 | d and 3 | n, got d = -7, n = 3"),
-    ((-69, 4, 6, 9, True), "FormProblem with 3 not dividing y needs 3 | d and 3 | n, got d = -69, n = 4"),
 )
 
 

@@ -15,7 +15,7 @@ FRACTION_MODULES = {"cubicfield.py", "exactlinalg.py", "selfcheck.py"}
 REFEREE_ONLY = {
     "periodic_sqrt_cf", "trace", "verify_sqrt_identity", "_mul_coords",
     "h_closed_form", "in_order", "basis_matrix", "brute_force_generator",
-    "minors_gcd", "order_basis", "referee_order_certificates",
+    "minors_gcd", "order_basis", "referee_order_certificates", "alaca_condition",
 }
 
 
