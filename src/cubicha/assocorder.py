@@ -140,8 +140,17 @@ _INDEX_MINORS = ((0, 4, 8), (0, 3, 6), (0, 4, 5))
 
 def index_minors_gcd(rows) -> int:
     """The gcd of the three minors of the action matrix ``rows`` that make
-    its index for every a, b != 0 (see the module docstring)."""
-    return gcd(*(det3([rows[i] for i in trio]) for trio in _INDEX_MINORS))
+    its index for every a, b != 0 (see the module docstring).
+
+    Straight-line, as it runs once per field: on Python 3.10 and 3.11 every
+    comprehension is a frame of its own, and 3.12 inlines list
+    comprehensions but not generators."""
+    (i0, i1, i2), (j0, j1, j2), (k0, k1, k2) = _INDEX_MINORS
+    return gcd(
+        det3((rows[i0], rows[i1], rows[i2])),
+        det3((rows[j0], rows[j1], rows[j2])),
+        det3((rows[k0], rows[k1], rows[k2])),
+    )
 
 
 def closed_form_reduced(k: TrinomialCubic, case: CaseLabel) -> tuple[tuple[int, int, int], ...]:

@@ -29,14 +29,16 @@ import io
 import os
 import sys
 import time
+from itertools import chain
 from math import gcd
+from operator import itemgetter
 
 from . import __version__
 from .arith import DEFAULT_TRIAL_DIVISION_LIMIT, RHO_ITERATION_COST, TRIAL_DIVISION_BOUND
 from .cubicfield import REDUCED_LOOSE, REDUCED_STRICT, validate
 from .errors import ValidationError
 from .freeness import UNDECIDED
-from .integrality import UNDECIDED_FACTORIZATION, combined_verdict
+from .integrality import MAXIMAL, NOT_MAXIMAL, UNDECIDED_FACTORIZATION, combined_verdict
 
 EX_OK = 0
 EX_VERIFY_FAILED = 1
@@ -271,6 +273,10 @@ def cmd_analyze(args) -> int:
     return code
 
 
+# the scan CSV's maximal column per maximality status
+_MAXIMAL_CELL = {MAXIMAL: "true", NOT_MAXIMAL: "false", UNDECIDED_FACTORIZATION: "undecided"}
+
+
 def _scan_row(a: int, b: int, convention: str, limit: int) -> tuple:
     try:
         k = validate(a, b, convention)
@@ -283,11 +289,6 @@ def _scan_row(a: int, b: int, convention: str, limit: int) -> tuple:
         betas = (str(b1), str(b2), str(b3))
     else:
         betas = ("", "", "")
-    maximal = {
-        "MAXIMAL": "true",
-        "NOT_MAXIMAL": "false",
-        UNDECIDED_FACTORIZATION: "undecided",
-    }[verdicts.maximality.status]
     return (
         "row",
         a,
@@ -296,15 +297,15 @@ def _scan_row(a: int, b: int, convention: str, limit: int) -> tuple:
         k.g,
         f"{order.case.major}/{order.case.minor}",
         order.index_iw,
-        maximal,
+        _MAXIMAL_CELL[verdicts.maximality.status],
         verdicts.freeness.verdict,
         *betas,
     )
 
 
-def _scan_group(task) -> tuple:
+def _scan_group(task) -> list:
     a, bs, convention, limit = task
-    return tuple(_scan_row(a, b, convention, limit) for b in bs)
+    return [_scan_row(a, b, convention, limit) for b in bs]
 
 
 def _mirror_groups(a_range: range, b_range: range):
@@ -359,7 +360,7 @@ def cmd_scan(args) -> int:
     else:
         groups = [_scan_group(t) for t in tasks]
     # groups run in the order of their first field; rows go out a-major, b-minor
-    results = sorted((res for group in groups for res in group), key=lambda res: res[1:3])
+    results = sorted(chain.from_iterable(groups), key=itemgetter(1, 2))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))

@@ -112,6 +112,9 @@ def _integer_roots(a: int, b: int) -> list[int]:
                 lo = mid + 1
             else:
                 hi = mid - 1
+    # almost every field has none, and one needs no order
+    if len(roots) < 2:
+        return roots
 
     def divisor_order(r: int) -> tuple[int, int]:
         d = min(abs(r), n // abs(r))

@@ -45,7 +45,7 @@ UNDECIDED = "UNDECIDED"
 _RHS_FACTOR = {"CASE1": 12, "CASE2": 36, "CASE3": 108}
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FreenessReport:
     """The freeness verdict on the associated order of index ``index_iw``,
     with the verified generator when FREE and the Pell certificate of each
@@ -156,17 +156,19 @@ def decide_freeness(
     if order is None:
         order = build(k)
     base = _RHS_FACTOR[order.case.major] * k.a * k.g
+    targets = (base, -base)
     certs: list[tuple[int, PellCertificate]] = []
     try:
-        for rhs in (base, -base):
+        for rhs in targets:
             problem = FormProblem(d=3 * k.delta, n=rhs, modulus=6 * abs(k.a), ycoef=9 * k.b)
             match, cert = solve_with_conditions(problem, limit)
             certs.append((rhs, cert))
             if match is not None:
                 break
     except FactorizationLimitError as exc:
-        return FreenessReport(order.index_iw, UNDECIDED, None, (), (base, -base), limit_hit=exc.limit)
-    checked = tuple(rhs for rhs, _ in certs)
+        return FreenessReport(order.index_iw, UNDECIDED, None, (), targets, limit_hit=exc.limit)
+    # the targets solved: both, or the first alone when it matched
+    checked = targets[:len(certs)]
     if match is not None:
         generator = generator_from_solution(k, *match, order)
         return FreenessReport(order.index_iw, FREE, generator, tuple(certs), checked, matched=match)

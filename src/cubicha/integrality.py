@@ -41,7 +41,7 @@ NOT_MAXIMAL = "NOT_MAXIMAL"
 UNDECIDED_FACTORIZATION = "UNDECIDED_FACTORIZATION"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MaximalityReport:
     """Whether Z[alpha] is the ring of integers, with the congruence table's
     answer at 2, 3 and each p > 3 with p^2 | delta, and the first prime
@@ -161,7 +161,7 @@ def dedekind_check(k: TrinomialCubic, p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class CombinedVerdict:
     """Maximality plus freeness; the ring-of-integers verdict only applies
     when Z[alpha] is the full ring of integers, otherwise the freeness report

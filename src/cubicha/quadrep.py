@@ -500,9 +500,9 @@ def _located_roots(dabs: int, nabs: int, limit: int) -> tuple:
     The states are looked up by one filter over the stored Q of the
     cycle's first half for the Q values wanted: each stored Q_k stands for
     two positions of the cycle (see _principal_cycle), and each position's
-    P comes from P^2 = dabs - Q_prev*Q, which must be a square.  Nothing
-    here depends on the sign of the target, so x^2 - dabs*y^2 = +-nabs
-    share one call through the cache, and each keeps its own roots.
+    P comes from _edge: P^2 = dabs - Q_prev*Q, which must be a square.
+    Nothing here depends on the sign of the target, so x^2 - dabs*y^2 =
+    +-nabs share one call through the cache, and each keeps its own roots.
     Raises FactorizationLimitError when the factorization budget ``limit``
     cannot factor nabs.
     """
@@ -528,18 +528,12 @@ def _located_roots(dabs: int, nabs: int, limit: int) -> tuple:
     h, last = len(qs), cycle.period - 1
     where = {(s, 1): last}
     for k in compress(range(h), map(wanted_q.__contains__, qs)):
-        q = qs[k]
         # position k holds (P_(k+1), Q_(k+1)); position last - 1 - k, when
         # it lies past the stored half, holds (P_(k+2), Q_(k+1))
-        sides = [(k, qs[k - 1] if k else 1)]
+        p, _, q = _edge(dabs, qs, k + 1)
+        where[p, q] = k
         if last - 1 - k >= h:
-            sides.append((last - 1 - k, qs[k + 1]))
-        for i, q_prev in sides:
-            p2 = dabs - q_prev * q
-            p = isqrt(p2) if p2 > 0 else 0
-            if p == 0 or p * p != p2:
-                raise AssertionError(f"Q = {q} at position {i} of the cycle of sqrt({dabs}) has no P")
-            where[p, q] = i
+            where[_edge(dabs, qs, k + 2)[0], q] = last - 1 - k
     return tuple((f, z, pre, where[st]) for f, z, pre, st in roots if st in where)
 
 

@@ -14,6 +14,9 @@ class Record:
     is not frozen; ``tests/test_records.py`` finds every assignment to a
     field in the package's source.  Unlike a dataclass, defining it
     generates no code at import, and building one costs a few slot stores.
+    The three reports, ``FreenessReport``, ``MaximalityReport`` and
+    ``CombinedVerdict``, are dataclasses without ``frozen`` under the same
+    rule: their fields are set in the generated ``__init__`` only.
     """
 
     __slots__ = ()

@@ -775,7 +775,7 @@ def test_solution_certificates_raise_under_optimize(run_optimized):
         "raised: FormProblem modulus 6 does not divide d + ycoef^2 = 74",
         "raised: (15, 4) does not solve x^2 - 7*y^2 = 9",
         "raised: (3, 1) does not solve x^2 - 69*y^2 = 12",
-        "raised: Q = 4 at position 3 of the cycle of sqrt(45) has no P",
+        "raised: Q = 4 at step 3 of the cycle of sqrt(45) has no P",
     ], out
 
 

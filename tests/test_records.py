@@ -1,9 +1,11 @@
 """The per-field records are plain ``__slots__`` classes on one base,
 ``cubicha.record.Record``, that behave as the frozen dataclasses they
 replaced: the same repr, equality, hash and pickling, and no field assigned
-after construction."""
+after construction.  The three reports are dataclasses, not frozen, under
+the same rule: no field is assigned after their generated ``__init__``."""
 
 import ast
+import dataclasses
 import pickle
 import subprocess
 import sys
@@ -15,12 +17,15 @@ import pytest
 from cubicha import combined_verdict, validate
 from cubicha.assocorder import AssociatedOrder, CaseLabel, build
 from cubicha.cubicfield import HopfElement, OrderElement, TrinomialCubic
+from cubicha.freeness import FreenessReport
+from cubicha.integrality import CombinedVerdict, MaximalityReport
 from cubicha.quadrep import FormProblem, PellCertificate
 from cubicha.record import Record
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cubicha"
 
 RECORDS = (TrinomialCubic, OrderElement, HopfElement, CaseLabel, AssociatedOrder, FormProblem, PellCertificate)
+REPORTS = (FreenessReport, MaximalityReport, CombinedVerdict)
 
 
 def samples():
@@ -124,10 +129,14 @@ def test_form_problem_refuses_under_optimize(run_optimized):
 
 
 def test_no_field_is_assigned_outside_its_own_init():
-    # records are not frozen; the package sets a record's fields in that
-    # record's __init__ only, and calls no setattr
+    # records and reports are not frozen; the package sets a record's
+    # fields in that record's __init__ only, a report's in the __init__
+    # that dataclasses generates, so nowhere in the source, and calls no
+    # setattr
     fields = {name for cls in RECORDS for name in cls.__slots__}
+    fields |= {field.name for cls in REPORTS for field in dataclasses.fields(cls)}
     own = {cls.__name__: set(cls.__slots__) for cls in RECORDS}
+    own.update((cls.__name__, set()) for cls in REPORTS)
     files = sorted(SRC.glob("*.py"))
     assert files
     found = []
@@ -143,7 +152,7 @@ def test_no_field_is_assigned_outside_its_own_init():
                 allowed = on_self and func == "__init__" and node.attr in own[cls]
             else:
                 # an attribute of the same name on another class, as
-                # FactorizationLimitError.n
+                # FactorizationLimitError.n and .cofactor
                 allowed = on_self and cls is not None
             if not allowed:
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
@@ -155,6 +164,56 @@ def test_no_field_is_assigned_outside_its_own_init():
     for path in files:
         visit(ast.parse(path.read_text(), filename=str(path)), path, None, None)
     assert found == []
+
+
+# the reports of the NOT_FREE field (6, 1): CASE3, maximal, and neither
+# definite equation has a solution
+MAXIMALITY_6_1 = (
+    "MaximalityReport(status='MAXIMAL', failing_prime=None, per_prime=((2, '2a', True), "
+    "(3, '3c', True)), delta_factors=((3, 3), (31, 1)), cofactor=1)"
+)
+FREENESS_6_1 = (
+    "FreenessReport(index_iw=54, verdict='NOT_FREE', generator=None, "
+    "pell=((648, PellCertificate(kind='DEFINITE', fundamental=None, representatives=(), "
+    "orbit_period_mod=None)), (-648, PellCertificate(kind='DEFINITE', fundamental=None, "
+    "representatives=(), orbit_period_mod=None))), checked_rhs=(648, -648), matched=None, "
+    "limit_hit=None)"
+)
+VERDICT_6_1 = (
+    f"CombinedVerdict(maximality={MAXIMALITY_6_1}, freeness={FREENESS_6_1}, "
+    "ring_of_integers_free='NOT_FREE', order=AssociatedOrder(case=CaseLabel(major='CASE3', "
+    "minor='V2GE'), index_iw=54, reduced=((1, 0, 2), (0, 9, 3), (0, 0, 6)), "
+    "adj=((54, 0, -18), (0, 6, -3), (0, 0, 9))))"
+)
+
+
+def test_reports_keep_the_contract_the_benchmark_plants_rely_on():
+    # perfbench/selftest.py copies a report with one field changed by
+    # dataclasses.replace; the copy must differ, the original must not
+    # move, and equal reports must hash equal
+    verdict = combined_verdict(validate(6, 1))
+    reports = (verdict.freeness, verdict.maximality, verdict)
+    pinned = (FREENESS_6_1, MAXIMALITY_6_1, VERDICT_6_1)
+    assert tuple(map(type, reports)) == REPORTS
+    assert tuple(map(repr, reports)) == pinned
+    for rep in reports:
+        twin = dataclasses.replace(rep)
+        assert twin is not rep and twin == rep and hash(twin) == hash(rep)
+        fields = tuple(getattr(rep, field.name) for field in dataclasses.fields(rep))
+        assert hash(rep) == hash(fields)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(rep, protocol))
+            assert type(back) is type(rep) and back == rep and hash(back) == hash(rep), protocol
+    planted = (
+        dataclasses.replace(verdict.freeness, verdict="FREE"),
+        dataclasses.replace(verdict.maximality, status="NOT_MAXIMAL"),
+        dataclasses.replace(verdict, ring_of_integers_free=None),
+    )
+    for rep, plant in zip(reports, planted):
+        assert plant != rep and type(plant) is type(rep)
+    assert planted[0].verdict == "FREE" and planted[0].checked_rhs == verdict.freeness.checked_rhs
+    assert planted[1].status == "NOT_MAXIMAL" and planted[2].ring_of_integers_free is None
+    assert tuple(map(repr, reports)) == pinned
 
 
 def test_only_the_planted_reports_are_dataclasses():
